@@ -2,8 +2,8 @@
 
 Subcommands: validate, label, train, predict, filter, evaluate, condition.
 Every run writes a manifest.json recording the effective config hash, the
-seed, input counts, output paths and wall time. Usage errors exit 2, data
-errors exit 1 with a per-item report.
+seed, input counts, output paths and wall time. Usage errors (including a
+bad config file) exit 2, data errors exit 1 with a per-item report.
 """
 
 from __future__ import annotations
@@ -28,6 +28,10 @@ from .embeddings import (
 )
 from .errors import ProsemphError
 from .tagset import default_tagset, load_tagset
+
+
+class UsageError(Exception):
+    """Bad command line or config file; exits 2."""
 
 
 def _config_hash(obj) -> str:
@@ -66,8 +70,24 @@ def _provider(semantic_cfg: dict):
 
 
 def _load_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read config {path}: {exc}") from exc
+
+
+def _config(cls, section: str, values: dict, **fixed):
+    """Build `cls` from one config section, naming the first bad key."""
+    for key, value in values.items():
+        try:
+            cls(**{key: value})
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key {section}.{key}: {exc}") from exc
+    try:
+        return cls(**fixed, **values)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"config section {section}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +128,6 @@ def _label_one(task):
     corpus.save_labels(result.labels, lab_path)
     outputs.append(lab_path.name)
     if write_scores:
-        z = prominence.quantize(result.scores, cfg.threshold_sigma, uid)
         s = np.asarray(result.scores)
         std = s.std()
         zs = (s - s.mean()) / std if std > 1e-12 else np.zeros_like(s)
@@ -117,7 +136,6 @@ def _label_one(task):
             for i, (raw, zi) in enumerate(zip(s, zs)):
                 f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
         outputs.append(score_path.name)
-        del z
     return uid, None, outputs
 
 
@@ -185,15 +203,15 @@ def cmd_train(args) -> int:
     cfg_obj = _load_json(args.config) if args.config else {}
     tagset = _tagset(args)
     provider = _provider(cfg_obj.get("semantic", {}))
-    model_cfg = model_mod.ModelConfig(
+    model_cfg = _config(
+        model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
         semantic_dim=provider.dim,
         seed=args.seed if args.seed is not None else cfg_obj.get("seed", 0),
-        **cfg_obj.get("model", {}),
     )
     train_kwargs = dict(cfg_obj.get("train", {}))
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
-    train_cfg = model_mod.TrainConfig(**train_kwargs)
+    train_cfg = _config(model_mod.TrainConfig, "train", train_kwargs)
     dataset = _load_examples(args.corpus, tagset)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
@@ -418,6 +436,9 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --out")
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ProsemphError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

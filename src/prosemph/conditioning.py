@@ -8,14 +8,14 @@ binary container.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import Reader, Writer
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
 from .embeddings import EmbeddingTable, SemanticProvider, lookup
-from .errors import DimMismatchError, LengthMismatchError, MalformedFileError
+from .errors import DimMismatchError, LengthMismatchError
 from .graph import expand_char_to_phone, expand_word_to_char, graph2relation
 from .tagset import Tagset
 
@@ -98,52 +98,20 @@ def build_emphasis(
 
 
 def export_bundle(bundle: ConditioningBundle, path) -> None:
-    ling = np.ascontiguousarray(bundle.linguistic, dtype="<f4")
-    emph = np.ascontiguousarray(bundle.emphasis, dtype="<f4")
-    uid = bundle.utterance_id.encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(PCND_MAGIC)
-        f.write(
-            struct.pack(
-                "<IIII", PCND_VERSION, bundle.cond_dim, bundle.emph_dim,
-                bundle.num_phones,
-            )
-        )
-        f.write(struct.pack("<I", len(uid)))
-        f.write(uid)
-        f.write(ling.tobytes())
-        f.write(emph.tobytes())
+    """Write a PCND container; layout in the README ("File formats")."""
+    w = Writer(PCND_MAGIC, PCND_VERSION)
+    w.pack("<III", bundle.cond_dim, bundle.emph_dim, bundle.num_phones)
+    w.text(bundle.utterance_id)
+    w.floats(bundle.linguistic)
+    w.floats(bundle.emphasis)
+    w.save(path)
 
 
 def load_bundle(path) -> ConditioningBundle:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as exc:
-        raise MalformedFileError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 24 or data[:4] != PCND_MAGIC:
-        raise MalformedFileError(f"{path}: not a PCND bundle")
-    version, cond_dim, emph_dim, num_phones = struct.unpack_from("<IIII", data, 4)
-    if version != PCND_VERSION:
-        raise MalformedFileError(f"{path}: unsupported version {version}")
-    off = 20
-    (id_len,) = struct.unpack_from("<I", data, off)
-    off += 4
-    try:
-        uid = data[off : off + id_len].decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise MalformedFileError(f"{path}: bad utterance id") from exc
-    off += id_len
-    ling_bytes = num_phones * cond_dim * 4
-    emph_bytes = num_phones * emph_dim * 4
-    if len(data) != off + ling_bytes + emph_bytes:
-        raise MalformedFileError(f"{path}: container size mismatch")
-    ling = np.frombuffer(data[off : off + ling_bytes], dtype="<f4").reshape(
-        num_phones, cond_dim
-    )
-    emph = np.frombuffer(data[off + ling_bytes :], dtype="<f4").reshape(
-        num_phones, emph_dim
-    )
-    return ConditioningBundle(
-        utterance_id=uid, linguistic=np.array(ling), emphasis=np.array(emph)
-    )
+    r = Reader(path, PCND_MAGIC, PCND_VERSION)
+    cond_dim, emph_dim, num_phones = r.unpack("<III")
+    uid = r.text()
+    ling = r.floats((num_phones, cond_dim))
+    emph = r.floats((num_phones, emph_dim))
+    r.done()
+    return ConditioningBundle(utterance_id=uid, linguistic=ling, emphasis=emph)

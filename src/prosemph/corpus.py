@@ -46,12 +46,6 @@ class Utterance:
     def num_phones(self) -> int:
         return sum(self.phones_per_char)
 
-    def word_of_char(self, char_idx: int) -> int:
-        for w, (s, e) in enumerate(self.word_spans):
-            if s <= char_idx < e:
-                return w
-        raise IndexError(char_idx)
-
     def validate(self) -> None:
         n = len(self.chars)
         if n == 0:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -206,30 +205,6 @@ def duration_signal(utt: Utterance, frame_rate: float) -> ProsodicTrack:
             current = log_durs[c]
         values[i] = current
     return ProsodicTrack(values=values, frame_rate=frame_rate, kind="duration")
-
-
-# ---------------------------------------------------------------------------
-# track serialization (cache / inspection)
-
-
-def save_track(t: ProsodicTrack, path) -> None:
-    obj = {"kind": t.kind, "frame_rate": t.frame_rate, "values": t.values.tolist()}
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f)
-        f.write("\n")
-
-
-def load_track(path) -> ProsodicTrack:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
-        return ProsodicTrack(
-            values=np.asarray(obj["values"], dtype=np.float64),
-            frame_rate=float(obj["frame_rate"]),
-            kind=str(obj["kind"]),
-        )
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise MalformedFileError(f"cannot read track {path}: {exc}") from exc
 
 
 def check_same_frame_rate(*tracks: ProsodicTrack) -> float:

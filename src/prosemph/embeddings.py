@@ -7,17 +7,12 @@ tests and pipelines without an external encoder.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimMismatchError,
-    IdOutOfRangeError,
-    MalformedFileError,
-    UnknownUtteranceError,
-)
+from .codec import Reader, Writer
+from .errors import DimMismatchError, IdOutOfRangeError, UnknownUtteranceError
 
 PEMB_MAGIC = b"PEMB"
 PEMB_VERSION = 1
@@ -126,55 +121,30 @@ def hash_provider(dim: int = SEMANTIC_DIM_DEFAULT, seed: int = 0) -> SemanticPro
 
 
 # ---------------------------------------------------------------------------
-# PEMB container: header {magic, version, dim, count} then per-utterance
-# records {id, num_chars, row-major float32 matrix}; little-endian.
+# PEMB container: layout in the README ("File formats"). Any external
+# encoder can write it.
 
 
 def save_semantic(store: dict[str, np.ndarray], dim: int, path) -> None:
     for uid, m in store.items():
         if m.shape[1] != dim:
             raise DimMismatchError(f"{uid}: dim {m.shape[1]} != container dim {dim}")
-    with open(path, "wb") as f:
-        f.write(PEMB_MAGIC)
-        f.write(struct.pack("<III", PEMB_VERSION, dim, len(store)))
-        for uid in sorted(store):
-            m = np.ascontiguousarray(store[uid], dtype="<f4")
-            ub = uid.encode("utf-8")
-            f.write(struct.pack("<I", len(ub)))
-            f.write(ub)
-            f.write(struct.pack("<I", m.shape[0]))
-            f.write(m.tobytes())
+    w = Writer(PEMB_MAGIC, PEMB_VERSION)
+    w.pack("<II", dim, len(store))
+    for uid in sorted(store):
+        w.text(uid)
+        w.pack("<I", store[uid].shape[0])
+        w.floats(store[uid])
+    w.save(path)
 
 
 def load_semantic(path) -> SemanticProvider:
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as exc:
-        raise MalformedFileError(f"cannot read {path}: {exc}") from exc
-    if len(data) < 16 or data[:4] != PEMB_MAGIC:
-        raise MalformedFileError(f"{path}: not a PEMB container")
-    version, dim, count = struct.unpack_from("<III", data, 4)
-    if version != PEMB_VERSION:
-        raise MalformedFileError(f"{path}: unsupported PEMB version {version}")
-    off = 16
+    r = Reader(path, PEMB_MAGIC, PEMB_VERSION)
+    dim, count = r.unpack("<II")
     store: dict[str, np.ndarray] = {}
-    try:
-        for _ in range(count):
-            (id_len,) = struct.unpack_from("<I", data, off)
-            off += 4
-            uid = data[off : off + id_len].decode("utf-8")
-            off += id_len
-            (num_chars,) = struct.unpack_from("<I", data, off)
-            off += 4
-            nbytes = num_chars * dim * 4
-            if off + nbytes > len(data):
-                raise MalformedFileError(f"{path}: truncated record for {uid}")
-            m = np.frombuffer(data[off : off + nbytes], dtype="<f4").reshape(
-                num_chars, dim
-            )
-            off += nbytes
-            store[uid] = m.astype(np.float64)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise MalformedFileError(f"{path}: corrupt container ({exc})") from exc
+    for _ in range(count):
+        uid = r.text()
+        (num_chars,) = r.unpack("<I")
+        store[uid] = r.floats((num_chars, dim)).astype(np.float64)
+    r.done()
     return SemanticProvider(mode="file_backed", dim=dim, store=store)

@@ -8,7 +8,6 @@ length regulators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,35 +28,6 @@ class CharGraph:
     num_nodes: int
     edges: tuple[tuple[int, int, int, int], ...]  # (src, dst, relation_id, dir)
     node_char_index: tuple[int | None, ...]  # BOS/EOS map to None
-
-    @property
-    def bos(self) -> int:
-        return 0
-
-    @property
-    def eos(self) -> int:
-        return self.num_nodes - 1
-
-    def char_nodes(self) -> range:
-        return range(1, self.num_nodes - 1)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "num_nodes": self.num_nodes,
-                "edges": [list(e) for e in self.edges],
-                "node_char_index": list(self.node_char_index),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "CharGraph":
-        obj = json.loads(text)
-        return cls(
-            num_nodes=int(obj["num_nodes"]),
-            edges=tuple(tuple(e) for e in obj["edges"]),
-            node_char_index=tuple(obj["node_char_index"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -131,20 +101,3 @@ def expand_char_to_phone(values: np.ndarray, utt: Utterance) -> np.ndarray:
             f"{utt.id}: {len(values)} char rows for {utt.num_chars} chars"
         )
     return np.repeat(values, utt.phones_per_char, axis=0)
-
-
-def is_weakly_connected(g: CharGraph) -> bool:
-    """Union-find check used by tests; True for any builder output."""
-    parent = list(range(g.num_nodes))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for u, v, _, _ in g.edges:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(i) for i in range(g.num_nodes)}) == 1

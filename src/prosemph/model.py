@@ -13,23 +13,18 @@ deterministic and checkpoints are bit-exact.
 from __future__ import annotations
 
 import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
+from .codec import Reader, Writer
 from .embeddings import (
     POS_DIM_DEFAULT,
     SEMANTIC_DIM_DEFAULT,
     SemanticProvider,
 )
-from .errors import (
-    DimMismatchError,
-    EmptyDatasetError,
-    LengthMismatchError,
-    MalformedFileError,
-)
+from .errors import DimMismatchError, EmptyDatasetError, LengthMismatchError
 from .graph import CharGraph, build_char_graph, expand_word_to_char
 from .tagset import Tagset
 
@@ -51,6 +46,13 @@ class ModelConfig:
     semantic_dim: int = SEMANTIC_DIM_DEFAULT
     seed: int = 0
 
+    def __post_init__(self):
+        dims = (self.hidden_dim, self.head_hidden, self.pos_dim, self.semantic_dim)
+        if not all(isinstance(v, int) for v in (*dims, self.num_iterations, self.seed)):
+            raise ValueError("model config values must be integers")
+        if min(dims) < 1 or self.num_iterations < 0 or self.seed < 0:
+            raise ValueError("model dims must be >= 1, num_iterations and seed >= 0")
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -58,14 +60,11 @@ class TrainConfig:
     learning_rate: float = 5e-5
     batch_size: int = 32
     seed: int = 0
-    optimizer: str = "adam"
     class_weight_positive: float = 3.0
 
     def __post_init__(self):
         if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1:
             raise ValueError("train config values must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 def _sigmoid(x):
@@ -75,6 +74,20 @@ def _sigmoid(x):
 def _glorot(rng, shape, dtype):
     limit = np.sqrt(6.0 / (shape[-1] + shape[-2])) if len(shape) >= 2 else 0.1
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
+
+
+def _param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]:
+    H, R, K = cfg.hidden_dim, tagset.num_relations, cfg.head_hidden
+    shapes = {
+        "proj_W": (H, cfg.semantic_dim + cfg.pos_dim), "proj_b": (H,),
+        "bos": (H,), "eos": (H,), "pos_table": (tagset.num_pos, cfg.pos_dim),
+        "msg_W": (R, 2, H, H), "msg_b": (R, 2, H),
+        "head_W1": (K, H), "head_b1": (K,),
+        "head_W2": (NUM_CLASSES, K), "head_b2": (NUM_CLASSES,),
+    }
+    for g in ("z", "r", "c"):
+        shapes |= {f"gru_W{g}": (H, H), f"gru_U{g}": (H, H), f"gru_b{g}": (H,)}
+    return shapes
 
 
 class PredictorModel:
@@ -99,31 +112,19 @@ class PredictorModel:
         self.params = self._init_params()
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        cfg = self.config
-        H, R = cfg.hidden_dim, self.tagset.num_relations
-        P = self.tagset.num_pos
-        in_dim = cfg.semantic_dim + cfg.pos_dim
-        rng = np.random.default_rng(cfg.seed)
-        dt = self.dtype
-        p = {
-            "proj_W": _glorot(rng, (H, in_dim), dt),
-            "proj_b": np.zeros(H, dtype=dt),
-            "bos": rng.uniform(-0.1, 0.1, size=H).astype(dt),
-            "eos": rng.uniform(-0.1, 0.1, size=H).astype(dt),
-            "pos_table": rng.uniform(-0.1, 0.1, size=(P, cfg.pos_dim)).astype(dt),
-            "msg_W": _glorot(rng, (R, 2, H, H), dt),
-            "msg_b": np.zeros((R, 2, H), dtype=dt),
-            "head_W1": _glorot(rng, (cfg.head_hidden, H), dt),
-            "head_b1": np.zeros(cfg.head_hidden, dtype=dt),
-            "head_W2": _glorot(rng, (NUM_CLASSES, cfg.head_hidden), dt),
-            "head_b2": np.zeros(NUM_CLASSES, dtype=dt),
-        }
-        for gate in ("z", "r", "c"):
-            p[f"gru_W{gate}"] = _glorot(rng, (H, H), dt)
-            p[f"gru_U{gate}"] = _glorot(rng, (H, H), dt)
-            p[f"gru_b{gate}"] = np.zeros(H, dtype=dt)
+        """Glorot weights, U(-0.1, 0.1) embeddings, zero biases. Drawn in
+        `_param_shapes` order, which the checkpoint bytes depend on."""
+        rng = np.random.default_rng(self.config.seed)
+        p = {}
+        for name, shape in _param_shapes(self.config, self.tagset).items():
+            if name in ("bos", "eos", "pos_table"):
+                p[name] = rng.uniform(-0.1, 0.1, size=shape).astype(self.dtype)
+            elif "_b" in name:
+                p[name] = np.zeros(shape, dtype=self.dtype)
+            else:
+                p[name] = _glorot(rng, shape, self.dtype)
         # update gate starts open toward state retention
-        p["gru_bz"] = np.ones(cfg.hidden_dim, dtype=dt)
+        p["gru_bz"] = np.ones_like(p["gru_bz"])
         return p
 
     # -- feature assembly ---------------------------------------------------
@@ -205,10 +206,6 @@ class PredictorModel:
             "probs": probs,
         }
         return probs, cache
-
-    def probabilities(self, utt: Utterance, ann: DepAnnotation) -> np.ndarray:
-        probs, _ = self.forward(utt, ann)
-        return probs
 
     def predict(self, utt: Utterance, ann: DepAnnotation) -> EmphasisLabels:
         """Argmax labels with confidences; ties break toward non-emphasis."""
@@ -329,115 +326,61 @@ class PredictorModel:
         np.add.at(grads["pos_table"], init_cache["pos_char_ids"], dpos)
 
     # -- checkpoint io ------------------------------------------------------
+    # PEMO layout: see "File formats" in the README.
 
     def save(self, path) -> None:
         cfg = self.config
-        meta = {
-            "hidden_dim": cfg.hidden_dim,
-            "num_iterations": cfg.num_iterations,
-            "head_hidden": cfg.head_hidden,
-            "pos_dim": cfg.pos_dim,
-            "semantic_dim": cfg.semantic_dim,
-            "seed": cfg.seed,
-        }
-        meta_blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-        tagset_hash = self.tagset.version_hash().encode("ascii")
-        with open(path, "wb") as f:
-            f.write(PEMO_MAGIC)
-            f.write(struct.pack("<IIII", PEMO_VERSION, cfg.hidden_dim,
-                                self.tagset.num_relations, cfg.semantic_dim))
-            f.write(struct.pack("<H", len(tagset_hash)))
-            f.write(tagset_hash)
-            f.write(struct.pack("<q", cfg.seed))
-            f.write(struct.pack("<I", len(meta_blob)))
-            f.write(meta_blob)
-            f.write(struct.pack("<I", len(self.params)))
-            for name in sorted(self.params):
-                arr = np.ascontiguousarray(self.params[name], dtype="<f4")
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.tobytes())
+        w = Writer(PEMO_MAGIC, PEMO_VERSION)
+        w.pack("<III", cfg.hidden_dim, self.tagset.num_relations, cfg.semantic_dim)
+        w.text(self.tagset.version_hash(), "<H")
+        w.pack("<q", cfg.seed)
+        w.text(json.dumps(vars(cfg), sort_keys=True))
+        w.pack("<I", len(self.params))
+        for name in sorted(self.params):
+            arr = self.params[name]
+            w.text(name)
+            w.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape)
+            w.floats(arr)
+        w.save(path)
 
     @classmethod
     def load(cls, path, tagset: Tagset, provider: SemanticProvider) -> "PredictorModel":
+        r = Reader(path, PEMO_MAGIC, PEMO_VERSION)
+        hidden, num_rel, sem_dim = r.unpack("<III")
+        stored_hash = r.text("<H")
+        (seed,) = r.unpack("<q")
         try:
-            with open(path, "rb") as f:
-                data = f.read()
-        except OSError as exc:
-            raise MalformedFileError(f"cannot read {path}: {exc}") from exc
-        if len(data) < 20 or data[:4] != PEMO_MAGIC:
-            raise MalformedFileError(f"{path}: not a PEMO checkpoint")
-        version, hidden, num_rel, sem_dim = struct.unpack_from("<IIII", data, 4)
-        if version != PEMO_VERSION:
-            raise MalformedFileError(f"{path}: unsupported version {version}")
-        off = 20
-        (hash_len,) = struct.unpack_from("<H", data, off)
-        off += 2
-        stored_hash = data[off : off + hash_len].decode("ascii")
-        off += hash_len
-        (seed,) = struct.unpack_from("<q", data, off)
-        off += 8
-        (meta_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        meta = json.loads(data[off : off + meta_len].decode("utf-8"))
-        off += meta_len
+            meta = json.loads(r.text())
+            config = ModelConfig(**meta)
+        except (ValueError, TypeError) as exc:
+            raise r.error(f"bad model config ({exc})") from exc
+        if (config.hidden_dim, config.semantic_dim, config.seed) != (hidden, sem_dim, seed):
+            raise r.error("header disagrees with model config")
         if num_rel != tagset.num_relations:
-            raise MalformedFileError(
-                f"{path}: checkpoint has {num_rel} relations, tagset has "
+            raise r.error(
+                f"checkpoint has {num_rel} relations, tagset has "
                 f"{tagset.num_relations}"
             )
         if stored_hash != tagset.version_hash():
-            raise MalformedFileError(
-                f"{path}: tagset hash mismatch (checkpoint {stored_hash})"
-            )
-        config = ModelConfig(
-            hidden_dim=hidden,
-            num_iterations=int(meta["num_iterations"]),
-            head_hidden=int(meta["head_hidden"]),
-            pos_dim=int(meta["pos_dim"]),
-            semantic_dim=sem_dim,
-            seed=int(seed),
-        )
+            raise r.error(f"tagset hash mismatch (checkpoint {stored_hash})")
+        params = {}
+        (count,) = r.unpack("<I")
+        for _ in range(count):
+            name = r.text()
+            (ndim,) = r.unpack("<I")
+            params[name] = r.floats(r.unpack(f"<{ndim}I"))
+        r.done()
+        # checked before the model is built: the constructor allocates what
+        # the config asks for, which a corrupt header could make gigabytes
+        if {k: v.shape for k, v in params.items()} != _param_shapes(config, tagset):
+            raise r.error("tensor names or shapes do not match the model config")
         model = cls(tagset, provider, config)
-        (count,) = struct.unpack_from("<I", data, off)
-        off += 4
-        try:
-            for _ in range(count):
-                (name_len,) = struct.unpack_from("<I", data, off)
-                off += 4
-                name = data[off : off + name_len].decode("utf-8")
-                off += name_len
-                (ndim,) = struct.unpack_from("<I", data, off)
-                off += 4
-                shape = struct.unpack_from(f"<{ndim}I", data, off)
-                off += 4 * ndim
-                size = int(np.prod(shape)) if ndim else 1
-                arr = np.frombuffer(
-                    data[off : off + 4 * size], dtype="<f4"
-                ).reshape(shape)
-                off += 4 * size
-                if name not in model.params or model.params[name].shape != arr.shape:
-                    raise MalformedFileError(f"{path}: unexpected tensor {name}{shape}")
-                model.params[name] = arr.astype(np.float32)
-        except struct.error as exc:
-            raise MalformedFileError(f"{path}: truncated checkpoint") from exc
+        model.params = params
         return model
 
 
 # ---------------------------------------------------------------------------
-# optimizers
-
-
-class SgdOptimizer:
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
-        self.lr = learning_rate
-
-    def step(self, params, grads):
-        for k in params:
-            params[k] -= (self.lr * grads[k]).astype(params[k].dtype)
+# optimizer
 
 
 class AdamOptimizer:
@@ -463,12 +406,6 @@ class AdamOptimizer:
             params[k] -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
                 params[k].dtype
             )
-
-
-def make_optimizer(name: str, params, learning_rate: float):
-    if name == "adam":
-        return AdamOptimizer(params, learning_rate)
-    return SgdOptimizer(params, learning_rate)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +440,7 @@ def train(
     for ex in dataset:
         if ex.graph is None:
             ex.graph = build_char_graph(ex.utt, ex.ann, model.tagset)
-    optimizer = make_optimizer(cfg.optimizer, model.params, cfg.learning_rate)
+    optimizer = AdamOptimizer(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     records = []
     log_f = open(log_path, "w", encoding="utf-8") if log_path else None

@@ -100,9 +100,3 @@ def load_tagset(path) -> Tagset:
         if sorted(mapping.values()) != list(range(len(mapping))):
             raise MalformedFileError(f"tagset {path}: {name} ids are not dense 0..n-1")
     return Tagset(pos=pos, rel=rel)
-
-
-def save_tagset(ts: Tagset, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump({"pos": ts.pos, "rel": ts.rel}, f, ensure_ascii=False, sort_keys=True)
-        f.write("\n")

@@ -174,3 +174,19 @@ def test_predict_bad_checkpoint_exits_one(tmp_path, tagset, capsys):
                    "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_train_bad_config_key_is_usage_error(tmp_path, tagset, capsys):
+    c = tmp_path / "corpus"
+    write_labeled_corpus(c, tagset, count=1)
+    cfg = tmp_path / "cfg.json"
+    for section, bad in (("train", {"optimiser": "adam"}),
+                         ("train", {"epochs": -1}),
+                         ("model", {"hidden_dim": 0})):
+        cfg.write_text(json.dumps({section: bad}))
+        rc = cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert f"{section}.{next(iter(bad))}" in err[0]

@@ -3,9 +3,13 @@
 import hashlib
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from prosemph import conditioning, embeddings
+from prosemph.errors import ProsemphError
 from prosemph.model import ModelConfig, PredictorModel
+from prosemph.tagset import default_tagset
 
 # SHA-256 of each container written from the fixed inputs below.  A change
 # here changes the on-disk format: bump the container's version instead.
@@ -56,3 +60,57 @@ def test_golden_bytes(tagset, tmp_path):
         "pcnd": sha256(tmp_path / "c.pcnd"),
     }
     assert digests == GOLDEN
+
+
+# -- malformed input -----------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def containers(tmp_path_factory):
+    """kind -> (valid bytes, loader, scratch path for mutated copies)."""
+    d = tmp_path_factory.mktemp("containers")
+    tagset = default_tagset()
+    provider = write_pemo(tagset, d / "m.pemo")
+    write_pemb(d / "s.pemb")
+    write_pcnd(d / "c.pcnd")
+    return {
+        "pemo": ((d / "m.pemo").read_bytes(),
+                 lambda p: PredictorModel.load(p, tagset, provider), d / "x.pemo"),
+        "pemb": ((d / "s.pemb").read_bytes(), embeddings.load_semantic, d / "x.pemb"),
+        "pcnd": ((d / "c.pcnd").read_bytes(), conditioning.load_bundle, d / "x.pcnd"),
+    }
+
+
+def damage(size: int):
+    """("cut", n): keep the first n < size bytes; ("flip", i, bit): flip one
+    bit.  Half of the flips land in the first 128 bytes, the headers."""
+    cut = st.tuples(st.just("cut"), st.integers(0, size - 1))
+    pos = st.integers(0, min(size, 128) - 1) | st.integers(0, size - 1)
+    flip = st.tuples(st.just("flip"), pos, st.integers(0, 7))
+    return cut | flip
+
+
+def apply(blob: bytes, damage) -> bytes:
+    if damage[0] == "cut":
+        return blob[: damage[1]]
+    out = bytearray(blob)
+    out[damage[1]] ^= 1 << damage[2]
+    return bytes(out)
+
+
+@pytest.mark.parametrize("kind", ["pemo", "pemb", "pcnd"])
+def test_damaged_container_loads_or_raises_typed_error(kind, containers):
+    blob, load, path = containers[kind]
+    path.write_bytes(blob)
+    load(path)  # the undamaged file loads
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(damage(len(blob)))
+    def check(d):
+        path.write_bytes(apply(blob, d))
+        try:
+            load(path)
+        except ProsemphError:
+            pass
+
+    check()

@@ -193,13 +193,3 @@ def test_duration_signal_empty_alignment():
     )
     with pytest.raises(EmptyAlignmentError):
         dsp.duration_signal(utt, 100.0)
-
-
-def test_track_roundtrip(tmp_path, rng):
-    t = dsp.ProsodicTrack(rng.normal(size=40), 100.0, "energy_db")
-    p = tmp_path / "x.trk.json"
-    dsp.save_track(t, p)
-    back = dsp.load_track(p)
-    assert back.kind == t.kind
-    assert back.frame_rate == t.frame_rate
-    assert back.values == pytest.approx(t.values)
