@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conditioning, corpus, metrics, model as model_mod, prominence
+from . import conditioning, corpus, dsp, metrics, model as model_mod, prominence
 from .embeddings import (
     EMPHASIS_DIM_DEFAULT,
     SEMANTIC_DIM_DEFAULT,
@@ -27,6 +27,7 @@ from .embeddings import (
     load_semantic,
 )
 from .errors import ProsemphError
+from .graph import build_char_graph
 from .tagset import default_tagset, load_tagset
 
 
@@ -59,35 +60,72 @@ def _tagset(args):
     return load_tagset(args.tagset) if args.tagset else default_tagset()
 
 
-def _provider(semantic_cfg: dict):
-    mode = semantic_cfg.get("mode", "hash")
+def _int_key(section: dict, key: str, default: int, minimum: int, name=None) -> int:
+    """section[key], or `default` when absent; must be an integer >= minimum."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise UsageError(f"config key {name or key}: expected an integer >= "
+                         f"{minimum}, got {value!r}")
+    return value
+
+
+def _provider(cfg_obj: dict):
+    semantic = cfg_obj.get("semantic", {})
+    if not isinstance(semantic, dict):
+        raise UsageError("config section semantic: expected a JSON object")
+    for key in semantic:
+        if key not in ("mode", "path", "dim", "seed"):
+            raise UsageError(f"config key semantic.{key}: unknown key")
+    mode = semantic.get("mode", "hash")
     if mode == "file_backed":
-        return load_semantic(semantic_cfg["path"])
+        if not isinstance(semantic.get("path"), str):
+            raise UsageError("config key semantic.path: mode file_backed needs "
+                             "a path string")
+        return load_semantic(semantic["path"])
+    if mode != "hash":
+        raise UsageError(f"config key semantic.mode: expected hash or "
+                         f"file_backed, got {mode!r}")
     return hash_provider(
-        dim=int(semantic_cfg.get("dim", SEMANTIC_DIM_DEFAULT)),
-        seed=int(semantic_cfg.get("seed", 0)),
+        dim=_int_key(semantic, "dim", SEMANTIC_DIM_DEFAULT, 1, "semantic.dim"),
+        seed=_int_key(semantic, "seed", 0, 0, "semantic.seed"),
     )
 
 
 def _load_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            obj = json.load(f)
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise UsageError(f"config {path}: expected a JSON object")
+    return obj
 
 
-def _config(cls, section: str, values: dict, **fixed):
-    """Build `cls` from one config section, naming the first bad key."""
+def _config(cls, section: str | None, values: dict, **fixed):
+    """Build `cls` from one config section (None: the top level), naming
+    the first bad key."""
+    where = f"section {section}" if section else "file"
+    if not isinstance(values, dict):
+        raise UsageError(f"config {where}: expected a JSON object")
     for key, value in values.items():
         try:
-            cls(**{key: value})
+            cls(**{**fixed, key: value})
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"config key {section}.{key}: {exc}") from exc
+            name = f"{section}.{key}" if section else key
+            raise UsageError(f"config key {name}: {exc}") from exc
     try:
         return cls(**fixed, **values)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"config section {section}: {exc}") from exc
+        raise UsageError(f"config {where}: {exc}") from exc
+
+
+def _prominence_config(path) -> prominence.ProminenceConfig:
+    obj = _load_json(path)
+    sections = {"weights": prominence.CombineWeights,
+                "wavelet": prominence.WaveletConfig, "frame": dsp.FrameConfig}
+    fixed = {k: _config(cls, k, obj.pop(k)) for k, cls in sections.items() if k in obj}
+    return _config(prominence.ProminenceConfig, None, obj, **fixed)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +180,7 @@ def _label_one(task):
 def cmd_label(args) -> int:
     t0 = time.monotonic()
     cfg = (
-        prominence.ProminenceConfig.from_json(args.config)
-        if args.config
+        _prominence_config(args.config) if args.config
         else prominence.ProminenceConfig()
     )
     out_dir = Path(args.out)
@@ -202,7 +239,7 @@ def cmd_train(args) -> int:
     t0 = time.monotonic()
     cfg_obj = _load_json(args.config) if args.config else {}
     tagset = _tagset(args)
-    provider = _provider(cfg_obj.get("semantic", {}))
+    provider = _provider(cfg_obj)
     model_cfg = _config(
         model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
         semantic_dim=provider.dim,
@@ -212,11 +249,15 @@ def cmd_train(args) -> int:
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
     train_cfg = _config(model_mod.TrainConfig, "train", train_kwargs)
+    val_fraction = cfg_obj.get("val_fraction", 0.0)
+    if (isinstance(val_fraction, bool) or not isinstance(val_fraction, (int, float))
+            or not 0 <= val_fraction < 1):
+        raise UsageError(f"config key val_fraction: expected a number in [0, 1), "
+                         f"got {val_fraction!r}")
     dataset = _load_examples(args.corpus, tagset)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
         return 1
-    val_fraction = float(cfg_obj.get("val_fraction", 0.0))
     if val_fraction > 0:
         rng = np.random.default_rng(train_cfg.seed)
         order = rng.permutation(len(dataset))
@@ -245,27 +286,37 @@ def cmd_predict(args) -> int:
     t0 = time.monotonic()
     cfg_obj = _load_json(args.config) if args.config else {}
     tagset = _tagset(args)
-    provider = _provider(cfg_obj.get("semantic", {}))
+    provider = _provider(cfg_obj)
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    examples = _load_examples(args.corpus, tagset, require_labels=False)
-    outputs = []
-    failures = []
-    for ex in examples:
+    d = Path(args.corpus)
+    ids = corpus.corpus_ids(d)
+    good = []
+    failures = {}
+    for uid in ids:
+        # everything that can fail for one utterance happens here, so the
+        # packed propagations below see only good items
         try:
-            lab = model.predict(ex.utt, ex.ann)
+            utt = corpus.load_utterance(d / f"{uid}.utt.json")
+            ann = corpus.load_annotation(d / f"{uid}.ann.json", utt, tagset)
+            graph = build_char_graph(utt, ann, tagset)
+            provider.check(utt.id, utt.chars)
         except ProsemphError as exc:
-            failures.append({"utterance_id": ex.utt.id, "error": str(exc)})
+            failures[uid] = str(exc)
             continue
-        path = out_dir / f"{ex.utt.id}.lab.tsv"
+        good.append((utt, ann, graph))
+    outputs = []
+    for lab in model.predict(good):
+        path = out_dir / f"{lab.utterance_id}.lab.tsv"
         corpus.save_labels(lab, path)
         outputs.append(path.name)
     if failures:
         with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-            json.dump(failures, f, indent=2)
+            json.dump([{"utterance_id": uid, "error": failures[uid]}
+                       for uid in sorted(failures)], f, indent=2)
     _write_manifest(out_dir, "predict", cfg_obj, model.config.seed,
-                    len(examples), outputs, t0)
+                    len(ids), outputs, t0)
     return 1 if failures else 0
 
 
@@ -324,10 +375,10 @@ def cmd_condition(args) -> int:
     t0 = time.monotonic()
     cfg_obj = _load_json(args.config) if args.config else {}
     tagset = _tagset(args)
-    provider = _provider(cfg_obj.get("semantic", {}))
-    cond_dim = int(cfg_obj.get("cond_dim", conditioning.COND_DIM_DEFAULT))
-    emph_dim = int(cfg_obj.get("emph_dim", EMPHASIS_DIM_DEFAULT))
-    seed = args.seed if args.seed is not None else int(cfg_obj.get("seed", 0))
+    provider = _provider(cfg_obj)
+    cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
+    emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
+    seed = args.seed if args.seed is not None else _int_key(cfg_obj, "seed", 0, 0)
     rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
     pos_table = init_table(tagset.num_pos, cond_dim, "pos", seed + 1)
     emph_table = init_table(2, emph_dim, "emph", seed + 2)

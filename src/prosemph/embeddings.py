@@ -100,12 +100,19 @@ class SemanticProvider:
     store: dict[str, np.ndarray] = field(default_factory=dict)
 
     def rows(self, utterance_id: str, chars=None) -> np.ndarray:
+        self.check(utterance_id, chars)
+        if self.mode == "hash":
+            return hash_embedding(chars, self.dim, self.seed)
+        return self.store[utterance_id]
+
+    def check(self, utterance_id: str, chars=None) -> None:
+        """Raises the error `rows` would raise, without building the rows."""
         if self.mode == "hash":
             if chars is None:
                 raise UnknownUtteranceError(
                     f"hash provider needs characters for {utterance_id}"
                 )
-            return hash_embedding(chars, self.dim, self.seed)
+            return
         if utterance_id not in self.store:
             raise UnknownUtteranceError(utterance_id)
         m = self.store[utterance_id]
@@ -113,7 +120,6 @@ class SemanticProvider:
             raise DimMismatchError(
                 f"{utterance_id}: {m.shape[0]} stored rows for {len(chars)} chars"
             )
-        return m
 
 
 def hash_provider(dim: int = SEMANTIC_DIM_DEFAULT, seed: int = 0) -> SemanticProvider:

@@ -82,6 +82,22 @@ def build_char_graph(utt: Utterance, ann: DepAnnotation, tagset: Tagset) -> Char
     )
 
 
+def disjoint_union(graphs) -> CharGraph:
+    """All `graphs` side by side as one graph (minibatch packing).
+
+    The nodes of each graph follow those of the graphs before it, so no
+    edge joins two of them and each keeps its own BOS/EOS nodes.
+    """
+    edges: list[tuple[int, int, int, int]] = []
+    node_char_index: list[int | None] = []
+    for g in graphs:
+        off = len(node_char_index)
+        edges.extend((u + off, v + off, r, d) for u, v, r, d in g.edges)
+        node_char_index.extend(g.node_char_index)
+    return CharGraph(num_nodes=len(node_char_index), edges=tuple(edges),
+                     node_char_index=tuple(node_char_index))
+
+
 def expand_word_to_char(values: np.ndarray, utt: Utterance) -> np.ndarray:
     """Repeat each word's row once per character in its span."""
     values = np.asarray(values)

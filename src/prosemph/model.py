@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
 from .codec import Reader, Writer
@@ -25,7 +26,7 @@ from .embeddings import (
     SemanticProvider,
 )
 from .errors import DimMismatchError, EmptyDatasetError, LengthMismatchError
-from .graph import CharGraph, build_char_graph, expand_word_to_char
+from .graph import CharGraph, build_char_graph, disjoint_union, expand_word_to_char
 from .tagset import Tagset
 
 PEMO_MAGIC = b"PEMO"
@@ -35,6 +36,8 @@ HIDDEN_DEFAULT = 512
 ITERATIONS_DEFAULT = 3
 HEAD_HIDDEN_DEFAULT = 128
 NUM_CLASSES = 2
+# utterances per packed propagation when predicting
+PREDICT_PACK = 64
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,17 @@ class TrainConfig:
 
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
+
+
+def _incidence(rows, num_rows, dtype):
+    """Sparse [num_rows x len(rows)] matrix with a one at (rows[e], e),
+    built straight in CSR form: row i lists the e with rows[e] == i."""
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    return sparse.csr_matrix(
+        (np.ones(len(rows), dtype), np.argsort(rows, kind="stable"), indptr),
+        shape=(num_rows, len(rows)),
+    )
 
 
 def _glorot(rng, shape, dtype):
@@ -151,24 +165,33 @@ class PredictorModel:
     # -- GGN ---------------------------------------------------------------
 
     def ggn_forward(self, graph: CharGraph, h0: np.ndarray):
-        """Propagate for num_iterations; returns final states and caches."""
+        """Propagate for num_iterations; returns final states and caches.
+
+        Edges are sorted once by (relation, direction), so each step runs
+        one matmul per relation group, and a sparse incidence matrix sums
+        the messages into their destination nodes.
+        """
         if h0.shape[0] != graph.num_nodes:
             raise LengthMismatchError("h0 rows must equal graph node count")
         p = self.params
-        edges = np.asarray(graph.edges, dtype=np.int64)
-        if edges.size == 0:
-            src = dst = rel = dr = np.zeros(0, dtype=np.int64)
-        else:
-            src, dst, rel, dr = edges.T
-        W_e = p["msg_W"][rel, dr]  # [E x H x H]
-        b_e = p["msg_b"][rel, dr]
+        edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 4)
+        num_edges = len(edges)
+        key = edges[:, 2] * 2 + edges[:, 3]
+        order = np.argsort(key, kind="stable")
+        src, dst, key = edges[order, 0], edges[order, 1], key[order]
+        bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
+        groups = [(divmod(int(key[a]), 2), slice(a, b))
+                  for a, b in zip(bounds, bounds[1:])]
+        dtype = np.result_type(h0, p["msg_W"])
+        to_dst = _incidence(dst, graph.num_nodes, dtype)
         h = h0
         steps = []
         for _ in range(self.config.num_iterations):
-            m = np.zeros_like(h)
-            if len(src):
-                msg = np.einsum("eij,ej->ei", W_e, h[src]) + b_e
-                np.add.at(m, dst, msg)
+            hs = h[src]
+            msg = np.empty((num_edges, h.shape[1]), dtype=dtype)
+            for (r, d), s in groups:
+                msg[s] = hs[s] @ p["msg_W"][r, d].T + p["msg_b"][r, d]
+            m = to_dst @ msg
             az = m @ p["gru_Wz"].T + h @ p["gru_Uz"].T + p["gru_bz"]
             ar = m @ p["gru_Wr"].T + h @ p["gru_Ur"].T + p["gru_br"]
             z = _sigmoid(az)
@@ -178,20 +201,39 @@ class PredictorModel:
             h_new = z * h + (1.0 - z) * c
             steps.append({"h_prev": h, "m": m, "z": z, "r": r, "c": c})
             h = h_new
-        cache = {"steps": steps, "src": src, "dst": dst, "rel": rel, "dir": dr,
-                 "W_e": W_e}
+        cache = {"steps": steps, "src": src, "dst": dst, "groups": groups}
         return h, cache
 
     # -- full forward -------------------------------------------------------
 
-    def forward(self, utt: Utterance, ann: DepAnnotation, graph: CharGraph | None = None):
-        """Per-character class probabilities [num_chars x 2] plus caches."""
+    def _forward_packed(self, items):
+        """One propagation over the disjoint union of the items' graphs.
+
+        items: (utt, ann, graph or None) triples. Returns the per-character
+        class probabilities of all items stacked in order, plus caches.
+        """
         p = self.params
-        if graph is None:
-            graph = build_char_graph(utt, ann, self.tagset)
-        h0, init_cache = self.node_init(utt, ann)
-        hT, ggn_cache = self.ggn_forward(graph, h0)
-        h_chars = hT[1:-1]
+        h0s, xs, pos_ids, graphs = [], [], [], []
+        for utt, ann, graph in items:
+            if graph is None:
+                graph = build_char_graph(utt, ann, self.tagset)
+            h0, init = self.node_init(utt, ann)
+            h0s.append(h0)
+            xs.append(init["x"])
+            pos_ids.append(init["pos_char_ids"])
+            graphs.append(graph)
+        union = disjoint_union(graphs)
+        hT, ggn_cache = self.ggn_forward(union, np.vstack(h0s))
+        ends = np.cumsum([g.num_nodes for g in graphs])
+        init_cache = {
+            "x": np.vstack(xs),
+            "pos_char_ids": np.concatenate(pos_ids),
+            "bos_rows": np.r_[0, ends[:-1]],
+            "eos_rows": ends - 1,
+            "char_rows": np.flatnonzero(
+                [i is not None for i in union.node_char_index]),
+        }
+        h_chars = hT[init_cache["char_rows"]]
         a1 = h_chars @ p["head_W1"].T + p["head_b1"]
         hid = np.maximum(a1, 0.0)
         logits = hid @ p["head_W2"].T + p["head_b2"]
@@ -201,23 +243,37 @@ class PredictorModel:
         cache = {
             "init": init_cache,
             "ggn": ggn_cache,
+            "num_nodes": union.num_nodes,
             "h_chars": h_chars,
             "hid": hid,
-            "probs": probs,
         }
         return probs, cache
 
-    def predict(self, utt: Utterance, ann: DepAnnotation) -> EmphasisLabels:
-        """Argmax labels with confidences; ties break toward non-emphasis."""
-        probs, _ = self.forward(utt, ann)
-        labels = (probs[:, 1] > probs[:, 0]).astype(int)
-        conf = probs.max(axis=1)
-        return EmphasisLabels(
-            utterance_id=utt.id,
-            labels=tuple(int(l) for l in labels),
-            confidences=tuple(float(c) for c in conf),
-            source="predicted",
-        )
+    def forward(self, utt: Utterance, ann: DepAnnotation, graph: CharGraph | None = None):
+        """Per-character class probabilities [num_chars x 2] plus caches."""
+        return self._forward_packed([(utt, ann, graph)])
+
+    def predict(self, batch) -> list[EmphasisLabels]:
+        """Argmax labels with confidences for (utt, ann[, graph]) items,
+        PREDICT_PACK items per propagation; ties break toward non-emphasis."""
+        out = []
+        for start in range(0, len(batch), PREDICT_PACK):
+            chunk = [(it[0], it[1], it[2] if len(it) > 2 else None)
+                     for it in batch[start : start + PREDICT_PACK]]
+            probs, _ = self._forward_packed(chunk)
+            labels = (probs[:, 1] > probs[:, 0]).astype(int).tolist()
+            conf = probs.max(axis=1).tolist()
+            pos = 0
+            for utt, _, _ in chunk:
+                end = pos + utt.num_chars
+                out.append(EmphasisLabels(
+                    utterance_id=utt.id,
+                    labels=tuple(labels[pos:end]),
+                    confidences=tuple(conf[pos:end]),
+                    source="predicted",
+                ))
+                pos = end
+        return out
 
     # -- loss / gradients ---------------------------------------------------
 
@@ -227,30 +283,29 @@ class PredictorModel:
     def loss_and_grads(self, batch, class_weight_positive: float = 3.0):
         """Class-weighted cross-entropy over all characters in the batch.
 
-        batch: iterable of (utt, ann, labels[, graph]) tuples. Returns
-        (scalar loss, grads dict matching self.params).
+        batch: iterable of (utt, ann, labels[, graph]) tuples, run as one
+        packed graph. Returns (scalar loss, grads dict matching self.params).
         """
-        grads = self.zero_grads()
         total_chars = sum(item[0].num_chars for item in batch)
         if total_chars == 0:
             raise EmptyDatasetError("batch contains no characters")
-        loss = 0.0
-        for item in batch:
-            utt, ann, labels = item[0], item[1], item[2]
-            graph = item[3] if len(item) > 3 else None
+        for utt, _, labels, *_ in batch:
             if len(labels.labels) != utt.num_chars:
                 raise LengthMismatchError(
                     f"{utt.id}: {len(labels.labels)} labels for {utt.num_chars} chars"
                 )
-            probs, cache = self.forward(utt, ann, graph)
-            y = np.asarray(labels.labels, dtype=np.int64)
-            w = np.where(y == 1, class_weight_positive, 1.0)
-            picked = np.clip(probs[np.arange(len(y)), y], 1e-300, None)
-            loss += float(np.sum(w * -np.log(picked))) / total_chars
-            dlogits = probs.copy()
-            dlogits[np.arange(len(y)), y] -= 1.0
-            dlogits *= (w / total_chars)[:, None]
-            self._backward(dlogits.astype(self.dtype), cache, grads)
+        probs, cache = self._forward_packed(
+            [(it[0], it[1], it[3] if len(it) > 3 else None) for it in batch])
+        y = np.concatenate([np.asarray(it[2].labels, dtype=np.int64) for it in batch])
+        rows = np.arange(len(y))
+        w = np.where(y == 1, class_weight_positive, 1.0)
+        picked = np.clip(probs[rows, y], 1e-300, None)
+        loss = float(np.sum(w * -np.log(picked))) / total_chars
+        dlogits = probs.copy()
+        dlogits[rows, y] -= 1.0
+        dlogits *= (w / total_chars)[:, None]
+        grads = self.zero_grads()
+        self._backward(dlogits.astype(self.dtype), cache, grads)
         return loss, grads
 
     def _backward(self, dlogits, cache, grads):
@@ -262,8 +317,8 @@ class PredictorModel:
         da1 = dhid * (hid > 0)
         grads["head_W1"] += da1.T @ h_chars
         grads["head_b1"] += da1.sum(axis=0)
-        dh = np.zeros((h_chars.shape[0] + 2, h_chars.shape[1]), dtype=self.dtype)
-        dh[1:-1] = da1 @ p["head_W1"]
+        dh = np.zeros((cache["num_nodes"], h_chars.shape[1]), dtype=self.dtype)
+        dh[cache["init"]["char_rows"]] = da1 @ p["head_W1"]
         self._ggn_backward(dh, cache["ggn"], grads)
         self._init_backward(dh, cache["init"], grads)
 
@@ -271,7 +326,8 @@ class PredictorModel:
         """BPTT through the propagation steps; dh is mutated into d(h0)."""
         p = self.params
         src, dst = ggn_cache["src"], ggn_cache["dst"]
-        rel, dr, W_e = ggn_cache["rel"], ggn_cache["dir"], ggn_cache["W_e"]
+        groups = ggn_cache["groups"]
+        to_src = _incidence(src, dh.shape[0], dh.dtype)
         for step in reversed(ggn_cache["steps"]):
             h_prev, m = step["h_prev"], step["m"]
             z, r, c = step["z"], step["r"], step["c"]
@@ -304,20 +360,20 @@ class PredictorModel:
             dm += daz @ p["gru_Wz"]
             dh_prev += daz @ p["gru_Uz"]
 
-            if len(src):
-                dmsg = dm[dst]  # [E x H]
-                np.add.at(grads["msg_W"], (rel, dr),
-                          np.einsum("ei,ej->eij", dmsg, h_prev[src]))
-                np.add.at(grads["msg_b"], (rel, dr), dmsg)
-                back = np.einsum("eij,ei->ej", W_e, dmsg)
-                np.add.at(dh_prev, src, back)
+            dmsg, hs = dm[dst], h_prev[src]
+            back = np.empty_like(dmsg)
+            for (r_, d), s in groups:
+                grads["msg_W"][r_, d] += dmsg[s].T @ hs[s]
+                grads["msg_b"][r_, d] += dmsg[s].sum(axis=0)
+                back[s] = dmsg[s] @ p["msg_W"][r_, d]
+            dh_prev += to_src @ back
             dh[...] = dh_prev
 
     def _init_backward(self, dh0, init_cache, grads):
         p = self.params
-        grads["bos"] += dh0[0]
-        grads["eos"] += dh0[-1]
-        dh_chars = dh0[1:-1]
+        grads["bos"] += dh0[init_cache["bos_rows"]].sum(axis=0)
+        grads["eos"] += dh0[init_cache["eos_rows"]].sum(axis=0)
+        dh_chars = dh0[init_cache["char_rows"]]
         x = init_cache["x"]
         grads["proj_W"] += dh_chars.T @ x
         grads["proj_b"] += dh_chars.sum(axis=0)
@@ -395,17 +451,25 @@ class AdamOptimizer:
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads):
+        """One update, in place and in float32 where the tensors are."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
+        c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k in params:
-            g = grads[k]
-            self.m[k] = b1 * self.m[k] + (1 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1 - b2) * g * g
-            mhat = self.m[k] / (1 - b1**self.t)
-            vhat = self.v[k] / (1 - b2**self.t)
-            params[k] -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                params[k].dtype
-            )
+            g, m, v = grads[k], self.m[k], self.v[k]
+            m *= b1
+            m += (1 - b1) * g
+            g2 = (1 - b2) * g
+            g2 *= g
+            v *= b2
+            v += g2
+            upd = m / c1
+            upd *= self.lr
+            den = v / c2
+            np.sqrt(den, out=den)
+            den += self.eps
+            upd /= den
+            params[k] -= upd
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +528,8 @@ def train(
                 num_batches += 1
             rec = {"epoch": epoch, "loss": epoch_loss / max(num_batches, 1)}
             if val_dataset:
-                preds = {
-                    ex.utt.id: model.predict(ex.utt, ex.ann) for ex in val_dataset
-                }
+                labs = model.predict([(ex.utt, ex.ann, ex.graph) for ex in val_dataset])
+                preds = {lab.utterance_id: lab for lab in labs}
                 gold = {ex.utt.id: ex.labels for ex in val_dataset}
                 m = evaluate(preds, gold)
                 rec.update(

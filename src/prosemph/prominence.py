@@ -7,7 +7,6 @@ to one prominence score per character, and thresholded into binary labels.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -17,7 +16,7 @@ from scipy import signal
 
 from . import dsp
 from .corpus import EmphasisLabels, Utterance
-from .errors import BandOutOfRangeError, MalformedFileError, ProsemphError
+from .errors import BandOutOfRangeError, ProsemphError
 
 
 @dataclass(frozen=True)
@@ -39,6 +38,13 @@ class WaveletConfig:
     scales_per_octave: int = 2
     base_scale_frames: float = 4.0
 
+    def __post_init__(self):
+        if not (isinstance(self.num_scales, int) and isinstance(self.scales_per_octave, int)):
+            raise ValueError("num_scales and scales_per_octave must be integers")
+        if self.num_scales < 1 or self.scales_per_octave < 1 or not self.base_scale_frames > 0:
+            raise ValueError("num_scales, scales_per_octave and base_scale_frames "
+                             "must be positive")
+
 
 @dataclass(frozen=True)
 class ProminenceConfig:
@@ -48,25 +54,16 @@ class ProminenceConfig:
     threshold_sigma: float = 1.0
     frame: dsp.FrameConfig = field(default_factory=dsp.FrameConfig)
 
-    @classmethod
-    def from_json(cls, path) -> "ProminenceConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                obj = json.load(f)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise MalformedFileError(f"cannot read config {path}: {exc}") from exc
-        kw = {}
-        if "weights" in obj:
-            kw["weights"] = CombineWeights(**obj["weights"])
-        if "wavelet" in obj:
-            kw["wavelet"] = WaveletConfig(**obj["wavelet"])
-        if "band" in obj:
-            kw["band"] = tuple(obj["band"])
-        if "threshold_sigma" in obj:
-            kw["threshold_sigma"] = float(obj["threshold_sigma"])
-        if "frame" in obj:
-            kw["frame"] = dsp.FrameConfig(**obj["frame"])
-        return cls(**kw)
+    def __post_init__(self):
+        object.__setattr__(self, "band", tuple(self.band))  # JSON gives a list
+        lo, hi = self.band
+        if not (isinstance(lo, int) and isinstance(hi, int)
+                and 0 <= lo <= hi < self.wavelet.num_scales):
+            raise ValueError(f"band must be scale indices 0 <= lo <= hi < "
+                             f"{self.wavelet.num_scales}")
+        if isinstance(self.threshold_sigma, bool) or not isinstance(
+                self.threshold_sigma, (int, float)):
+            raise ValueError("threshold_sigma must be a number")
 
     def to_dict(self) -> dict:
         return {

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from prosemph import cli, corpus
 
@@ -190,3 +191,94 @@ def test_train_bad_config_key_is_usage_error(tmp_path, tagset, capsys):
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert f"{section}.{next(iter(bad))}" in err[0]
+
+
+def test_predict_missing_semantic_rows_fail_per_item(tmp_path, tagset):
+    from prosemph import embeddings, model as M
+
+    c, lean = tmp_path / "corpus", tmp_path / "lean"
+    # more than one pack, so the missing item shifts every later pack
+    write_labeled_corpus(c, tagset, count=M.PREDICT_PACK + 6)
+    ids = corpus.corpus_ids(c)
+    gone = ids[2]
+    lean.mkdir()
+    for p in c.iterdir():
+        if not p.name.startswith(gone + "."):
+            (lean / p.name).write_bytes(p.read_bytes())
+    rng = np.random.default_rng(3)
+    store = {uid: rng.standard_normal(
+        (corpus.load_utterance(c / f"{uid}.utt.json").num_chars, 16)
+    ).astype(np.float32) for uid in ids if uid != gone}
+    embeddings.save_semantic(store, 16, tmp_path / "sem.pemb")
+    provider = embeddings.load_semantic(tmp_path / "sem.pemb")
+    M.PredictorModel(tagset, provider, M.ModelConfig(
+        hidden_dim=16, head_hidden=8, semantic_dim=16, seed=1)).save(tmp_path / "m.pemo")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"semantic": {"mode": "file_backed", "path": str(tmp_path / "sem.pemb")}}))
+
+    def predict(corpus_dir, out):
+        return cli.main(["predict", "--corpus", str(corpus_dir), "--config", str(cfg),
+                         "--checkpoint", str(tmp_path / "m.pemo"), "--out", str(out)])
+
+    assert predict(c, tmp_path / "full") == 1
+    failures = json.loads((tmp_path / "full" / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == [gone]
+    assert predict(lean, tmp_path / "lean_out") == 0
+    for uid in ids:
+        got = tmp_path / "full" / f"{uid}.lab.tsv"
+        if uid == gone:
+            assert not got.exists()
+        else:
+            assert got.read_bytes() == (tmp_path / "lean_out" / f"{uid}.lab.tsv").read_bytes()
+
+
+def _usage_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    return err[0]
+
+
+def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
+    c, w = tmp_path / "c", tmp_path / "wav"
+    write_audio_corpus(c, w, count=1)
+    cfg = tmp_path / "cfg.json"
+    for bad, key in (({"weights": {"w_pitch": 1}}, "weights.w_pitch"),
+                     ({"wavelet": {"num_scales": "many"}}, "wavelet.num_scales"),
+                     ({"band": [2, 40]}, "band"),
+                     ({"bands": [2, 9]}, "bands")):
+        cfg.write_text(json.dumps(bad))
+        rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
+                       str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert _usage_error_line(capsys).startswith(f"error: config key {key}: ")
+    # band is checked against the configured wavelet, not the default one
+    cfg.write_text(json.dumps({"wavelet": {"num_scales": 16}, "band": [2, 13]}))
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
+                     str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "a0.lab.tsv").exists()
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    ("condition", {"semantic": {"mode": "file_backed"}}, "semantic.path"),
+    ("predict", {"semantic": {"mode": "bert"}}, "semantic.mode"),
+    ("train", {"semantic": {"dim": "big"}}, "semantic.dim"),
+    ("condition", {"semantic": {"seed": -1}}, "semantic.seed"),
+    ("train", {"semantic": {"dims": 16}}, "semantic.dims"),
+    ("condition", {"cond_dim": "big"}, "cond_dim"),
+    ("condition", {"emph_dim": 0}, "emph_dim"),
+    ("condition", {"seed": 1.5}, "seed"),
+    ("train", {"val_fraction": "half"}, "val_fraction"),
+    ("train", {"val_fraction": 1.0}, "val_fraction"),
+])
+def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
+                                                      command, bad, key):
+    c = tmp_path / "corpus"
+    write_labeled_corpus(c, tagset, count=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    argv = [command, "--corpus", str(c), "--config", str(cfg), "--out", str(tmp_path / "o")]
+    if command == "predict":
+        argv += ["--checkpoint", str(tmp_path / "absent.pemo")]
+    assert cli.main(argv) == 2
+    assert _usage_error_line(capsys).startswith(f"error: config key {key}: ")

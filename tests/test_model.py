@@ -223,7 +223,7 @@ def test_predict_confident_negative(tagset):
     m.params["head_W1"][:] = 0
     m.params["head_W2"][:] = 0
     m.params["head_b2"][:] = [math.log(9), 0.0]  # probs (0.9, 0.1)
-    lab = m.predict(utt, ann)
+    lab = m.predict([(utt, ann)])[0]
     assert lab.labels == (0, 0, 0, 0)
     assert lab.confidences == pytest.approx((0.9,) * 4)
     assert lab.source == "predicted"
@@ -234,7 +234,7 @@ def test_predict_tie_breaks_to_zero(tagset):
     utt, ann, _ = small_example(tagset)
     for k in ("head_W1", "head_b1", "head_W2", "head_b2"):
         m.params[k][:] = 0
-    lab = m.predict(utt, ann)
+    lab = m.predict([(utt, ann)])[0]
     assert lab.labels == (0, 0, 0, 0)
     assert lab.confidences == pytest.approx((0.5,) * 4)
 
@@ -242,9 +242,9 @@ def test_predict_tie_breaks_to_zero(tagset):
 def test_logit_shift_invariance(tagset):
     m = small_model(tagset, seed=4)
     utt, ann, _ = small_example(tagset)
-    before = m.predict(utt, ann)
+    before = m.predict([(utt, ann)])[0]
     m.params["head_b2"][:] += 7.3
-    after = m.predict(utt, ann)
+    after = m.predict([(utt, ann)])[0]
     assert before.labels == after.labels
 
 
@@ -307,11 +307,11 @@ def test_checkpoint_roundtrip_bitwise(tagset, tmp_path):
     m = M.PredictorModel(tagset, prov,
                          M.ModelConfig(hidden_dim=16, semantic_dim=16, seed=8))
     utt, ann, _ = small_example(tagset)
-    before = m.predict(utt, ann)
+    before = m.predict([(utt, ann)])[0]
     p = tmp_path / "m.pemo"
     m.save(p)
     loaded = M.PredictorModel.load(p, tagset, prov)
-    after = loaded.predict(utt, ann)
+    after = loaded.predict([(utt, ann)])[0]
     assert before == after
     for k in m.params:
         assert np.array_equal(m.params[k], loaded.params[k])
@@ -331,3 +331,105 @@ def test_provider_dim_mismatch(tagset):
     prov = embeddings.hash_provider(dim=8, seed=0)
     with pytest.raises(DimMismatchError):
         M.PredictorModel(tagset, prov, M.ModelConfig(semantic_dim=16))
+
+
+# -- packed minibatches ------------------------------------------------------
+
+
+def varied_batch(tagset, lengths=(1, 3, 5, 8)):
+    """Utterances of different lengths with two-char words chained by
+    alternating SBV/ATT arcs, and random labels."""
+    rng = np.random.default_rng(21)
+    batch = []
+    for k, n in enumerate(lengths):
+        uid = f"v{k}"
+        spans = tuple((s, min(s + 2, n)) for s in range(0, n, 2))
+        words = len(spans)
+        utt = corpus.Utterance(
+            uid, tuple(chr(ord("a") + (3 * i + k) % 26) for i in range(n)), spans,
+            (1,) * n, tuple((i * 0.1, (i + 1) * 0.1) for i in range(n)),
+        )
+        ann = corpus.DepAnnotation(
+            uid, tuple(tagset.pos["nv"[w % 2]] for w in range(words)),
+            tuple(w + 1 if w + 1 < words else None for w in range(words)),
+            tuple(tagset.rel[("SBV", "ATT")[w % 2]] if w + 1 < words
+                  else tagset.root_id for w in range(words)),
+        )
+        lab = corpus.EmphasisLabels(
+            uid, tuple(int(x) for x in rng.integers(0, 2, n)), (1.0,) * n, "human")
+        batch.append((utt, ann, lab))
+    return batch
+
+
+def test_packed_loss_is_char_weighted_sum_of_singles(tagset):
+    m = small_model(tagset, seed=2)
+    batch = varied_batch(tagset)
+    loss, grads = m.loss_and_grads(batch)
+    total = sum(utt.num_chars for utt, _, _ in batch)
+    want_loss = 0.0
+    want = m.zero_grads()
+    for item in batch:
+        li, gi = m.loss_and_grads([item])
+        share = item[0].num_chars / total
+        want_loss += share * li
+        for k in want:
+            want[k] += share * gi[k]
+    assert loss == pytest.approx(want_loss, rel=0, abs=1e-10)
+    for k in want:
+        assert np.abs(grads[k] - want[k]).max() <= 1e-10, k
+
+
+def test_gradient_check_packed_varied_lengths(tagset):
+    m = small_model(tagset, seed=3)
+    assert fd_check(m, varied_batch(tagset), np.random.default_rng(9)) <= 1e-4
+
+
+def test_ggn_union_blocks_are_independent(tagset):
+    from prosemph.graph import disjoint_union
+
+    m = small_model(tagset, seed=5)
+    parts = [item[:2] for item in varied_batch(tagset, lengths=(3, 6))]
+    graphs = [build_char_graph(utt, ann, tagset) for utt, ann in parts]
+    h0s = [m.node_init(utt, ann)[0] for utt, ann in parts]
+    union = disjoint_union(graphs)
+    assert union.num_nodes == sum(g.num_nodes for g in graphs)
+    packed, _ = m.ggn_forward(union, np.vstack(h0s))
+    alone = np.vstack([m.ggn_forward(g, h0)[0] for g, h0 in zip(graphs, h0s)])
+    assert np.abs(packed - alone).max() <= 1e-12
+
+
+def test_packed_predict_matches_single_forward(tagset):
+    m = small_model(tagset, seed=6)
+    batch = varied_batch(tagset, lengths=(1, 3, 5, 8) * (M.PREDICT_PACK // 4 + 1))
+    labs = m.predict([(utt, ann) for utt, ann, _ in batch])
+    assert len(labs) > M.PREDICT_PACK  # crosses a pack boundary
+    for (utt, ann, _), lab in zip(batch, labs):
+        probs, _ = m.forward(utt, ann)
+        assert lab.utterance_id == utt.id
+        assert lab.labels == tuple(int(p1 > p0) for p0, p1 in probs)
+        assert lab.confidences == pytest.approx(probs.max(axis=1), abs=1e-12)
+
+
+def test_adam_in_place_step_is_bit_identical():
+    """Three steps of the in-place update against the plain formula."""
+    rng = np.random.default_rng(4)
+    shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4)}
+    params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = M.AdamOptimizer(params, learning_rate=1e-2)
+    b1, b2, lr, eps = 0.9, 0.999, 1e-2, 1e-8
+    for t in range(1, 4):
+        grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        opt.step(params, grads)
+        for k, g in grads.items():
+            ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+            ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+            mhat = ref_m[k] / (1 - b1**t)
+            vhat = ref_v[k] / (1 - b2**t)
+            ref[k] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(ref[k].dtype)
+    for k in shapes:
+        assert np.array_equal(params[k], ref[k])
+        assert np.array_equal(opt.m[k], ref_m[k])
+        assert np.array_equal(opt.v[k], ref_v[k])
