@@ -26,7 +26,7 @@ from .embeddings import (
     init_table,
     load_semantic,
 )
-from .errors import ProsemphError
+from .errors import ProsemphError, describe
 from .graph import build_char_graph
 from .tagset import default_tagset, load_tagset
 
@@ -128,6 +128,33 @@ def _prominence_config(path) -> prominence.ProminenceConfig:
     return _config(prominence.ProminenceConfig, None, obj, **fixed)
 
 
+def _each_item(corpus_dir, tagset, prepare):
+    """Load each item of the corpus and run prepare(utt, ann) on it in one try;
+    prepare's results other than None, in corpus order, and the failures,
+    {utterance_id: "<Type>: <message>"}."""
+    results, failures = [], {}
+    for uid in corpus.corpus_ids(corpus_dir):
+        try:
+            result = prepare(*corpus.load_item(corpus_dir, uid, tagset))
+        except ProsemphError as exc:
+            failures[uid] = describe(exc)
+            continue
+        if result is not None:
+            results.append(result)
+    return results, failures
+
+
+def _report(out_dir: Path, failures: dict[str, str]) -> int:
+    """Print the failed items and write them to failures.json; the exit code."""
+    report = [{"utterance_id": uid, "error": failures[uid]} for uid in sorted(failures)]
+    for item in report:
+        print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
+    if report:
+        with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
+            json.dump(report, f, indent=2)
+    return 1 if report else 0
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -160,7 +187,7 @@ def _label_one(task):
         utt = corpus.load_utterance(utt_path)
         result = prominence.label_utterance(wav_path, utt, cfg)
     except ProsemphError as exc:
-        return uid, f"{type(exc).__name__}: {exc}", []
+        return uid, describe(exc), []
     outputs = []
     lab_path = Path(out_dir) / f"{uid}.lab.tsv"
     corpus.save_labels(result.labels, lab_path)
@@ -197,42 +224,14 @@ def cmd_label(args) -> int:
         )
         for uid in ids
     ]
-    failures = []
-    outputs = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_label_one, tasks))
     else:
         results = [_label_one(t) for t in tasks]
-    for uid, failure, outs in sorted(results):
-        if failure:
-            failures.append({"utterance_id": uid, "error": failure})
-            print(f"{uid}\tfail\t{failure}", file=sys.stderr)
-        else:
-            outputs.extend(outs)
-    if failures:
-        with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-            json.dump(failures, f, indent=2)
+    outputs = [name for _, _, outs in results for name in outs]
     _write_manifest(out_dir, "label", cfg.to_dict(), 0, len(ids), outputs, t0)
-    return 1 if failures else 0
-
-
-def _load_examples(corpus_dir, tagset, require_labels=True):
-    examples = []
-    for uid in corpus.corpus_ids(corpus_dir):
-        d = Path(corpus_dir)
-        utt = corpus.load_utterance(d / f"{uid}.utt.json")
-        ann = corpus.load_annotation(d / f"{uid}.ann.json", utt, tagset)
-        lab_path = d / f"{uid}.lab.tsv"
-        if lab_path.exists():
-            lab = corpus.load_labels(lab_path, uid)
-            lab.validate(utt.num_chars)
-        elif require_labels:
-            continue
-        else:
-            lab = None
-        examples.append(model_mod.Example(utt=utt, ann=ann, labels=lab))
-    return examples
+    return _report(out_dir, {uid: failure for uid, failure, _ in results if failure})
 
 
 def cmd_train(args) -> int:
@@ -254,9 +253,21 @@ def cmd_train(args) -> int:
             or not 0 <= val_fraction < 1):
         raise UsageError(f"config key val_fraction: expected a number in [0, 1), "
                          f"got {val_fraction!r}")
-    dataset = _load_examples(args.corpus, tagset)
+
+    def labeled(utt, ann):
+        # an utterance without labels is left out, not failed
+        lab_path = Path(args.corpus) / f"{utt.id}.lab.tsv"
+        if lab_path.exists():
+            return model_mod.Example(
+                utt, ann, corpus.load_labels(lab_path, utt.id, utt.num_chars))
+        return None
+
+    dataset, failures = _each_item(args.corpus, tagset, labeled)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
+        _report(out_dir, failures)
         return 1
     if val_fraction > 0:
         rng = np.random.default_rng(train_cfg.seed)
@@ -267,8 +278,6 @@ def cmd_train(args) -> int:
     else:
         val, trn = None, dataset
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = out_dir / "model.pemo"
     model_mod.train(
         model, trn, train_cfg, val_dataset=val,
@@ -277,9 +286,10 @@ def cmd_train(args) -> int:
     _write_manifest(
         out_dir, "train",
         {"config": cfg_obj, "model": vars(model_cfg), "train": vars(train_cfg)},
-        train_cfg.seed, len(dataset), ["model.pemo", "train_log.ldjson"], t0,
+        train_cfg.seed, len(dataset) + len(failures),
+        ["model.pemo", "train_log.ldjson"], t0,
     )
-    return 0
+    return _report(out_dir, failures)
 
 
 def cmd_predict(args) -> int:
@@ -290,34 +300,23 @@ def cmd_predict(args) -> int:
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    d = Path(args.corpus)
-    ids = corpus.corpus_ids(d)
-    good = []
-    failures = {}
-    for uid in ids:
+
+    def packable(utt, ann):
         # everything that can fail for one utterance happens here, so the
         # packed propagations below see only good items
-        try:
-            utt = corpus.load_utterance(d / f"{uid}.utt.json")
-            ann = corpus.load_annotation(d / f"{uid}.ann.json", utt, tagset)
-            graph = build_char_graph(utt, ann, tagset)
-            provider.check(utt.id, utt.chars)
-        except ProsemphError as exc:
-            failures[uid] = str(exc)
-            continue
-        good.append((utt, ann, graph))
+        graph = build_char_graph(utt, ann, tagset)
+        provider.check(utt.id, utt.chars)
+        return utt, ann, graph
+
+    good, failures = _each_item(args.corpus, tagset, packable)
     outputs = []
     for lab in model.predict(good):
         path = out_dir / f"{lab.utterance_id}.lab.tsv"
         corpus.save_labels(lab, path)
         outputs.append(path.name)
-    if failures:
-        with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-            json.dump([{"utterance_id": uid, "error": failures[uid]}
-                       for uid in sorted(failures)], f, indent=2)
     _write_manifest(out_dir, "predict", cfg_obj, model.config.seed,
-                    len(ids), outputs, t0)
-    return 1 if failures else 0
+                    len(good) + len(failures), outputs, t0)
+    return _report(out_dir, failures)
 
 
 def cmd_filter(args) -> int:
@@ -389,39 +388,29 @@ def cmd_condition(args) -> int:
     labels_dir = Path(args.labels) if args.labels else Path(args.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    failures = []
-    examples = _load_examples(args.corpus, tagset, require_labels=False)
-    for ex in examples:
-        try:
-            lab_path = labels_dir / f"{ex.utt.id}.lab.tsv"
-            if not lab_path.exists():
-                raise ProsemphError("MissingLabels")
-            lab = corpus.load_labels(lab_path, ex.utt.id)
-            lab.validate(ex.utt.num_chars)
-            ling = conditioning.build_linguistic(
-                ex.utt, ex.ann, provider, rel_table, pos_table, projection, tagset
-            )
-            emph = conditioning.build_emphasis(lab, emph_table, ex.utt)
-            bundle = conditioning.ConditioningBundle(
-                utterance_id=ex.utt.id,
-                linguistic=ling.astype(np.float32),
-                emphasis=emph.astype(np.float32),
-            )
-            path = out_dir / f"{ex.utt.id}.cond.bin"
-            conditioning.export_bundle(bundle, path)
-            outputs.append(path.name)
-        except ProsemphError as exc:
-            failures.append({"utterance_id": ex.utt.id, "error": str(exc)})
-    if failures:
-        with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-            json.dump(failures, f, indent=2)
+
+    def export(utt, ann):
+        lab = corpus.load_labels(labels_dir / f"{utt.id}.lab.tsv", utt.id, utt.num_chars)
+        ling = conditioning.build_linguistic(
+            utt, ann, provider, rel_table, pos_table, projection, tagset
+        )
+        emph = conditioning.build_emphasis(lab, emph_table, utt)
+        bundle = conditioning.ConditioningBundle(
+            utterance_id=utt.id,
+            linguistic=ling.astype(np.float32),
+            emphasis=emph.astype(np.float32),
+        )
+        path = out_dir / f"{utt.id}.cond.bin"
+        conditioning.export_bundle(bundle, path)
+        return path.name
+
+    outputs, failures = _each_item(args.corpus, tagset, export)
     _write_manifest(
         out_dir, "condition",
         {"cond_dim": cond_dim, "emph_dim": emph_dim, "config": cfg_obj},
-        seed, len(examples), outputs, t0,
+        seed, len(outputs) + len(failures), outputs, t0,
     )
-    return 1 if failures else 0
+    return _report(out_dir, failures)
 
 
 # ---------------------------------------------------------------------------
@@ -486,12 +475,14 @@ def main(argv=None) -> int:
     if getattr(args, "out_required", False) and not args.out:
         parser.error(f"{args.command} requires --out")
     try:
+        if args.jobs < 1 or (args.jobs > 1 and args.command != "label"):
+            raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for label)")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ProsemphError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {describe(exc)}", file=sys.stderr)
         return 1
 
 

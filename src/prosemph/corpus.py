@@ -12,6 +12,7 @@ All JSON files hold a single UTF-8 object on one line.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -19,7 +20,9 @@ from .errors import (
     CyclicDependencyError,
     InconsistentAlignmentError,
     MalformedFileError,
+    ProsemphError,
     WordCountMismatchError,
+    describe,
 )
 from .tagset import Tagset
 
@@ -73,7 +76,7 @@ class Utterance:
             )
         prev_end = 0.0
         for s, e in self.char_times:
-            if s < 0 or e < s:
+            if not 0 <= s <= e < math.inf:
                 raise InconsistentAlignmentError(
                     f"{self.id}: bad char time interval ({s},{e})"
                 )
@@ -168,6 +171,8 @@ def _read_json(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
+    except FileNotFoundError as exc:
+        raise MalformedFileError(f"{path}: no such file") from exc
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedFileError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(obj, dict):
@@ -185,7 +190,7 @@ def load_utterance(path) -> Utterance:
             phones_per_char=tuple(int(p) for p in obj["phones_per_char"]),
             char_times=tuple((float(s), float(e)) for s, e in obj["char_times"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad utterance schema ({exc})") from exc
     utt.validate()
     return utt
@@ -213,7 +218,7 @@ def load_annotation(path, utt: Utterance, tagset: Tagset) -> DepAnnotation:
             heads=tuple(None if h is None else int(h) for h in obj["heads"]),
             relations=tuple(tagset.rel_ids([str(r) for r in obj["rels"]])),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad annotation schema ({exc})") from exc
     if ann.utterance_id != utt.id:
         raise MalformedFileError(
@@ -237,11 +242,13 @@ def save_annotation(ann: DepAnnotation, tagset: Tagset, path) -> None:
         f.write("\n")
 
 
-def load_labels(path, utterance_id: str | None = None) -> EmphasisLabels:
+def load_labels(path, utterance_id: str, num_chars: int | None = None) -> EmphasisLabels:
     try:
         with open(path, "r", encoding="utf-8") as f:
             lines = [ln.rstrip("\n") for ln in f if ln.strip()]
-    except OSError as exc:
+    except FileNotFoundError as exc:
+        raise MalformedFileError(f"{path}: no such file") from exc
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedFileError(f"cannot read {path}: {exc}") from exc
     if not lines or not lines[0].startswith("#source="):
         raise MalformedFileError(f"{path}: missing '#source=' header")
@@ -258,15 +265,13 @@ def load_labels(path, utterance_id: str | None = None) -> EmphasisLabels:
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise MalformedFileError(f"{path}: char indices are not dense 0..n-1")
-    if utterance_id is None:
-        utterance_id = Path(path).name.split(".")[0]
     lab = EmphasisLabels(
         utterance_id=utterance_id,
         labels=tuple(r[1] for r in rows),
         confidences=tuple(r[2] for r in rows),
         source=source,
     )
-    lab.validate()
+    lab.validate(num_chars)
     return lab
 
 
@@ -305,44 +310,32 @@ class ValidationReport:
         return self.num_fail == 0
 
 
+def load_item(corpus_dir, uid: str, tagset: Tagset) -> tuple[Utterance, DepAnnotation]:
+    """Read and cross-check one corpus item: <uid>.utt.json, which must
+    declare the id `uid`, and the <uid>.ann.json that annotates it."""
+    d = Path(corpus_dir)
+    utt = load_utterance(d / f"{uid}.utt.json")
+    if utt.id != uid:
+        raise MalformedFileError(f"{uid}.utt.json declares id {utt.id!r}")
+    return utt, load_annotation(d / f"{uid}.ann.json", utt, tagset)
+
+
 def validate_corpus(corpus_dir, tagset: Tagset) -> ValidationReport:
     """Check every utterance file set in a corpus directory.
 
     Failures become report entries, never exceptions; an empty directory
     yields an empty, successful report.
     """
-    corpus_dir = Path(corpus_dir)
     entries = []
-    for utt_path in sorted(corpus_dir.glob("*.utt.json")):
-        uid = utt_path.name[: -len(".utt.json")]
+    for uid in corpus_ids(corpus_dir):
         failure = None
-        utt = None
         try:
-            utt = load_utterance(utt_path)
-            if utt.id != uid:
-                failure = f"IdMismatch: file {uid} declares id {utt.id!r}"
-        except (MalformedFileError, InconsistentAlignmentError) as exc:
-            failure = f"{type(exc).__name__}: {exc}"
-        if failure is None:
-            ann_path = corpus_dir / f"{uid}.ann.json"
-            if not ann_path.exists():
-                failure = "MissingAnnotation"
-            else:
-                try:
-                    load_annotation(ann_path, utt, tagset)
-                except (
-                    MalformedFileError,
-                    CyclicDependencyError,
-                    WordCountMismatchError,
-                ) as exc:
-                    failure = f"{type(exc).__name__}: {exc}"
-        if failure is None:
-            lab_path = corpus_dir / f"{uid}.lab.tsv"
+            utt, _ = load_item(corpus_dir, uid, tagset)
+            lab_path = Path(corpus_dir) / f"{uid}.lab.tsv"
             if lab_path.exists():
-                try:
-                    load_labels(lab_path, uid).validate(utt.num_chars)
-                except (MalformedFileError, InconsistentAlignmentError) as exc:
-                    failure = f"{type(exc).__name__}: {exc}"
+                load_labels(lab_path, uid, utt.num_chars)
+        except ProsemphError as exc:
+            failure = describe(exc)
         entries.append(ValidationEntry(uid, failure is None, failure))
     return ValidationReport(entries=tuple(entries))
 

@@ -31,6 +31,8 @@ class Waveform:
     def __post_init__(self):
         if self.samples.size == 0:
             raise MalformedFileError("empty waveform")
+        if not np.isfinite(self.samples).all():
+            raise MalformedFileError("waveform has non-finite samples")
         if self.sample_rate <= 0:
             raise MalformedFileError(f"bad sample rate {self.sample_rate}")
 

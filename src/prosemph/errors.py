@@ -5,6 +5,11 @@ class ProsemphError(Exception):
     """Base class for all toolkit errors."""
 
 
+def describe(exc: Exception) -> str:
+    """The one-line form of an item failure: "<Type>: <message>"."""
+    return f"{type(exc).__name__}: {exc}"
+
+
 class MalformedFileError(ProsemphError):
     """A file does not follow its documented schema or container format."""
 

@@ -282,3 +282,88 @@ def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
         argv += ["--checkpoint", str(tmp_path / "absent.pemo")]
     assert cli.main(argv) == 2
     assert _usage_error_line(capsys).startswith(f"error: config key {key}: ")
+
+
+def _break_item(c, uid, fault):
+    if fault == "ann_not_json":
+        (c / f"{uid}.ann.json").write_text("{not json", encoding="utf-8")
+    else:  # the utterance file declares another id
+        obj = json.loads((c / f"{uid}.utt.json").read_text(encoding="utf-8"))
+        (c / f"{uid}.utt.json").write_text(json.dumps(dict(obj, id="zz")), encoding="utf-8")
+
+
+@pytest.mark.parametrize("fault", ["ann_not_json", "id_mismatch"])
+@pytest.mark.parametrize("command, outputs", [
+    ("train", ["model.pemo", "train_log.ldjson"]),
+    ("predict", ["u0000.lab.tsv", "u0002.lab.tsv"]),
+    ("condition", ["u0000.cond.bin", "u0002.cond.bin"]),
+])
+def test_bad_item_fails_alone(tmp_path, tagset, command, outputs, fault):
+    from prosemph import embeddings, model as M
+
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _break_item(c, "u0001", fault)
+    cfg = small_train_config(tmp_path / "cfg.json")
+    argv = [command, "--corpus", str(c), "--config", str(cfg), "--out", str(out)]
+    if command == "predict":
+        M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
+            hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
+        )).save(tmp_path / "m.pemo")
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    assert cli.main(argv) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0001"]
+    assert failures[0]["error"].startswith("MalformedFileError: ")
+    for name in outputs:
+        assert (out / name).exists()
+    assert not list(out.glob("u0001.*")) and not list(out.glob("zz.*"))
+
+
+def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=1)
+    _break_item(c, "u0000", "ann_not_json")
+    assert cli.main(["train", "--corpus", str(c), "--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0000"]
+    assert not (out / "model.pemo").exists()
+
+
+@pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time"])
+def test_label_bad_item_fails_alone(tmp_path, fault):
+    from scipy.io import wavfile
+
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=3)
+    if fault == "nan_audio":
+        rate, wav = wavfile.read(w / "a1.wav")
+        wav[1000:1100] = np.nan
+        wavfile.write(w / "a1.wav", rate, wav)
+    else:
+        obj = json.loads((c / "a1.utt.json").read_text(encoding="utf-8"))
+        obj["char_times"][-1][1] = float("inf")
+        (c / "a1.utt.json").write_text(json.dumps(obj), encoding="utf-8")
+    rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)])
+    assert rc == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["a1"]
+    assert (out / "a0.lab.tsv").exists() and (out / "a2.lab.tsv").exists()
+    assert not (out / "a1.lab.tsv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["label", "--wav", "w", "--jobs", "0"],
+    ["train", "--jobs", "-1"],
+    ["validate", "--jobs", "2"],
+    ["train", "--jobs", "2"],
+    ["predict", "--checkpoint", "m.pemo", "--jobs", "2"],
+    ["filter", "--predicted", "p", "--jobs", "2"],
+    ["evaluate", "--predicted", "p", "--gold", "g", "--jobs", "2"],
+    ["condition", "--jobs", "2"],
+])
+def test_jobs_other_than_one_only_for_label(tmp_path, capsys, argv):
+    argv = argv + ["--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert _usage_error_line(capsys).startswith("error: --jobs ")
+    assert not (tmp_path / "o").exists()

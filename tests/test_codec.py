@@ -1,4 +1,5 @@
-"""The three binary containers: pinned bytes and malformed-input handling."""
+"""Pinned bytes of the three binary containers; malformed-input handling of
+those and of the corpus text files."""
 
 import hashlib
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosemph import conditioning, embeddings
+from prosemph import conditioning, corpus, embeddings
 from prosemph.errors import ProsemphError
 from prosemph.model import ModelConfig, PredictorModel
 from prosemph.tagset import default_tagset
@@ -46,6 +47,19 @@ def write_pcnd(path):
     conditioning.export_bundle(bundle, path)
 
 
+def write_corpus_item(tagset, d):
+    """One item of a corpus, u1.utt.json, u1.ann.json and u1.lab.tsv, in d."""
+    d.mkdir()
+    utt = corpus.Utterance("u1", ("你", "好", "吗"), ((0, 2), (2, 3)), (2, 2, 1),
+                           ((0.0, 0.2), (0.2, 0.4), (0.4, 0.6)))
+    ann = corpus.DepAnnotation("u1", (tagset.pos["n"], tagset.pos["v"]), (1, None),
+                               (tagset.rel["SBV"], tagset.root_id))
+    corpus.save_utterance(utt, d / "u1.utt.json")
+    corpus.save_annotation(ann, tagset, d / "u1.ann.json")
+    corpus.save_labels(corpus.EmphasisLabels("u1", (0, 1, 0), (0.25, 0.9, 0.125), "pseudo"),
+                       d / "u1.lab.tsv")
+
+
 def sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -67,17 +81,29 @@ def test_golden_bytes(tagset, tmp_path):
 
 @pytest.fixture(scope="module")
 def containers(tmp_path_factory):
-    """kind -> (valid bytes, loader, scratch path for mutated copies)."""
+    """kind -> (valid bytes, loader, path the loader reads mutated copies from)."""
     d = tmp_path_factory.mktemp("containers")
     tagset = default_tagset()
     provider = write_pemo(tagset, d / "m.pemo")
     write_pemb(d / "s.pemb")
     write_pcnd(d / "c.pcnd")
+    files = {}
+    for kind, name in (("utt", "u1.utt.json"), ("ann", "u1.ann.json"), ("lab", "u1.lab.tsv")):
+        write_corpus_item(tagset, d / kind)  # own copy: the other files stay whole
+        files[kind] = d / kind / name
+
+    def load_item(p):
+        return corpus.load_item(p.parent, "u1", tagset)
+
     return {
         "pemo": ((d / "m.pemo").read_bytes(),
                  lambda p: PredictorModel.load(p, tagset, provider), d / "x.pemo"),
         "pemb": ((d / "s.pemb").read_bytes(), embeddings.load_semantic, d / "x.pemb"),
         "pcnd": ((d / "c.pcnd").read_bytes(), conditioning.load_bundle, d / "x.pcnd"),
+        "utt": (files["utt"].read_bytes(), load_item, files["utt"]),
+        "ann": (files["ann"].read_bytes(), load_item, files["ann"]),
+        "lab": (files["lab"].read_bytes(), lambda p: corpus.load_labels(p, "u1", 3),
+                files["lab"]),
     }
 
 
@@ -98,7 +124,7 @@ def apply(blob: bytes, damage) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("kind", ["pemo", "pemb", "pcnd"])
+@pytest.mark.parametrize("kind", ["pemo", "pemb", "pcnd", "utt", "ann", "lab"])
 def test_damaged_container_loads_or_raises_typed_error(kind, containers):
     blob, load, path = containers[kind]
     path.write_bytes(blob)

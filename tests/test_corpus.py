@@ -52,11 +52,31 @@ def test_load_utterance_phone_count_mismatch(tmp_path):
         corpus.load_utterance(p)
 
 
+@pytest.mark.parametrize("times", [[[0.0, 0.2], [0.2, float("inf")]],
+                                   [[0.0, float("nan")], [0.2, 0.5]]])
+def test_load_utterance_non_finite_times(tmp_path, times):
+    p = tmp_path / "u1.utt.json"
+    write_json(p, dict(VALID_UTT, char_times=times))  # json writes Infinity / NaN
+    with pytest.raises(InconsistentAlignmentError):
+        corpus.load_utterance(p)
+
+
 def test_load_utterance_not_json(tmp_path):
     p = tmp_path / "u1.utt.json"
     p.write_text("not json", encoding="utf-8")
     with pytest.raises(MalformedFileError):
         corpus.load_utterance(p)
+
+
+def test_huge_numbers_are_malformed(tmp_path, tagset):
+    # json reads 1e999 as inf, which int() cannot take
+    write_json(tmp_path / "u1.utt.json", dict(VALID_UTT, phones_per_char=[2, 1e999]))
+    with pytest.raises(MalformedFileError):
+        corpus.load_utterance(tmp_path / "u1.utt.json")
+    write_json(tmp_path / "u1.ann.json",
+               {"utterance_id": "u1", "pos": ["n"], "heads": [1e999], "rels": ["ROOT"]})
+    with pytest.raises(MalformedFileError):
+        corpus.load_annotation(tmp_path / "u1.ann.json", three_word_utt(), tagset)
 
 
 def three_word_utt():
@@ -186,7 +206,16 @@ def test_validate_corpus_missing_annotation(tmp_path, tagset):
     write_json(tmp_path / "b.utt.json", dict(VALID_UTT, id="b"))
     report = corpus.validate_corpus(tmp_path, tagset)
     failing = {e.utterance_id: e.failure for e in report.entries if not e.ok}
-    assert failing == {"b": "MissingAnnotation"}
+    assert failing == {"b": f"MalformedFileError: {tmp_path / 'b.ann.json'}: no such file"}
+
+
+def test_validate_corpus_declared_id_mismatch(tmp_path, tagset):
+    write_valid_set(tmp_path, "a", tagset)
+    write_valid_set(tmp_path, "b", tagset)
+    write_json(tmp_path / "b.utt.json", dict(VALID_UTT, id="zz"))
+    report = corpus.validate_corpus(tmp_path, tagset)
+    failing = {e.utterance_id: e.failure for e in report.entries if not e.ok}
+    assert failing == {"b": "MalformedFileError: b.utt.json declares id 'zz'"}
 
 
 def test_validate_corpus_empty_dir(tmp_path, tagset):
