@@ -11,9 +11,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -128,30 +130,46 @@ def _prominence_config(path) -> prominence.ProminenceConfig:
     return _config(prominence.ProminenceConfig, None, obj, **fixed)
 
 
-def _each_item(corpus_dir, tagset, prepare):
-    """Load each item of the corpus and run prepare(utt, ann) on it in one try;
-    prepare's results other than None, in corpus order, and the failures,
-    {utterance_id: "<Type>: <message>"}."""
+def _attempt(work, uid):
+    try:
+        return uid, work(uid), None
+    except ProsemphError as exc:
+        return uid, None, describe(exc)
+
+
+def _each(ids, work, jobs=1):
+    """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
+    (work must then pickle); work's results other than None, in id order, and
+    the failures, {utterance_id: "<Type>: <message>"}."""
+    attempt = partial(_attempt, work)
+    if jobs > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            outcomes = list(pool.map(attempt, ids))
+    else:
+        outcomes = map(attempt, ids)
     results, failures = [], {}
-    for uid in corpus.corpus_ids(corpus_dir):
-        try:
-            result = prepare(*corpus.load_item(corpus_dir, uid, tagset))
-        except ProsemphError as exc:
-            failures[uid] = describe(exc)
-            continue
-        if result is not None:
+    for uid, result, failure in outcomes:
+        if failure is not None:
+            failures[uid] = failure
+        elif result is not None:
             results.append(result)
     return results, failures
 
 
+def _each_item(corpus_dir, tagset, prepare):
+    """_each over the corpus items, with prepare(utt, ann) as the work."""
+    return _each(corpus.corpus_ids(corpus_dir),
+                 lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
+
+
 def _report(out_dir: Path, failures: dict[str, str]) -> int:
-    """Print the failed items and write them to failures.json; the exit code."""
+    """Print the failed items, write them ([] if none) to failures.json; the exit code."""
     report = [{"utterance_id": uid, "error": failures[uid]} for uid in sorted(failures)]
     for item in report:
         print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
-    if report:
-        with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-            json.dump(report, f, indent=2)
+    with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
+        json.dump(report, f, indent=2)
     return 1 if report else 0
 
 
@@ -181,27 +199,21 @@ def cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def _label_one(task):
-    uid, utt_path, wav_path, cfg, write_scores, out_dir = task
-    try:
-        utt = corpus.load_utterance(utt_path)
-        result = prominence.label_utterance(wav_path, utt, cfg)
-    except ProsemphError as exc:
-        return uid, describe(exc), []
-    outputs = []
-    lab_path = Path(out_dir) / f"{uid}.lab.tsv"
+def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
+    """Label one corpus item into out_dir; the names of the files written."""
+    utt = corpus.load_item_utterance(corpus_dir, uid)
+    result = prominence.label_utterance(Path(wav_dir) / f"{uid}.wav", utt, cfg)
+    lab_path = out_dir / f"{uid}.lab.tsv"
     corpus.save_labels(result.labels, lab_path)
-    outputs.append(lab_path.name)
-    if write_scores:
-        s = np.asarray(result.scores)
-        std = s.std()
-        zs = (s - s.mean()) / std if std > 1e-12 else np.zeros_like(s)
-        score_path = Path(out_dir) / f"{uid}.scores.tsv"
-        with open(score_path, "w", encoding="utf-8") as f:
-            for i, (raw, zi) in enumerate(zip(s, zs)):
-                f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
-        outputs.append(score_path.name)
-    return uid, None, outputs
+    if not write_scores:
+        return [lab_path.name]
+    s = np.asarray(result.scores)
+    zs = prominence.standardize(s)
+    score_path = out_dir / f"{uid}.scores.tsv"
+    with open(score_path, "w", encoding="utf-8") as f:
+        for i, (raw, zi) in enumerate(zip(s, zs)):
+            f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
+    return [lab_path.name, score_path.name]
 
 
 def cmd_label(args) -> int:
@@ -213,25 +225,11 @@ def cmd_label(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = corpus.corpus_ids(args.corpus)
-    tasks = [
-        (
-            uid,
-            Path(args.corpus) / f"{uid}.utt.json",
-            Path(args.wav) / f"{uid}.wav",
-            cfg,
-            args.scores,
-            str(out_dir),
-        )
-        for uid in ids
-    ]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_label_one, tasks))
-    else:
-        results = [_label_one(t) for t in tasks]
-    outputs = [name for _, _, outs in results for name in outs]
+    work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, out_dir)
+    written, failures = _each(ids, work, args.jobs)
+    outputs = [name for names in written for name in names]
     _write_manifest(out_dir, "label", cfg.to_dict(), 0, len(ids), outputs, t0)
-    return _report(out_dir, {uid: failure for uid, failure, _ in results if failure})
+    return _report(out_dir, failures)
 
 
 def cmd_train(args) -> int:
@@ -322,52 +320,52 @@ def cmd_predict(args) -> int:
 def cmd_filter(args) -> int:
     t0 = time.monotonic()
     pseudo_dir, pred_dir = Path(args.corpus), Path(args.predicted)
-    kept = []
-    count = 0
-    for lab_path in sorted(pseudo_dir.glob("*.lab.tsv")):
-        uid = lab_path.name[: -len(".lab.tsv")]
-        pred_path = pred_dir / lab_path.name
-        if not pred_path.exists():
-            continue
-        count += 1
-        pseudo = corpus.load_labels(lab_path, uid)
-        pred = corpus.load_labels(pred_path, uid)
-        if metrics.filter_by_confidence(pseudo, pred, args.tau):
-            kept.append(uid)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    ids = [uid for uid in corpus.corpus_ids(pseudo_dir, ".lab.tsv")
+           if (pred_dir / f"{uid}.lab.tsv").exists()]
+
+    def keep(uid):
+        pseudo = corpus.load_labels(pseudo_dir / f"{uid}.lab.tsv", uid)
+        pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
+        if not metrics.filter_by_confidence(pseudo, pred, args.tau):
+            return None
+        corpus.save_labels(pseudo, out_dir / f"{uid}.lab.tsv")
+        return uid
+
+    kept, failures = _each(ids, keep)
     with open(out_dir / "kept.json", "w", encoding="utf-8") as f:
         json.dump(kept, f, indent=2)
-    print(f"kept {len(kept)} of {count}")
-    _write_manifest(out_dir, "filter", {"tau": args.tau}, 0, count,
-                    ["kept.json"], t0)
-    return 0
+    print(f"kept {len(kept)} of {len(ids)}")
+    _write_manifest(out_dir, "filter", {"tau": args.tau}, 0, len(ids),
+                    ["kept.json"] + [f"{uid}.lab.tsv" for uid in kept], t0)
+    return _report(out_dir, failures)
 
 
 def cmd_evaluate(args) -> int:
     t0 = time.monotonic()
     pred_dir, gold_dir = Path(args.predicted), Path(args.gold)
-    predicted = {}
-    gold = {}
-    for lab_path in sorted(gold_dir.glob("*.lab.tsv")):
-        uid = lab_path.name[: -len(".lab.tsv")]
-        gold[uid] = corpus.load_labels(lab_path, uid)
-        pp = pred_dir / lab_path.name
-        if pp.exists():
-            predicted[uid] = corpus.load_labels(pp, uid)
-    try:
-        m = metrics.evaluate(predicted, gold)
-    except ProsemphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    ids = corpus.corpus_ids(gold_dir, ".lab.tsv")
+
+    def pair(uid):
+        # a gold id without a predicted file fails the whole run below
+        gold = corpus.load_labels(gold_dir / f"{uid}.lab.tsv", uid)
+        pred_path = pred_dir / f"{uid}.lab.tsv"
+        pred = (corpus.load_labels(pred_path, uid, len(gold.labels))
+                if pred_path.exists() else None)
+        return uid, gold, pred
+
+    pairs, failures = _each(ids, pair)
+    m = metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
+                         {uid: g for uid, g, _ in pairs})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
         json.dump(m.to_dict(), f, indent=2)
         f.write("\n")
     print(json.dumps(m.to_dict()))
-    _write_manifest(out_dir, "evaluate", {}, 0, len(gold), ["metrics.json"], t0)
-    return 0
+    _write_manifest(out_dir, "evaluate", {}, 0, len(ids), ["metrics.json"], t0)
+    return _report(out_dir, failures)
 
 
 def cmd_condition(args) -> int:
@@ -390,7 +388,11 @@ def cmd_condition(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     def export(utt, ann):
-        lab = corpus.load_labels(labels_dir / f"{utt.id}.lab.tsv", utt.id, utt.num_chars)
+        # an utterance without labels is left out, not failed
+        lab_path = labels_dir / f"{utt.id}.lab.tsv"
+        if not lab_path.exists():
+            return None
+        lab = corpus.load_labels(lab_path, utt.id, utt.num_chars)
         ling = conditioning.build_linguistic(
             utt, ann, provider, rel_table, pos_table, projection, tagset
         )

@@ -23,7 +23,6 @@ PCND_MAGIC = b"PCND"
 PCND_VERSION = 1
 
 COND_DIM_DEFAULT = 256
-EMPH_DIM_DEFAULT = 16
 
 
 @dataclass(frozen=True)

@@ -310,14 +310,19 @@ class ValidationReport:
         return self.num_fail == 0
 
 
-def load_item(corpus_dir, uid: str, tagset: Tagset) -> tuple[Utterance, DepAnnotation]:
-    """Read and cross-check one corpus item: <uid>.utt.json, which must
-    declare the id `uid`, and the <uid>.ann.json that annotates it."""
-    d = Path(corpus_dir)
-    utt = load_utterance(d / f"{uid}.utt.json")
+def load_item_utterance(corpus_dir, uid: str) -> Utterance:
+    """Read <uid>.utt.json of a corpus directory; it must declare the id `uid`."""
+    utt = load_utterance(Path(corpus_dir) / f"{uid}.utt.json")
     if utt.id != uid:
         raise MalformedFileError(f"{uid}.utt.json declares id {utt.id!r}")
-    return utt, load_annotation(d / f"{uid}.ann.json", utt, tagset)
+    return utt
+
+
+def load_item(corpus_dir, uid: str, tagset: Tagset) -> tuple[Utterance, DepAnnotation]:
+    """Read and cross-check one corpus item: its utterance and the
+    <uid>.ann.json that annotates it."""
+    utt = load_item_utterance(corpus_dir, uid)
+    return utt, load_annotation(Path(corpus_dir) / f"{uid}.ann.json", utt, tagset)
 
 
 def validate_corpus(corpus_dir, tagset: Tagset) -> ValidationReport:
@@ -340,7 +345,6 @@ def validate_corpus(corpus_dir, tagset: Tagset) -> ValidationReport:
     return ValidationReport(entries=tuple(entries))
 
 
-def corpus_ids(corpus_dir) -> list[str]:
-    return sorted(
-        p.name[: -len(".utt.json")] for p in Path(corpus_dir).glob("*.utt.json")
-    )
+def corpus_ids(corpus_dir, suffix: str = ".utt.json") -> list[str]:
+    """The sorted ids of the <id><suffix> files in a directory."""
+    return sorted(p.name[: -len(suffix)] for p in Path(corpus_dir).glob(f"*{suffix}"))

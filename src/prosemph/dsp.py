@@ -90,10 +90,6 @@ def read_wav(path) -> Waveform:
     return Waveform(samples=samples, sample_rate=int(rate))
 
 
-def write_wav(path, w: Waveform) -> None:
-    wavfile.write(path, w.sample_rate, w.samples.astype(np.float32))
-
-
 def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
     """Slice into overlapping frames [num_frames x frame_length]."""
     flen = int(round(cfg.frame_length_sec * sr))

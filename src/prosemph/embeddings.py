@@ -18,7 +18,6 @@ PEMB_MAGIC = b"PEMB"
 PEMB_VERSION = 1
 
 POS_DIM_DEFAULT = 30
-REL_DIM_DEFAULT = 30
 SEMANTIC_DIM_DEFAULT = 128
 EMPHASIS_DIM_DEFAULT = 16
 

@@ -143,7 +143,7 @@ class PredictorModel:
 
     # -- feature assembly ---------------------------------------------------
 
-    def node_init(self, utt: Utterance, ann: DepAnnotation, _cache=None):
+    def node_init(self, utt: Utterance, ann: DepAnnotation):
         """Initial node matrix [num_nodes x hidden] plus backward cache."""
         p = self.params
         sem = np.asarray(
@@ -442,10 +442,8 @@ class PredictorModel:
 class AdamOptimizer:
     """Adam with bias correction; beta = (0.9, 0.999), eps = 1e-8."""
 
-    def __init__(self, params: dict[str, np.ndarray], learning_rate: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -453,7 +451,7 @@ class AdamOptimizer:
     def step(self, params, grads):
         """One update, in place and in float32 where the tensors are."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k in params:
             g, m, v = grads[k], self.m[k], self.v[k]
@@ -467,7 +465,7 @@ class AdamOptimizer:
             upd *= self.lr
             den = v / c2
             np.sqrt(den, out=den)
-            den += self.eps
+            den += eps
             upd /= den
             params[k] -= upd
 

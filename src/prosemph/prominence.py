@@ -100,15 +100,16 @@ class LargeScaleTruncatedWarning(UserWarning):
     """Track shorter than 4x the largest wavelet scale; borders zero-padded."""
 
 
+def standardize(v: np.ndarray) -> np.ndarray:
+    """(v - mean) / std, or all zeros when the variance is below 1e-12."""
+    std = v.std()
+    return np.zeros_like(v) if std**2 < 1e-12 else (v - v.mean()) / std
+
+
 def zscore(t: dsp.ProsodicTrack) -> dsp.ProsodicTrack:
     """Standardize a track to mean 0, variance 1 (all zeros if degenerate)."""
-    v = t.values
-    std = v.std()
-    if std**2 < 1e-12:
-        out = np.zeros_like(v)
-    else:
-        out = (v - v.mean()) / std
-    return dsp.ProsodicTrack(values=out, frame_rate=t.frame_rate, kind="zscore")
+    return dsp.ProsodicTrack(values=standardize(t.values), frame_rate=t.frame_rate,
+                             kind="zscore")
 
 
 def combine(
@@ -209,13 +210,11 @@ def quantize(
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise ValueError("need at least one character")
-    std = scores.std()
-    if std**2 < 1e-12:
-        z = np.full_like(scores, -np.inf)
+    z = standardize(scores)
+    if not z.any():  # only degenerate scores standardize to all zeros
         labels = np.zeros(len(scores), dtype=int)
         conf = np.zeros(len(scores))
     else:
-        z = (scores - scores.mean()) / std
         labels = (z >= threshold_sigma).astype(int)
         conf = 1.0 / (1.0 + np.exp(-(z - threshold_sigma) * 4.0))
     return EmphasisLabels(

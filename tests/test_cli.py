@@ -330,7 +330,7 @@ def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
     assert not (out / "model.pemo").exists()
 
 
-@pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time"])
+@pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time", "id_mismatch"])
 def test_label_bad_item_fails_alone(tmp_path, fault):
     from scipy.io import wavfile
 
@@ -340,16 +340,117 @@ def test_label_bad_item_fails_alone(tmp_path, fault):
         rate, wav = wavfile.read(w / "a1.wav")
         wav[1000:1100] = np.nan
         wavfile.write(w / "a1.wav", rate, wav)
-    else:
+    elif fault == "infinite_char_time":
         obj = json.loads((c / "a1.utt.json").read_text(encoding="utf-8"))
         obj["char_times"][-1][1] = float("inf")
         (c / "a1.utt.json").write_text(json.dumps(obj), encoding="utf-8")
+    else:
+        _break_item(c, "a1", fault)
     rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)])
     assert rc == 1
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["a1"]
     assert (out / "a0.lab.tsv").exists() and (out / "a2.lab.tsv").exists()
-    assert not (out / "a1.lab.tsv").exists()
+    assert not (out / "a1.lab.tsv").exists() and not (out / "zz.lab.tsv").exists()
+
+
+def test_label_jobs_write_the_same_bytes(tmp_path):
+    c, w = tmp_path / "c", tmp_path / "wav"
+    write_audio_corpus(c, w, count=3, skip_wav={"a1"})
+    files = []
+    for jobs in (1, 2):
+        out = tmp_path / f"out{jobs}"
+        assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--out",
+                         str(out), "--scores", "--jobs", str(jobs)]) == 1
+        files.append({p.name: p.read_bytes() for p in out.iterdir()
+                      if p.name != "manifest.json"})
+    assert files[0] == files[1]
+    assert sorted(files[0]) == ["a0.lab.tsv", "a0.scores.tsv", "a2.lab.tsv",
+                                "a2.scores.tsv", "failures.json"]
+
+
+def _predicted_copy(c, pred):
+    pred.mkdir()
+    for p in c.glob("*.lab.tsv"):
+        (pred / p.name).write_bytes(p.read_bytes())
+
+
+@pytest.mark.parametrize("fault, error", [
+    ("bad_utf8", {"filter": "MalformedFileError", "evaluate": "MalformedFileError"}),
+    ("one_row", {"filter": "LengthMismatchError",
+                 "evaluate": "InconsistentAlignmentError"}),
+])
+@pytest.mark.parametrize("command", ["filter", "evaluate"])
+def test_bad_predicted_labels_fail_alone(tmp_path, tagset, command, fault, error):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    row = b"0\t1\t\xff\n" if fault == "bad_utf8" else b"0\t1\t1.0\n"
+    (pred / "u0001.lab.tsv").write_bytes(b"#source=predicted\n" + row)
+    if command == "filter":
+        argv = ["filter", "--corpus", str(c), "--predicted", str(pred), "--tau", "0.5"]
+    else:
+        argv = ["evaluate", "--predicted", str(pred), "--gold", str(c)]
+    assert cli.main(argv + ["--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0001"]
+    assert failures[0]["error"].startswith(error[command] + ": ")
+    if command == "filter":
+        assert json.loads((out / "kept.json").read_text()) == ["u0000", "u0002"]
+    else:
+        tp = sum(sum(corpus.load_labels(c / f"{uid}.lab.tsv", uid).labels)
+                 for uid in ("u0000", "u0002"))
+        m = json.loads((out / "metrics.json").read_text())
+        assert (m["tp"], m["fp"], m["fn"]) == (tp, 0, 0)
+
+
+def test_evaluate_missing_prediction_fails_the_run(tmp_path, tagset, capsys):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    (pred / "u0002.lab.tsv").unlink()
+    assert cli.main(["evaluate", "--predicted", str(pred), "--gold", str(c),
+                     "--out", str(out)]) == 1
+    assert _usage_error_line(capsys).startswith("error: UtteranceSetMismatchError: ")
+    assert not (out / "metrics.json").exists()
+
+
+def test_repaired_rerun_clears_failures(tmp_path, tagset):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    ann = (c / "u0001.ann.json").read_bytes()
+    _break_item(c, "u0001", "ann_not_json")
+    argv = ["condition", "--corpus", str(c), "--config",
+            str(small_train_config(tmp_path / "cfg.json")), "--out", str(out)]
+    assert cli.main(argv) == 1
+    (c / "u0001.ann.json").write_bytes(ann)
+    assert cli.main(argv) == 0
+    assert json.loads((out / "failures.json").read_text()) == []
+
+
+def test_filter_then_condition_on_kept_labels(tmp_path, tagset):
+    c, pred, kept = tmp_path / "corpus", tmp_path / "pred", tmp_path / "kept"
+    write_labeled_corpus(c, tagset, count=4)
+    pred.mkdir()
+    for i, uid in enumerate(corpus.corpus_ids(c)):
+        lab = corpus.load_labels(c / f"{uid}.lab.tsv", uid)
+        # odd items are predicted with one label flipped, so filter drops them
+        labels = lab.labels if i % 2 == 0 else (1 - lab.labels[0],) + lab.labels[1:]
+        corpus.save_labels(corpus.EmphasisLabels(uid, labels, lab.confidences,
+                                                 "predicted"), pred / f"{uid}.lab.tsv")
+    assert cli.main(["filter", "--corpus", str(c), "--predicted", str(pred),
+                     "--tau", "0.9", "--out", str(kept)]) == 0
+    assert json.loads((kept / "kept.json").read_text()) == ["u0000", "u0002"]
+    assert sorted(p.name for p in kept.glob("*.lab.tsv")) == ["u0000.lab.tsv",
+                                                              "u0002.lab.tsv"]
+    for p in kept.glob("*.lab.tsv"):
+        assert p.read_bytes() == (c / p.name).read_bytes()
+    cond = tmp_path / "cond"
+    assert cli.main(["condition", "--corpus", str(c), "--labels", str(kept), "--config",
+                     str(small_train_config(tmp_path / "cfg.json")), "--out",
+                     str(cond)]) == 0
+    assert sorted(p.name for p in cond.glob("*.cond.bin")) == ["u0000.cond.bin",
+                                                               "u0002.cond.bin"]
 
 
 @pytest.mark.parametrize("argv", [
