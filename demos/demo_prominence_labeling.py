@@ -86,8 +86,9 @@ def main():
           f"peak {combined.values.max():.2f} sigma")
 
     cfg = prominence.ProminenceConfig()
+    # label computes only the scales up to the top of the scored band
     scalogram = prominence.cwt_ricker(
-        combined, cfg.wavelet.num_scales, cfg.wavelet.scales_per_octave,
+        combined, cfg.band[1] + 1, cfg.wavelet.scales_per_octave,
         cfg.wavelet.base_scale_frames,
     )
     print(f"scalogram: {scalogram.coefficients.shape[0]} scales x "

@@ -104,6 +104,18 @@ def _load_json(path) -> dict:
     return obj
 
 
+def _model_inputs(args):
+    """The config object, tagset, semantic provider and seed of train, predict
+    and condition, which share one config file."""
+    cfg_obj = _load_json(args.config) if args.config else {}
+    for key in cfg_obj:
+        if key not in ("model", "train", "semantic", "val_fraction", "cond_dim",
+                       "emph_dim", "seed"):
+            raise UsageError(f"config key {key}: unknown key")
+    seed = args.seed if args.seed is not None else _int_key(cfg_obj, "seed", 0, 0)
+    return cfg_obj, _tagset(args), _provider(cfg_obj), seed
+
+
 def _config(cls, section: str | None, values: dict, **fixed):
     """Build `cls` from one config section (None: the top level), naming
     the first bad key."""
@@ -113,12 +125,12 @@ def _config(cls, section: str | None, values: dict, **fixed):
     for key, value in values.items():
         try:
             cls(**{**fixed, key: value})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             name = f"{section}.{key}" if section else key
             raise UsageError(f"config key {name}: {exc}") from exc
     try:
         return cls(**fixed, **values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"config {where}: {exc}") from exc
 
 
@@ -178,25 +190,29 @@ def _report(out_dir: Path, failures: dict[str, str]) -> int:
 
 
 def cmd_validate(args) -> int:
-    tagset = _tagset(args)
-    report = corpus.validate_corpus(args.corpus, tagset)
-    for e in report.entries:
-        line = f"{e.utterance_id}\t{'pass' if e.ok else 'fail'}"
-        if e.failure:
-            line += f"\t{e.failure}"
-        print(line)
-    print(f"{report.num_pass} pass, {report.num_fail} fail")
+    t0 = time.monotonic()
+
+    def check(utt, ann):
+        lab_path = Path(args.corpus) / f"{utt.id}.lab.tsv"
+        if lab_path.exists():
+            corpus.load_labels(lab_path, utt.id, utt.num_chars)
+        return utt.id
+
+    passed, failures = _each_item(args.corpus, _tagset(args), check)
+    ids = sorted([*passed, *failures])
+    for uid in ids:
+        print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
+    print(f"{len(passed)} pass, {len(failures)} fail")
     if args.out:
-        t0 = time.monotonic()
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
+        entries = [{"utterance_id": uid, "ok": uid not in failures,
+                    "failure": failures.get(uid)} for uid in ids]
         with open(out / "validation.json", "w", encoding="utf-8") as f:
-            json.dump(
-                [vars(e) for e in report.entries], f, ensure_ascii=False, indent=2
-            )
+            json.dump(entries, f, ensure_ascii=False, indent=2)
         _write_manifest(out, "validate", {"corpus": str(args.corpus)}, 0,
-                        len(report.entries), ["validation.json"], t0)
-    return 0 if report.ok else 1
+                        len(ids), ["validation.json"], t0)
+    return 1 if failures else 0
 
 
 def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
@@ -234,14 +250,9 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     t0 = time.monotonic()
-    cfg_obj = _load_json(args.config) if args.config else {}
-    tagset = _tagset(args)
-    provider = _provider(cfg_obj)
-    model_cfg = _config(
-        model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
-        semantic_dim=provider.dim,
-        seed=args.seed if args.seed is not None else cfg_obj.get("seed", 0),
-    )
+    cfg_obj, tagset, provider, seed = _model_inputs(args)
+    model_cfg = _config(model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
+                        semantic_dim=provider.dim, seed=seed)
     train_kwargs = dict(cfg_obj.get("train", {}))
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
@@ -292,9 +303,7 @@ def cmd_train(args) -> int:
 
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
-    cfg_obj = _load_json(args.config) if args.config else {}
-    tagset = _tagset(args)
-    provider = _provider(cfg_obj)
+    cfg_obj, tagset, provider, _ = _model_inputs(args)
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -355,11 +364,14 @@ def cmd_evaluate(args) -> int:
                 if pred_path.exists() else None)
         return uid, gold, pred
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # a run that fails as a whole must not leave the last run's result behind
+    for name in ("metrics.json", "failures.json", "manifest.json"):
+        (out_dir / name).unlink(missing_ok=True)
     pairs, failures = _each(ids, pair)
     m = metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                          {uid: g for uid, g, _ in pairs})
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
         json.dump(m.to_dict(), f, indent=2)
         f.write("\n")
@@ -370,12 +382,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_condition(args) -> int:
     t0 = time.monotonic()
-    cfg_obj = _load_json(args.config) if args.config else {}
-    tagset = _tagset(args)
-    provider = _provider(cfg_obj)
+    cfg_obj, tagset, provider, seed = _model_inputs(args)
     cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
     emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
-    seed = args.seed if args.seed is not None else _int_key(cfg_obj, "seed", 0, 0)
     rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
     pos_table = init_table(tagset.num_pos, cond_dim, "pos", seed + 1)
     emph_table = init_table(2, emph_dim, "emph", seed + 2)

@@ -20,9 +20,7 @@ from .errors import (
     CyclicDependencyError,
     InconsistentAlignmentError,
     MalformedFileError,
-    ProsemphError,
     WordCountMismatchError,
-    describe,
 )
 from .tagset import Tagset
 
@@ -283,31 +281,7 @@ def save_labels(lab: EmphasisLabels, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# corpus-level validation
-
-
-@dataclass(frozen=True)
-class ValidationEntry:
-    utterance_id: str
-    ok: bool
-    failure: str | None  # first failing check, None when ok
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    entries: tuple[ValidationEntry, ...]
-
-    @property
-    def num_pass(self) -> int:
-        return sum(e.ok for e in self.entries)
-
-    @property
-    def num_fail(self) -> int:
-        return sum(not e.ok for e in self.entries)
-
-    @property
-    def ok(self) -> bool:
-        return self.num_fail == 0
+# corpus items
 
 
 def load_item_utterance(corpus_dir, uid: str) -> Utterance:
@@ -323,26 +297,6 @@ def load_item(corpus_dir, uid: str, tagset: Tagset) -> tuple[Utterance, DepAnnot
     <uid>.ann.json that annotates it."""
     utt = load_item_utterance(corpus_dir, uid)
     return utt, load_annotation(Path(corpus_dir) / f"{uid}.ann.json", utt, tagset)
-
-
-def validate_corpus(corpus_dir, tagset: Tagset) -> ValidationReport:
-    """Check every utterance file set in a corpus directory.
-
-    Failures become report entries, never exceptions; an empty directory
-    yields an empty, successful report.
-    """
-    entries = []
-    for uid in corpus_ids(corpus_dir):
-        failure = None
-        try:
-            utt, _ = load_item(corpus_dir, uid, tagset)
-            lab_path = Path(corpus_dir) / f"{uid}.lab.tsv"
-            if lab_path.exists():
-                load_labels(lab_path, uid, utt.num_chars)
-        except ProsemphError as exc:
-            failure = describe(exc)
-        entries.append(ValidationEntry(uid, failure is None, failure))
-    return ValidationReport(entries=tuple(entries))
 
 
 def corpus_ids(corpus_dir, suffix: str = ".utt.json") -> list[str]:

@@ -66,7 +66,9 @@ class TrainConfig:
     class_weight_positive: float = 3.0
 
     def __post_init__(self):
-        if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1:
+        if not all(isinstance(v, int) for v in (self.epochs, self.batch_size, self.seed)):
+            raise ValueError("epochs, batch_size and seed must be integers")
+        if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1 or self.seed < 0:
             raise ValueError("train config values must be positive")
 
 

@@ -32,18 +32,20 @@ class CombineWeights:
             raise ValueError("at least one weight must be positive")
 
 
+# widest scored wavelet scale allowed, in frames; bounds the largest kernel
+MAX_SCALE_FRAMES = 1024
+
+
 @dataclass(frozen=True)
 class WaveletConfig:
-    num_scales: int = 12
     scales_per_octave: int = 2
     base_scale_frames: float = 4.0
 
     def __post_init__(self):
-        if not (isinstance(self.num_scales, int) and isinstance(self.scales_per_octave, int)):
-            raise ValueError("num_scales and scales_per_octave must be integers")
-        if self.num_scales < 1 or self.scales_per_octave < 1 or not self.base_scale_frames > 0:
-            raise ValueError("num_scales, scales_per_octave and base_scale_frames "
-                             "must be positive")
+        if not isinstance(self.scales_per_octave, int):
+            raise ValueError("scales_per_octave must be an integer")
+        if self.scales_per_octave < 1 or not self.base_scale_frames > 0:
+            raise ValueError("scales_per_octave and base_scale_frames must be positive")
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,14 @@ class ProminenceConfig:
     def __post_init__(self):
         object.__setattr__(self, "band", tuple(self.band))  # JSON gives a list
         lo, hi = self.band
-        if not (isinstance(lo, int) and isinstance(hi, int)
-                and 0 <= lo <= hi < self.wavelet.num_scales):
-            raise ValueError(f"band must be scale indices 0 <= lo <= hi < "
-                             f"{self.wavelet.num_scales}")
+        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
+            raise ValueError("band must be scale indices 0 <= lo <= hi")
+        w = self.wavelet
+        # scale hi, base_scale_frames * 2^(hi / scales_per_octave), in log2
+        if hi / w.scales_per_octave > math.log2(MAX_SCALE_FRAMES / w.base_scale_frames):
+            raise ValueError(f"scale {hi}, {w.base_scale_frames:g} * 2^({hi}/"
+                             f"{w.scales_per_octave}) frames, is wider than "
+                             f"{MAX_SCALE_FRAMES}")
         if isinstance(self.threshold_sigma, bool) or not isinstance(
                 self.threshold_sigma, (int, float)):
             raise ValueError("threshold_sigma must be a number")
@@ -243,12 +249,8 @@ def label_utterance(
         )
         dur = dsp.duration_signal(utt, frame_rate)
         fused = combine(zscore(logf0), zscore(energy), zscore(dur), cfg.weights)
-        sc = cwt_ricker(
-            fused,
-            num_scales=cfg.wavelet.num_scales,
-            scales_per_octave=cfg.wavelet.scales_per_octave,
-            base_scale_frames=cfg.wavelet.base_scale_frames,
-        )
+        # scales 0..hi only: the band alone decides what is computed
+        sc = cwt_ricker(fused, num_scales=cfg.band[1] + 1, **vars(cfg.wavelet))
         scores = prominence_scores(sc, utt, cfg.band)
         labels = quantize(scores, cfg.threshold_sigma, utterance_id=utt.id)
     except ProsemphError as exc:

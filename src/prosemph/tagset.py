@@ -87,15 +87,19 @@ def load_tagset(path) -> Tagset:
     try:
         with open(path, "r", encoding="utf-8") as f:
             obj = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise MalformedFileError(f"cannot read tagset {path}: {exc}") from exc
     if not isinstance(obj, dict) or "pos" not in obj or "rel" not in obj:
         raise MalformedFileError(f"tagset {path} missing 'pos'/'rel' maps")
-    rel = {str(k): int(v) for k, v in obj["rel"].items()}
+    try:
+        rel = {str(k): int(v) for k, v in obj["rel"].items()}
+        pos = {str(k): int(v) for k, v in obj["pos"].items()}
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedFileError(f"tagset {path}: 'pos'/'rel' must map tags to "
+                                 f"integer ids ({exc})") from exc
     for reserved in ("ROOT", "BOS", "EOS", "SEQ"):
         if reserved not in rel:
             raise MalformedFileError(f"tagset {path} missing reserved id {reserved}")
-    pos = {str(k): int(v) for k, v in obj["pos"].items()}
     for name, mapping in (("pos", pos), ("rel", rel)):
         if sorted(mapping.values()) != list(range(len(mapping))):
             raise MalformedFileError(f"tagset {path}: {name} ids are not dense 0..n-1")

@@ -11,6 +11,7 @@ Two families:
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from scipy.io import wavfile
 
 from prosemph import corpus
@@ -60,6 +61,12 @@ def synth_utterance(uid: str, rng, num_chars: int = 5, emphasized: int | None = 
 
 def write_wav(path, wav: np.ndarray) -> None:
     wavfile.write(path, SR, wav.astype(np.float32))
+
+
+# synthetic utterances are short next to the widest scored wavelet scale, so
+# labeling them warns by design; tests that label them mark themselves with this
+short_audio = pytest.mark.filterwarnings(
+    "ignore::prosemph.prominence.LargeScaleTruncatedWarning")
 
 
 # ---------------------------------------------------------------------------

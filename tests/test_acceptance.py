@@ -26,6 +26,7 @@ import conftest
 from conftest import random_utterance
 from synth import (
     gen_learnable_corpus,
+    short_audio,
     strip_dependency_edges,
     synth_utterance,
     with_graphs,
@@ -113,6 +114,7 @@ def test_criterion_1_gradient_fidelity():
 # -- criterion 2: synthetic prominence recovery ------------------------------
 
 
+@short_audio
 def test_criterion_2_prominence_recovery(tmp_path):
     t0 = time.monotonic()
     rng = np.random.default_rng(7)
@@ -334,6 +336,7 @@ def _tree_bytes(d, exclude=("manifest.json",)):
     return out
 
 
+@short_audio
 def test_criterion_9_determinism(tmp_path):
     audio_c, wav = tmp_path / "ac", tmp_path / "wav"
     _make_audio_corpus(audio_c, wav)

@@ -5,7 +5,7 @@ import pytest
 
 from prosemph import cli, corpus
 
-from synth import gen_learnable_corpus, synth_utterance, write_wav
+from synth import gen_learnable_corpus, short_audio, synth_utterance, write_wav
 
 
 def write_labeled_corpus(d, tagset, count=8, seed=0):
@@ -47,6 +47,7 @@ def test_validate_ok(tmp_path, tagset, capsys):
     assert "3 pass, 0 fail" in capsys.readouterr().out
 
 
+@short_audio
 def test_label_end_to_end(tmp_path):
     c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
     write_audio_corpus(c, w, count=3)
@@ -64,6 +65,7 @@ def test_label_end_to_end(tmp_path):
     assert lab.source == "pseudo"
 
 
+@short_audio
 def test_label_missing_wav_partial_failure(tmp_path):
     c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
     write_audio_corpus(c, w, count=3, skip_wav={"a1"})
@@ -76,6 +78,7 @@ def test_label_missing_wav_partial_failure(tmp_path):
     assert [f["utterance_id"] for f in failures] == ["a1"]
 
 
+@short_audio
 def test_label_rerun_byte_identical(tmp_path):
     c, w = tmp_path / "c", tmp_path / "wav"
     write_audio_corpus(c, w, count=2)
@@ -183,6 +186,8 @@ def test_train_bad_config_key_is_usage_error(tmp_path, tagset, capsys):
     cfg = tmp_path / "cfg.json"
     for section, bad in (("train", {"optimiser": "adam"}),
                          ("train", {"epochs": -1}),
+                         ("train", {"epochs": 2.5}),
+                         ("train", {"batch_size": 2.5}),
                          ("model", {"hidden_dim": 0})):
         cfg.write_text(json.dumps({section: bad}))
         rc = cli.main(["train", "--corpus", str(c), "--config", str(cfg),
@@ -239,13 +244,16 @@ def _usage_error_line(capsys) -> str:
     return err[0]
 
 
+@short_audio
 def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
     c, w = tmp_path / "c", tmp_path / "wav"
     write_audio_corpus(c, w, count=1)
     cfg = tmp_path / "cfg.json"
     for bad, key in (({"weights": {"w_pitch": 1}}, "weights.w_pitch"),
                      ({"wavelet": {"num_scales": "many"}}, "wavelet.num_scales"),
+                     ({"wavelet": {"num_scales": 12}}, "wavelet.num_scales"),
                      ({"band": [2, 40]}, "band"),
+                     ({"band": [2, 10**400]}, "band"),
                      ({"bands": [2, 9]}, "bands")):
         cfg.write_text(json.dumps(bad))
         rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
@@ -253,10 +261,45 @@ def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
         assert rc == 2
         assert _usage_error_line(capsys).startswith(f"error: config key {key}: ")
     # band is checked against the configured wavelet, not the default one
-    cfg.write_text(json.dumps({"wavelet": {"num_scales": 16}, "band": [2, 13]}))
+    cfg.write_text(json.dumps({"wavelet": {"scales_per_octave": 4}, "band": [2, 26]}))
     assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
                      str(cfg), "--out", str(tmp_path / "o")]) == 0
     assert (tmp_path / "o" / "a0.lab.tsv").exists()
+
+
+@pytest.mark.parametrize("bad", [{"band": [2, 40]}, {"band": [2, 26]},
+                                 {"wavelet": {"base_scale_frames": 1e9}}])
+def test_label_too_wide_scale_is_usage_error(tmp_path, capsys, monkeypatch, bad):
+    from prosemph import prominence
+
+    def no_kernel(scale):
+        raise AssertionError(f"kernel of scale {scale} built")
+
+    monkeypatch.setattr(prominence, "ricker_kernel", no_kernel)
+    c, w = tmp_path / "c", tmp_path / "wav"
+    write_audio_corpus(c, w, count=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(bad))
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
+                     str(cfg), "--out", str(tmp_path / "o")]) == 2
+    line = _usage_error_line(capsys)
+    assert line.startswith("error: config ") and "wider than 1024" in line
+
+
+@pytest.mark.parametrize("content", [
+    {"pos": {"n": "x"}, "rel": {}},
+    {"pos": ["n"], "rel": {}},
+    {"pos": {"n": 0}, "rel": {"ROOT": [0]}},
+    b"\xff",
+])
+def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
+    c = tmp_path / "corpus"
+    write_labeled_corpus(c, tagset, count=1)
+    path = tmp_path / "tagset.json"
+    path.write_bytes(content if isinstance(content, bytes) else json.dumps(
+        dict(content, rel={**tagset.rel, **content["rel"]})).encode())
+    assert cli.main(["validate", "--corpus", str(c), "--tagset", str(path)]) == 1
+    assert _usage_error_line(capsys).startswith("error: MalformedFileError: ")
 
 
 @pytest.mark.parametrize("command, bad, key", [
@@ -270,6 +313,9 @@ def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
     ("condition", {"seed": 1.5}, "seed"),
     ("train", {"val_fraction": "half"}, "val_fraction"),
     ("train", {"val_fraction": 1.0}, "val_fraction"),
+    ("train", {"epochs": 3}, "epochs"),
+    ("condition", {"cnod_dim": 4}, "cnod_dim"),
+    ("train", {"model": {"hidden_dim": 8}, "seed": "x"}, "seed"),
 ])
 def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
                                                       command, bad, key):
@@ -330,6 +376,7 @@ def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
     assert not (out / "model.pemo").exists()
 
 
+@short_audio
 @pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time", "id_mismatch"])
 def test_label_bad_item_fails_alone(tmp_path, fault):
     from scipy.io import wavfile
@@ -354,6 +401,7 @@ def test_label_bad_item_fails_alone(tmp_path, fault):
     assert not (out / "a1.lab.tsv").exists() and not (out / "zz.lab.tsv").exists()
 
 
+@short_audio
 def test_label_jobs_write_the_same_bytes(tmp_path):
     c, w = tmp_path / "c", tmp_path / "wav"
     write_audio_corpus(c, w, count=3, skip_wav={"a1"})
@@ -413,6 +461,20 @@ def test_evaluate_missing_prediction_fails_the_run(tmp_path, tagset, capsys):
                      "--out", str(out)]) == 1
     assert _usage_error_line(capsys).startswith("error: UtteranceSetMismatchError: ")
     assert not (out / "metrics.json").exists()
+
+
+def test_failed_evaluate_leaves_no_earlier_result(tmp_path, tagset, capsys):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    argv = ["evaluate", "--predicted", str(pred), "--gold", str(c), "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert json.loads((out / "metrics.json").read_text())["f_score"] == 1.0
+    (pred / "u0002.lab.tsv").unlink()
+    assert cli.main(argv) == 1
+    assert "UtteranceSetMismatchError" in capsys.readouterr().err
+    for name in ("metrics.json", "failures.json", "manifest.json"):
+        assert not (out / name).exists()
 
 
 def test_repaired_rerun_clears_failures(tmp_path, tagset):

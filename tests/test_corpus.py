@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from prosemph import corpus
+from prosemph import cli, corpus
 from prosemph.errors import (
     CyclicDependencyError,
     InconsistentAlignmentError,
@@ -194,18 +194,26 @@ def write_valid_set(d, uid, tagset):
                {"utterance_id": uid, "pos": ["n"], "heads": [None], "rels": ["ROOT"]})
 
 
-def test_validate_corpus_all_pass(tmp_path, tagset):
+def validate(corpus_dir, out):
+    """Run `validate --out`; its exit code and validation.json entries."""
+    rc = cli.main(["validate", "--corpus", str(corpus_dir), "--out", str(out)])
+    return rc, json.loads((out / "validation.json").read_text(encoding="utf-8"))
+
+
+def test_validate_corpus_all_pass(tmp_path, tagset, capsys):
     for uid in ("a", "b", "c"):
         write_valid_set(tmp_path, uid, tagset)
-    report = corpus.validate_corpus(tmp_path, tagset)
-    assert report.num_pass == 3 and report.num_fail == 0 and report.ok
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    assert rc == 0 and len(entries) == 3 and all(e["ok"] for e in entries)
+    assert capsys.readouterr().out.endswith("3 pass, 0 fail\n")
 
 
 def test_validate_corpus_missing_annotation(tmp_path, tagset):
     write_valid_set(tmp_path, "a", tagset)
     write_json(tmp_path / "b.utt.json", dict(VALID_UTT, id="b"))
-    report = corpus.validate_corpus(tmp_path, tagset)
-    failing = {e.utterance_id: e.failure for e in report.entries if not e.ok}
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    failing = {e["utterance_id"]: e["failure"] for e in entries if not e["ok"]}
+    assert rc == 1
     assert failing == {"b": f"MalformedFileError: {tmp_path / 'b.ann.json'}: no such file"}
 
 
@@ -213,18 +221,21 @@ def test_validate_corpus_declared_id_mismatch(tmp_path, tagset):
     write_valid_set(tmp_path, "a", tagset)
     write_valid_set(tmp_path, "b", tagset)
     write_json(tmp_path / "b.utt.json", dict(VALID_UTT, id="zz"))
-    report = corpus.validate_corpus(tmp_path, tagset)
-    failing = {e.utterance_id: e.failure for e in report.entries if not e.ok}
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    failing = {e["utterance_id"]: e["failure"] for e in entries if not e["ok"]}
+    assert rc == 1
     assert failing == {"b": "MalformedFileError: b.utt.json declares id 'zz'"}
 
 
-def test_validate_corpus_empty_dir(tmp_path, tagset):
-    report = corpus.validate_corpus(tmp_path, tagset)
-    assert report.entries == () and report.ok
+def test_validate_corpus_empty_dir(tmp_path, tagset, capsys):
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    assert rc == 0 and entries == []
+    assert capsys.readouterr().out == "0 pass, 0 fail\n"
 
 
-def test_validate_corpus_bad_labels(tmp_path, tagset):
+def test_validate_corpus_bad_labels(tmp_path, tagset, capsys):
     write_valid_set(tmp_path, "a", tagset)
     (tmp_path / "a.lab.tsv").write_text("#source=pseudo\n0\t1\t0.9\n", encoding="utf-8")
-    report = corpus.validate_corpus(tmp_path, tagset)
-    assert report.num_fail == 1  # 1 label row for a 2-char utterance
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    assert rc == 1 and [e["ok"] for e in entries] == [False]  # 1 label row, 2 chars
+    assert capsys.readouterr().out.endswith("0 pass, 1 fail\n")

@@ -1,12 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prosemph import corpus, dsp, prominence
 from prosemph.errors import BandOutOfRangeError, FrameRateMismatchError
 
-from synth import synth_utterance, write_wav
+from synth import short_audio, synth_utterance, write_wav
 
 
 def track(values, fr=100.0, kind="zscore"):
@@ -145,6 +147,47 @@ def test_cwt_white_noise_unit_row_variance(rng):
         assert row.var() == pytest.approx(1.0, rel=0.05)
 
 
+@short_audio
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 400), st.integers(1, 10), st.integers(1, 4), st.integers(2, 4),
+       st.floats(0.5, 6.0), st.integers(0, 2**32 - 1))
+def test_cwt_rows_do_not_depend_on_num_scales(n, k, extra, spo, base, seed):
+    # label computes only scales 0..hi, so each row must keep its bytes
+    # whatever the number of scales computed after it
+    x = track(np.random.default_rng(seed).normal(size=n))
+    few = prominence.cwt_ricker(x, k, scales_per_octave=spo, base_scale_frames=base)
+    many = prominence.cwt_ricker(x, k + extra, scales_per_octave=spo,
+                                 base_scale_frames=base)
+    assert few.coefficients.tobytes() == many.coefficients[:k].tobytes()
+    assert few.scales_frames.tobytes() == many.scales_frames[:k].tobytes()
+
+
+def test_widest_scored_scale_is_bounded():
+    prominence.ProminenceConfig(band=(2, 16))  # 4 * 2^(16/2) = 1024 frames
+    for kw in ({"band": (2, 17)}, {"band": (2, 5000)},
+               {"wavelet": prominence.WaveletConfig(base_scale_frames=1e9)}):
+        with pytest.raises(ValueError, match="wider than 1024"):
+            prominence.ProminenceConfig(**kw)
+    with pytest.raises(ValueError, match="0 <= lo <= hi"):
+        prominence.ProminenceConfig(band=(5, 4))
+    # 4 * 2^(26/4) = 362 frames
+    prominence.ProminenceConfig(wavelet=prominence.WaveletConfig(scales_per_octave=4),
+                                band=(2, 26))
+
+
+def test_label_warns_against_the_widest_scored_scale(tmp_path):
+    # 20 chars of about 0.25 s: about 500 frames, more than 4x the widest
+    # scored scale (scale 9, 90.5 frames) but less than 4x scale 11
+    utt, wav = synth_utterance("long", np.random.default_rng(5), num_chars=20,
+                               emphasized=7)
+    write_wav(tmp_path / "long.wav", wav)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", prominence.LargeScaleTruncatedWarning)
+        res = prominence.label_utterance(tmp_path / "long.wav", utt,
+                                         prominence.ProminenceConfig())
+    assert res.labels.labels[7] == 1
+
+
 # -- per-character scoring ---------------------------------------------------
 
 
@@ -221,6 +264,7 @@ def test_quantize_monotone_in_threshold(rng):
 # -- end-to-end --------------------------------------------------------------
 
 
+@short_audio
 def test_label_utterance_injected_prominence(tmp_path):
     rng = np.random.default_rng(5)
     utt, wav = synth_utterance("inj", rng, emphasized=3)
@@ -230,6 +274,7 @@ def test_label_utterance_injected_prominence(tmp_path):
     assert res.labels.labels == (0, 0, 0, 1, 0)
 
 
+@short_audio
 def test_label_utterance_flat_monotone(tmp_path):
     rng = np.random.default_rng(5)
     utt, wav = synth_utterance("flat", rng, emphasized=None, jitter=False)
@@ -239,6 +284,7 @@ def test_label_utterance_flat_monotone(tmp_path):
     assert res.labels.labels == (0,) * 5
 
 
+@short_audio
 def test_label_utterance_deterministic(tmp_path):
     rng = np.random.default_rng(6)
     utt, wav = synth_utterance("det", rng, emphasized=1)
