@@ -175,6 +175,14 @@ def _each_item(corpus_dir, tagset, prepare):
                  lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
 
+def _remove(out_dir: Path, names) -> None:
+    """Delete the named files from out_dir, so that a run leaves none of an
+    earlier run's outputs that it does not write again. Never a glob:
+    out_dir may be a corpus directory."""
+    for name in names:
+        (out_dir / name).unlink(missing_ok=True)
+
+
 def _report(out_dir: Path, failures: dict[str, str]) -> int:
     """Print the failed items, write them ([] if none) to failures.json; the exit code."""
     report = [{"utterance_id": uid, "error": failures[uid]} for uid in sorted(failures)]
@@ -217,6 +225,7 @@ def cmd_validate(args) -> int:
 
 def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
     """Label one corpus item into out_dir; the names of the files written."""
+    _remove(out_dir, [f"{uid}.lab.tsv", f"{uid}.scores.tsv"])
     utt = corpus.load_item_utterance(corpus_dir, uid)
     result = prominence.label_utterance(Path(wav_dir) / f"{uid}.wav", utt, cfg)
     lab_path = out_dir / f"{uid}.lab.tsv"
@@ -271,9 +280,12 @@ def cmd_train(args) -> int:
                 utt, ann, corpus.load_labels(lab_path, utt.id, utt.num_chars))
         return None
 
-    dataset, failures = _each_item(args.corpus, tagset, labeled)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # a run that fails as a whole must not leave the last run's model behind
+    _remove(out_dir, ["model.pemo", "train_log.ldjson", "manifest.json",
+                      "failures.json"])
+    dataset, failures = _each_item(args.corpus, tagset, labeled)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
         _report(out_dir, failures)
@@ -307,6 +319,7 @@ def cmd_predict(args) -> int:
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove(out_dir, [f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus)])
 
     def packable(utt, ann):
         # everything that can fail for one utterance happens here, so the
@@ -330,11 +343,15 @@ def cmd_filter(args) -> int:
     t0 = time.monotonic()
     pseudo_dir, pred_dir = Path(args.corpus), Path(args.predicted)
     out_dir = Path(args.out)
+    # filter deletes the labels it does not keep from --out
+    if out_dir.resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
+        raise UsageError("filter --out must differ from --corpus and --predicted")
     out_dir.mkdir(parents=True, exist_ok=True)
     ids = [uid for uid in corpus.corpus_ids(pseudo_dir, ".lab.tsv")
            if (pred_dir / f"{uid}.lab.tsv").exists()]
 
     def keep(uid):
+        _remove(out_dir, [f"{uid}.lab.tsv"])
         pseudo = corpus.load_labels(pseudo_dir / f"{uid}.lab.tsv", uid)
         pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
         if not metrics.filter_by_confidence(pseudo, pred, args.tau):
@@ -367,8 +384,7 @@ def cmd_evaluate(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     # a run that fails as a whole must not leave the last run's result behind
-    for name in ("metrics.json", "failures.json", "manifest.json"):
-        (out_dir / name).unlink(missing_ok=True)
+    _remove(out_dir, ["metrics.json", "failures.json", "manifest.json"])
     pairs, failures = _each(ids, pair)
     m = metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                          {uid: g for uid, g, _ in pairs})
@@ -395,6 +411,7 @@ def cmd_condition(args) -> int:
     labels_dir = Path(args.labels) if args.labels else Path(args.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove(out_dir, [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
 
     def export(utt, ann):
         # an utterance without labels is left out, not failed

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.io import wavfile
 
 from .corpus import Utterance
@@ -117,6 +118,10 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     Frames whose best normalized correlation falls below the voicing
     threshold are reported as 0 (unvoiced). Peak lag is refined by
     parabolic interpolation.
+
+    The autocorrelation of each frame comes from an FFT of
+    `next_fast_len(flen + lag_max)` points: any length >= flen + lag_max
+    keeps the circular wrap out of lags 0..lag_max, the only lags read.
     """
     sr = w.sample_rate
     if not cfg.f0_max_hz < sr / 2:
@@ -131,11 +136,9 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
 
     x = frames - frames.mean(axis=1, keepdims=True)
     # raw autocorrelation of every frame via FFT
-    nfft = 1
-    while nfft < 2 * flen:
-        nfft *= 2
-    spec = np.fft.rfft(x, n=nfft, axis=1)
-    acf = np.fft.irfft(spec * np.conj(spec), n=nfft, axis=1)[:, : lag_max + 1].real
+    nfft = sp_fft.next_fast_len(flen + lag_max, real=True)
+    spec = sp_fft.rfft(x, n=nfft, axis=1)
+    acf = sp_fft.irfft(spec * np.conj(spec), n=nfft, axis=1)[:, : lag_max + 1]
     # normalization energies of the two overlapping segments, per lag
     sq = np.cumsum(x**2, axis=1)
     total = sq[:, -1]
@@ -147,20 +150,24 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
 
     out = np.zeros(len(frames))
     peak = r.max(axis=1)
-    voiced = (peak >= cfg.voicing_threshold) & (total > 1e-12)
-    for i in np.flatnonzero(voiced):
-        # prefer the shortest near-maximal lag to avoid subharmonic picks,
-        # then climb to its local peak
-        k = int(np.argmax(r[i] >= peak[i] - 0.01))
-        while k + 1 < len(lags) and r[i, k + 1] > r[i, k]:
-            k += 1
-        tau = float(lags[k])
-        if 0 < k < len(lags) - 1:
-            # parabolic refinement around the peak
-            d = r[i, k - 1] - 2 * r[i, k] + r[i, k + 1]
-            if abs(d) > 1e-12:
-                tau += 0.5 * (r[i, k - 1] - r[i, k + 1]) / d
-        out[i] = sr / tau
+    voiced = np.flatnonzero((peak >= cfg.voicing_threshold) & (total > 1e-12))
+    r, peak = r[voiced], peak[voiced]
+    last = len(lags) - 1
+    # prefer the shortest near-maximal lag to avoid subharmonic picks, then
+    # climb to its local peak: the first lag from there on whose successor
+    # is no higher, else the last lag
+    start = np.argmax(r >= peak[:, None] - 0.01, axis=1)
+    stop = np.ones(r.shape, dtype=bool)
+    stop[:, :-1] = (r[:, 1:] <= r[:, :-1]) & (np.arange(last) >= start[:, None])
+    k = np.argmax(stop, axis=1)
+    tau = lags[k].astype(np.float64)
+    # parabolic refinement around an inner peak
+    (i,) = np.nonzero((k > 0) & (k < last))
+    below, at, above = r[i, k[i] - 1], r[i, k[i]], r[i, k[i] + 1]
+    d = below - 2 * at + above
+    curved = np.abs(d) > 1e-12
+    tau[i[curved]] += 0.5 * (below - above)[curved] / d[curved]
+    out[voiced] = sr / tau
     return ProsodicTrack(values=out, frame_rate=cfg.frame_rate, kind="f0_hz")
 
 

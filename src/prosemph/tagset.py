@@ -91,16 +91,16 @@ def load_tagset(path) -> Tagset:
         raise MalformedFileError(f"cannot read tagset {path}: {exc}") from exc
     if not isinstance(obj, dict) or "pos" not in obj or "rel" not in obj:
         raise MalformedFileError(f"tagset {path} missing 'pos'/'rel' maps")
-    try:
-        rel = {str(k): int(v) for k, v in obj["rel"].items()}
-        pos = {str(k): int(v) for k, v in obj["pos"].items()}
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedFileError(f"tagset {path}: 'pos'/'rel' must map tags to "
-                                 f"integer ids ({exc})") from exc
+    pos, rel = obj["pos"], obj["rel"]
+    for name, mapping in (("pos", pos), ("rel", rel)):
+        # JSON integers only: no floats such as 0.5, no bools (an int subclass)
+        if not isinstance(mapping, dict) or any(
+                type(v) is not int for v in mapping.values()):
+            raise MalformedFileError(f"tagset {path}: {name} must map tags to "
+                                     f"integer ids")
+        if sorted(mapping.values()) != list(range(len(mapping))):
+            raise MalformedFileError(f"tagset {path}: {name} ids are not dense 0..n-1")
     for reserved in ("ROOT", "BOS", "EOS", "SEQ"):
         if reserved not in rel:
             raise MalformedFileError(f"tagset {path} missing reserved id {reserved}")
-    for name, mapping in (("pos", pos), ("rel", rel)):
-        if sorted(mapping.values()) != list(range(len(mapping))):
-            raise MalformedFileError(f"tagset {path}: {name} ids are not dense 0..n-1")
     return Tagset(pos=pos, rel=rel)

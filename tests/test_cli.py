@@ -291,6 +291,8 @@ def test_label_too_wide_scale_is_usage_error(tmp_path, capsys, monkeypatch, bad)
     {"pos": ["n"], "rel": {}},
     {"pos": {"n": 0}, "rel": {"ROOT": [0]}},
     b"\xff",
+    {"pos": {"n": 0.9, "v": 1.7}, "rel": {}},
+    {"pos": {"n": False, "v": True}, "rel": {}},
 ])
 def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
     c = tmp_path / "corpus"
@@ -530,3 +532,115 @@ def test_jobs_other_than_one_only_for_label(tmp_path, capsys, argv):
     assert cli.main(argv) == 2
     assert _usage_error_line(capsys).startswith("error: --jobs ")
     assert not (tmp_path / "o").exists()
+
+
+# sha256 of every file `label --scores` writes for the corpus below, recorded
+# before the F0 autocorrelation changed its FFT size and its peak climb
+LABEL_GOLDEN = {
+    "g0.lab.tsv": "a74123ea3d1f9cf0386b6e13bf455fed3a52cfadfb21b60793bfb0a4ac741afc",
+    "g0.scores.tsv": "4d78390422cb885339205aed3bd7c6067d7782f2672fff6a9b0b49ad73c0c745",
+    "g1.lab.tsv": "9047dd83de5690730cc68b1d16a6e2f95e7ab6107345f7b2db9e4eab63344f78",
+    "g1.scores.tsv": "ae950272ff40c6fbc297daa81b599700873434ffda7abe7b457f4089fbeb8e45",
+    "g2.lab.tsv": "11a67866e826d112c0b50f804cb1afbecda95d7e97e17377e1d98a18354b15cd",
+    "g2.scores.tsv": "a7ea589149b55e7dc2e0f8193ed1b84cd0c55bd579d26ad0252ac3fb20c40ec9",
+}
+
+
+@short_audio
+def test_label_golden_bytes(tmp_path):
+    import hashlib
+
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    c.mkdir()
+    w.mkdir()
+    rng = np.random.default_rng(8)
+    # 1 s, 3.25 s and 8 s of sine-carrier speech, the middle one without emphasis
+    for uid, num_chars, emphasized in (("g0", 4, 2), ("g1", 13, None), ("g2", 32, 20)):
+        utt, wav = synth_utterance(uid, rng, num_chars=num_chars, emphasized=emphasized)
+        corpus.save_utterance(utt, c / f"{uid}.utt.json")
+        write_wav(w / f"{uid}.wav", wav)
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--out", str(out),
+                     "--scores"]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.tsv"))}
+    assert digests == LABEL_GOLDEN
+
+
+# -- a rerun into the same --out -------------------------------------------------
+
+
+@short_audio
+def test_label_rerun_removes_a_failed_items_outputs(tmp_path):
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=3)
+    argv = ["label", "--corpus", str(c), "--wav", str(w), "--out", str(out), "--scores"]
+    assert cli.main(argv) == 0
+    (w / "a1.wav").unlink()
+    assert cli.main(argv) == 1
+    assert [f["utterance_id"] for f in json.loads((out / "failures.json").read_text())] \
+        == ["a1"]
+    assert sorted(p.name for p in out.glob("*.tsv")) == [
+        "a0.lab.tsv", "a0.scores.tsv", "a2.lab.tsv", "a2.scores.tsv"]
+
+
+@pytest.mark.parametrize("command, suffix", [("predict", ".lab.tsv"),
+                                             ("condition", ".cond.bin")])
+def test_rerun_removes_a_failed_items_output(tmp_path, tagset, command, suffix):
+    from prosemph import embeddings, model as M
+
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    argv = [command, "--corpus", str(c), "--config",
+            str(small_train_config(tmp_path / "cfg.json")), "--out", str(out)]
+    if command == "predict":
+        M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
+            hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
+        )).save(tmp_path / "m.pemo")
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    assert cli.main(argv) == 0
+    assert (out / f"u0001{suffix}").exists()
+    _break_item(c, "u0001", "ann_not_json")
+    assert cli.main(argv) == 1
+    assert sorted(p.name for p in out.glob(f"*{suffix}")) == [
+        f"u0000{suffix}", f"u0002{suffix}"]
+
+
+def test_filter_rerun_removes_labels_no_longer_kept(tmp_path, tagset):
+    c, pred, kept = tmp_path / "corpus", tmp_path / "pred", tmp_path / "kept"
+    write_labeled_corpus(c, tagset, count=2)
+    pred.mkdir()
+    for uid, confidence in (("u0000", 0.95), ("u0001", 0.8)):
+        lab = corpus.load_labels(c / f"{uid}.lab.tsv", uid)
+        corpus.save_labels(corpus.EmphasisLabels(
+            uid, lab.labels, (confidence,) * len(lab.labels), "predicted"),
+            pred / f"{uid}.lab.tsv")
+    for tau, ids in (("0.5", ["u0000", "u0001"]), ("0.9", ["u0000"])):
+        assert cli.main(["filter", "--corpus", str(c), "--predicted", str(pred),
+                         "--tau", tau, "--out", str(kept)]) == 0
+        assert json.loads((kept / "kept.json").read_text()) == ids
+        assert sorted(p.name for p in kept.glob("*.lab.tsv")) == [
+            f"{uid}.lab.tsv" for uid in ids]
+
+
+@pytest.mark.parametrize("into", ["corpus", "pred"])
+def test_filter_into_its_own_input_is_usage_error(tmp_path, tagset, capsys, into):
+    c, pred = tmp_path / "corpus", tmp_path / "pred"
+    write_labeled_corpus(c, tagset, count=2)
+    _predicted_copy(c, pred)
+    before = {p: p.read_bytes() for d in (c, pred) for p in d.iterdir()}
+    assert cli.main(["filter", "--corpus", str(c), "--predicted", str(pred),
+                     "--out", str(tmp_path / into / ".")]) == 2
+    assert _usage_error_line(capsys).startswith("error: filter --out ")
+    assert {p: p.read_bytes() for d in (c, pred) for p in d.iterdir()} == before
+
+
+def test_failed_train_leaves_no_earlier_result(tmp_path, tagset):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=2)
+    argv = ["train", "--corpus", str(c), "--config",
+            str(small_train_config(tmp_path / "cfg.json")), "--out", str(out)]
+    assert cli.main(argv) == 0
+    for uid in ("u0000", "u0001"):
+        _break_item(c, uid, "ann_not_json")
+    assert cli.main(argv) == 1
+    assert sorted(p.name for p in out.iterdir()) == ["failures.json"]

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.io import wavfile
 
 from prosemph import corpus, dsp
@@ -118,6 +119,98 @@ def test_estimate_f0_sweep_within_one_percent(f):
     t = dsp.estimate_f0(dsp.Waveform(x, SR), CFG)
     interior = t.values[2:-2]
     assert np.all(np.abs(interior - f) / f < 0.01)
+
+
+def reference_f0(x, sr, cfg):
+    """estimate_f0 frame by frame: the normalized autocorrelation lag by lag,
+    then a climb to the local peak one lag at a time."""
+    flen = int(round(cfg.frame_length_sec * sr))
+    hop = int(round(cfg.hop_sec * sr))
+    lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
+    lag_max = min(int(math.ceil(sr / cfg.f0_min_hz)), flen - 1)
+    out = []
+    for begin in range(0, len(x) - flen + 1, hop):
+        f = x[begin : begin + flen] - x[begin : begin + flen].mean()
+        r = []
+        for tau in range(lag_min, lag_max + 1):
+            head, tail = f[: flen - tau], f[tau:]
+            denom = math.sqrt(np.dot(head, head) * np.dot(tail, tail))
+            r.append(np.dot(head, tail) / denom if denom > 1e-12 else 0.0)
+        peak = max(r)
+        if peak < cfg.voicing_threshold or np.dot(f, f) <= 1e-12:
+            out.append(0.0)
+            continue
+        k = next(j for j, v in enumerate(r) if v >= peak - 0.01)
+        while k + 1 < len(r) and r[k + 1] > r[k]:
+            k += 1
+        tau = float(lag_min + k)
+        if 0 < k < len(r) - 1:
+            d = r[k - 1] - 2 * r[k] + r[k + 1]
+            if abs(d) > 1e-12:
+                tau += 0.5 * (r[k - 1] - r[k + 1]) / d
+        out.append(sr / tau)
+    return np.array(out)
+
+
+def assert_matches_reference(x, sr, cfg):
+    fast = dsp.estimate_f0(dsp.Waveform(x, sr), cfg).values
+    ref = reference_f0(x, sr, cfg)
+    assert np.array_equal(fast > 0, ref > 0)
+    voiced = ref > 0
+    assert fast[voiced] == pytest.approx(ref[voiced], rel=1e-9)
+    return fast
+
+
+_segment = st.tuples(
+    st.sampled_from(["sine", "noise", "silence"]),
+    st.floats(0.02, 0.3),   # seconds
+    st.floats(0.05, 1.0),   # amplitude
+    st.floats(60.0, 480.0),  # sine frequency, Hz
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sr=st.sampled_from([8000, 16000, 24000]),
+       segments=st.lists(_segment, min_size=1, max_size=4),
+       threshold=st.sampled_from([0.3, 0.6, 0.9]),
+       seed=st.integers(0, 2**32 - 1))
+def test_estimate_f0_matches_reference(sr, segments, threshold, seed):
+    rng = np.random.default_rng(seed)
+    pieces = []
+    for kind, dur, amp, freq in segments:
+        n = int(dur * sr)
+        if kind == "sine":
+            pieces.append(amp * np.sin(2 * np.pi * freq * np.arange(n) / sr + rng.uniform(0, 6)))
+        elif kind == "noise":
+            pieces.append(amp * rng.normal(size=n))
+        else:
+            pieces.append(np.zeros(n))
+    x = np.concatenate(pieces + [np.zeros(int(0.05 * sr))])  # at least one frame
+    assert_matches_reference(x, sr, dsp.FrameConfig(voicing_threshold=threshold))
+
+
+def test_estimate_f0_matches_reference_with_clipped_lag_max():
+    # ceil(24000 / 10) = 2400 lags do not fit a 1104-sample frame
+    cfg = dsp.FrameConfig(f0_min_hz=10.0)
+    x = np.sin(2 * np.pi * 130 * np.arange(SR // 2) / SR)
+    f0 = assert_matches_reference(x, SR, cfg)
+    assert (f0 > 0).all()
+
+
+def test_estimate_f0_matches_reference_at_8_khz():
+    sr = 8000
+    t = np.arange(sr) / sr
+    x = np.sin(2 * np.pi * 180 * t) + 0.1 * np.random.default_rng(3).normal(size=sr)
+    f0 = assert_matches_reference(x, sr, CFG)
+    assert np.abs(f0[2:-2] - 180).max() < 2
+
+
+def test_estimate_f0_climb_ending_on_the_last_lag_is_not_refined():
+    # a 58 Hz period (414 samples) is longer than the last lag, 24000 / 60
+    # = 400, so the correlation still rises there and no parabola is fitted
+    x = np.sin(2 * np.pi * 58 * np.arange(SR // 2) / SR)
+    f0 = assert_matches_reference(x, SR, CFG)
+    assert (f0 == SR / 400).all()
 
 
 def test_interpolate_unvoiced_midpoint():
