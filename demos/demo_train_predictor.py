@@ -83,7 +83,7 @@ def main():
     for rec in records[:: max(1, len(records) // 5)]:
         print(f"  epoch {rec['epoch']:3d}  loss {rec['loss']:.4f}")
 
-    labs = model.predict([(ex.utt, ex.ann) for ex in test_set])
+    labs = model.predict(test_set)
     predicted = {lab.utterance_id: lab for lab in labs}
     gold = {ex.utt.id: ex.labels for ex in test_set}
     m = metrics.evaluate(predicted, gold)

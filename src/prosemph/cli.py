@@ -105,15 +105,14 @@ def _load_json(path) -> dict:
 
 
 def _model_inputs(args):
-    """The config object, tagset, semantic provider and seed of train, predict
-    and condition, which share one config file."""
+    """The config object, tagset, semantic provider and config seed of train,
+    predict and condition, which share one config file."""
     cfg_obj = _load_json(args.config) if args.config else {}
     for key in cfg_obj:
         if key not in ("model", "train", "semantic", "val_fraction", "cond_dim",
                        "emph_dim", "seed"):
             raise UsageError(f"config key {key}: unknown key")
-    seed = args.seed if args.seed is not None else _int_key(cfg_obj, "seed", 0, 0)
-    return cfg_obj, _tagset(args), _provider(cfg_obj), seed
+    return cfg_obj, _tagset(args), _provider(cfg_obj), _int_key(cfg_obj, "seed", 0, 0)
 
 
 def _config(cls, section: str | None, values: dict, **fixed):
@@ -260,6 +259,7 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     t0 = time.monotonic()
     cfg_obj, tagset, provider, seed = _model_inputs(args)
+    seed = args.seed if args.seed is not None else seed
     model_cfg = _config(model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
                         semantic_dim=provider.dim, seed=seed)
     train_kwargs = dict(cfg_obj.get("train", {}))
@@ -316,17 +316,19 @@ def cmd_train(args) -> int:
 def cmd_predict(args) -> int:
     t0 = time.monotonic()
     cfg_obj, tagset, provider, _ = _model_inputs(args)
-    model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _remove(out_dir, [f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus)])
+    # a run that fails as a whole (a bad checkpoint) must not leave the last run's labels
+    _remove(out_dir, ["failures.json", "manifest.json",
+                      *(f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus))])
+    model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
 
     def packable(utt, ann):
         # everything that can fail for one utterance happens here, so the
         # packed propagations below see only good items
         graph = build_char_graph(utt, ann, tagset)
         provider.check(utt.id, utt.chars)
-        return utt, ann, graph
+        return model_mod.Example(utt, ann, graph=graph)
 
     good, failures = _each_item(args.corpus, tagset, packable)
     outputs = []
@@ -399,6 +401,7 @@ def cmd_evaluate(args) -> int:
 def cmd_condition(args) -> int:
     t0 = time.monotonic()
     cfg_obj, tagset, provider, seed = _model_inputs(args)
+    seed = args.seed if args.seed is not None else seed
     cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
     emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
     rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
@@ -450,47 +453,50 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, corpus_required=True):
-        p.add_argument("--corpus", required=corpus_required, help="corpus directory")
-        p.add_argument("--tagset", default=None, help="tagset.json (default inventory otherwise)")
-        p.add_argument("--config", default=None, help="JSON config file")
+    shared = {"corpus": dict(required=True, help="corpus directory"),
+              "tagset": dict(help="tagset.json (default inventory otherwise)"),
+              "config": dict(help="JSON config file"), "seed": dict(type=int)}
+
+    def common(p, *names):
+        """--out, --jobs and the named shared options: only those p reads."""
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("validate", help="validate a corpus directory")
-    common(p)
+    common(p, "corpus", "tagset")
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("label", help="unsupervised CWT emphasis labeling")
-    common(p)
+    common(p, "corpus", "config")
     p.add_argument("--wav", required=True, help="directory of <id>.wav files")
     p.add_argument("--scores", action="store_true", help="also write <id>.scores.tsv")
     p.set_defaults(func=cmd_label, out_required=True)
 
     p = sub.add_parser("train", help="train the emphasis predictor")
-    common(p)
+    common(p, "corpus", "tagset", "config", "seed")
     p.set_defaults(func=cmd_train, out_required=True)
 
     p = sub.add_parser("predict", help="predict emphasis labels")
-    common(p)
+    common(p, "corpus", "tagset", "config")
     p.add_argument("--checkpoint", required=True)
     p.set_defaults(func=cmd_predict, out_required=True)
 
     p = sub.add_parser("filter", help="confidence-filter pseudo labels")
-    common(p)
+    common(p, "corpus")
     p.add_argument("--predicted", required=True, help="directory of predicted labels")
     p.add_argument("--tau", type=float, default=0.9)
     p.set_defaults(func=cmd_filter, out_required=True)
 
     p = sub.add_parser("evaluate", help="precision/recall/F against gold labels")
-    common(p, corpus_required=False)
+    common(p)
     p.add_argument("--predicted", required=True)
     p.add_argument("--gold", required=True)
     p.set_defaults(func=cmd_evaluate, out_required=True)
 
     p = sub.add_parser("condition", help="export phone-level conditioning bundles")
-    common(p)
+    common(p, "corpus", "tagset", "config", "seed")
     p.add_argument("--labels", default=None, help="labels directory (default: corpus)")
     p.set_defaults(func=cmd_condition, out_required=True)
 

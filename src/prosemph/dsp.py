@@ -132,6 +132,9 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     flen = frames.shape[1]
     if lag_max >= flen:
         lag_max = flen - 1
+    if lag_max < lag_min:
+        raise TooShortError(
+            f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")
     lags = np.arange(lag_min, lag_max + 1)
 
     x = frames - frames.mean(axis=1, keepdims=True)

@@ -31,7 +31,7 @@ class UnsupportedEncodingError(ProsemphError):
 
 
 class TooShortError(ProsemphError):
-    """Waveform shorter than a single analysis frame."""
+    """Waveform shorter than one analysis frame, or frame shorter than any F0 lag."""
 
 
 class AllUnvoicedError(ProsemphError):

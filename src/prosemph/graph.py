@@ -22,12 +22,12 @@ DIR_IN = 1
 
 @dataclass(frozen=True)
 class CharGraph:
-    """Character-level labeled digraph. Node 0 is BOS, the last node EOS;
-    every stored out-edge (u, v, r, out) has a mirrored (v, u, r, in) entry."""
+    """Character-level labeled digraph. Node 0 is BOS, node c + 1 is char c
+    and the last node is EOS; every stored out-edge (u, v, r, out) has a
+    mirrored (v, u, r, in) entry."""
 
     num_nodes: int
-    edges: tuple[tuple[int, int, int, int], ...]  # (src, dst, relation_id, dir)
-    node_char_index: tuple[int | None, ...]  # BOS/EOS map to None
+    edges: np.ndarray  # int64 [E x 4], rows (src, dst, relation_id, dir)
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,7 @@ def build_char_graph(utt: Utterance, ann: DepAnnotation, tagset: Tagset) -> Char
       - BOS -> first char of first word (BOS relation); last char of last
         word -> EOS (EOS relation)
     """
-    n = utt.num_chars
-    num_nodes = n + 2
+    num_nodes = utt.num_chars + 2
 
     def node(char_idx: int) -> int:
         return char_idx + 1
@@ -75,11 +74,7 @@ def build_char_graph(utt: Utterance, ann: DepAnnotation, tagset: Tagset) -> Char
             add(node(first_char[w]), node(first_char[head]), ann.relations[w])
     add(0, node(utt.word_spans[0][0]), tagset.bos_id)
     add(node(utt.word_spans[-1][1] - 1), num_nodes - 1, tagset.eos_id)
-
-    node_char_index = (None,) + tuple(range(n)) + (None,)
-    return CharGraph(
-        num_nodes=num_nodes, edges=tuple(edges), node_char_index=node_char_index
-    )
+    return CharGraph(num_nodes, np.array(edges, dtype=np.int64))
 
 
 def disjoint_union(graphs) -> CharGraph:
@@ -88,14 +83,9 @@ def disjoint_union(graphs) -> CharGraph:
     The nodes of each graph follow those of the graphs before it, so no
     edge joins two of them and each keeps its own BOS/EOS nodes.
     """
-    edges: list[tuple[int, int, int, int]] = []
-    node_char_index: list[int | None] = []
-    for g in graphs:
-        off = len(node_char_index)
-        edges.extend((u + off, v + off, r, d) for u, v, r, d in g.edges)
-        node_char_index.extend(g.node_char_index)
-    return CharGraph(num_nodes=len(node_char_index), edges=tuple(edges),
-                     node_char_index=tuple(node_char_index))
+    offsets = np.cumsum([0] + [g.num_nodes for g in graphs])
+    edges = np.concatenate([g.edges + (off, off, 0, 0) for g, off in zip(graphs, offsets)])
+    return CharGraph(int(offsets[-1]), edges)
 
 
 def expand_word_to_char(values: np.ndarray, utt: Utterance) -> np.ndarray:

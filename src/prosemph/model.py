@@ -27,6 +27,7 @@ from .embeddings import (
 )
 from .errors import DimMismatchError, EmptyDatasetError, LengthMismatchError
 from .graph import CharGraph, build_char_graph, disjoint_union, expand_word_to_char
+from .metrics import evaluate
 from .tagset import Tagset
 
 PEMO_MAGIC = b"PEMO"
@@ -70,6 +71,21 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and seed must be integers")
         if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1 or self.seed < 0:
             raise ValueError("train config values must be positive")
+
+
+@dataclass
+class Example:
+    """One utterance as the model reads it; `labels` only the loss reads."""
+
+    utt: Utterance
+    ann: DepAnnotation
+    labels: EmphasisLabels | None = None
+    graph: CharGraph | None = None
+
+
+def _examples(items) -> list[Example]:
+    """Examples, or tuples in Example's field order, as Examples."""
+    return [it if isinstance(it, Example) else Example(*it) for it in items]
 
 
 def _sigmoid(x):
@@ -176,11 +192,10 @@ class PredictorModel:
         if h0.shape[0] != graph.num_nodes:
             raise LengthMismatchError("h0 rows must equal graph node count")
         p = self.params
-        edges = np.asarray(graph.edges, dtype=np.int64).reshape(-1, 4)
-        num_edges = len(edges)
-        key = edges[:, 2] * 2 + edges[:, 3]
+        num_edges = len(graph.edges)
+        key = graph.edges[:, 2] * 2 + graph.edges[:, 3]
         order = np.argsort(key, kind="stable")
-        src, dst, key = edges[order, 0], edges[order, 1], key[order]
+        src, dst, key = graph.edges[order, 0], graph.edges[order, 1], key[order]
         bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
         groups = [(divmod(int(key[a]), 2), slice(a, b))
                   for a, b in zip(bounds, bounds[1:])]
@@ -211,29 +226,28 @@ class PredictorModel:
     def _forward_packed(self, items):
         """One propagation over the disjoint union of the items' graphs.
 
-        items: (utt, ann, graph or None) triples. Returns the per-character
-        class probabilities of all items stacked in order, plus caches.
+        items: Examples. Returns the per-character class probabilities of
+        all items stacked in order, plus caches.
         """
         p = self.params
         h0s, xs, pos_ids, graphs = [], [], [], []
-        for utt, ann, graph in items:
-            if graph is None:
-                graph = build_char_graph(utt, ann, self.tagset)
-            h0, init = self.node_init(utt, ann)
+        for ex in items:
+            h0, init = self.node_init(ex.utt, ex.ann)
             h0s.append(h0)
             xs.append(init["x"])
             pos_ids.append(init["pos_char_ids"])
-            graphs.append(graph)
+            graphs.append(ex.graph if ex.graph is not None
+                          else build_char_graph(ex.utt, ex.ann, self.tagset))
         union = disjoint_union(graphs)
         hT, ggn_cache = self.ggn_forward(union, np.vstack(h0s))
         ends = np.cumsum([g.num_nodes for g in graphs])
+        bos_rows, eos_rows = np.r_[0, ends[:-1]], ends - 1
         init_cache = {
             "x": np.vstack(xs),
             "pos_char_ids": np.concatenate(pos_ids),
-            "bos_rows": np.r_[0, ends[:-1]],
-            "eos_rows": ends - 1,
-            "char_rows": np.flatnonzero(
-                [i is not None for i in union.node_char_index]),
+            "bos_rows": bos_rows,
+            "eos_rows": eos_rows,
+            "char_rows": np.delete(np.arange(union.num_nodes), np.r_[bos_rows, eos_rows]),
         }
         h_chars = hT[init_cache["char_rows"]]
         a1 = h_chars @ p["head_W1"].T + p["head_b1"]
@@ -253,23 +267,23 @@ class PredictorModel:
 
     def forward(self, utt: Utterance, ann: DepAnnotation, graph: CharGraph | None = None):
         """Per-character class probabilities [num_chars x 2] plus caches."""
-        return self._forward_packed([(utt, ann, graph)])
+        return self._forward_packed([Example(utt, ann, graph=graph)])
 
     def predict(self, batch) -> list[EmphasisLabels]:
-        """Argmax labels with confidences for (utt, ann[, graph]) items,
+        """Argmax labels with confidences for Examples, or (utt, ann) tuples,
         PREDICT_PACK items per propagation; ties break toward non-emphasis."""
+        batch = _examples(batch)
         out = []
         for start in range(0, len(batch), PREDICT_PACK):
-            chunk = [(it[0], it[1], it[2] if len(it) > 2 else None)
-                     for it in batch[start : start + PREDICT_PACK]]
+            chunk = batch[start : start + PREDICT_PACK]
             probs, _ = self._forward_packed(chunk)
             labels = (probs[:, 1] > probs[:, 0]).astype(int).tolist()
             conf = probs.max(axis=1).tolist()
             pos = 0
-            for utt, _, _ in chunk:
-                end = pos + utt.num_chars
+            for ex in chunk:
+                end = pos + ex.utt.num_chars
                 out.append(EmphasisLabels(
-                    utterance_id=utt.id,
+                    utterance_id=ex.utt.id,
                     labels=tuple(labels[pos:end]),
                     confidences=tuple(conf[pos:end]),
                     source="predicted",
@@ -285,20 +299,19 @@ class PredictorModel:
     def loss_and_grads(self, batch, class_weight_positive: float = 3.0):
         """Class-weighted cross-entropy over all characters in the batch.
 
-        batch: iterable of (utt, ann, labels[, graph]) tuples, run as one
+        batch: labeled Examples, or (utt, ann, labels) tuples, run as one
         packed graph. Returns (scalar loss, grads dict matching self.params).
         """
-        total_chars = sum(item[0].num_chars for item in batch)
+        batch = _examples(batch)
+        total_chars = sum(ex.utt.num_chars for ex in batch)
         if total_chars == 0:
             raise EmptyDatasetError("batch contains no characters")
-        for utt, _, labels, *_ in batch:
-            if len(labels.labels) != utt.num_chars:
+        for ex in batch:
+            if len(ex.labels.labels) != ex.utt.num_chars:
                 raise LengthMismatchError(
-                    f"{utt.id}: {len(labels.labels)} labels for {utt.num_chars} chars"
-                )
-        probs, cache = self._forward_packed(
-            [(it[0], it[1], it[3] if len(it) > 3 else None) for it in batch])
-        y = np.concatenate([np.asarray(it[2].labels, dtype=np.int64) for it in batch])
+                    f"{ex.utt.id}: {len(ex.labels.labels)} labels for {ex.utt.num_chars} chars")
+        probs, cache = self._forward_packed(batch)
+        y = np.concatenate([np.asarray(ex.labels.labels, dtype=np.int64) for ex in batch])
         rows = np.arange(len(y))
         w = np.where(y == 1, class_weight_positive, 1.0)
         picked = np.clip(probs[rows, y], 1e-300, None)
@@ -476,14 +489,6 @@ class AdamOptimizer:
 # training loop
 
 
-@dataclass
-class Example:
-    utt: Utterance
-    ann: DepAnnotation
-    labels: EmphasisLabels
-    graph: CharGraph | None = None
-
-
 def train(
     model: PredictorModel,
     dataset: list[Example],
@@ -497,8 +502,6 @@ def train(
     Returns the per-epoch log records; optionally appends them to an
     LDJSON file and writes a final checkpoint.
     """
-    from .metrics import evaluate  # local import, avoids a cycle
-
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
     for ex in dataset:
@@ -515,11 +518,7 @@ def train(
             num_batches = 0
             for start in range(0, len(dataset), cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
-                batch = [
-                    (dataset[i].utt, dataset[i].ann, dataset[i].labels,
-                     dataset[i].graph)
-                    for i in idx
-                ]
+                batch = [dataset[i] for i in idx]
                 loss, grads = model.loss_and_grads(
                     batch, class_weight_positive=cfg.class_weight_positive
                 )
@@ -528,7 +527,7 @@ def train(
                 num_batches += 1
             rec = {"epoch": epoch, "loss": epoch_loss / max(num_batches, 1)}
             if val_dataset:
-                labs = model.predict([(ex.utt, ex.ann, ex.graph) for ex in val_dataset])
+                labs = model.predict(val_dataset)
                 preds = {lab.utterance_id: lab for lab in labs}
                 gold = {ex.utt.id: ex.labels for ex in val_dataset}
                 m = evaluate(preds, gold)

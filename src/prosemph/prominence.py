@@ -96,10 +96,8 @@ class Scalogram:
 
 @dataclass(frozen=True)
 class ProminenceResult:
-    utterance_id: str
     scores: np.ndarray  # one per character
     labels: EmphasisLabels  # source == "pseudo"
-    threshold_used: float
 
 
 class LargeScaleTruncatedWarning(UserWarning):
@@ -255,9 +253,4 @@ def label_utterance(
         labels = quantize(scores, cfg.threshold_sigma, utterance_id=utt.id)
     except ProsemphError as exc:
         raise type(exc)(f"{utt.id}: {exc}") from exc
-    return ProminenceResult(
-        utterance_id=utt.id,
-        scores=scores,
-        labels=labels,
-        threshold_used=cfg.threshold_sigma,
-    )
+    return ProminenceResult(scores=scores, labels=labels)

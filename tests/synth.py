@@ -136,11 +136,8 @@ def gen_learnable_corpus(count: int, seed: int, tagset: Tagset) -> list[Example]
 
 def strip_dependency_edges(g: CharGraph, tagset: Tagset) -> CharGraph:
     """Keep only SEQ/BOS/EOS edges (the structure-ablation condition)."""
-    keep = tuple(
-        e for e in g.edges if e[2] in (tagset.seq_id, tagset.bos_id, tagset.eos_id)
-    )
-    return CharGraph(num_nodes=g.num_nodes, edges=keep,
-                     node_char_index=g.node_char_index)
+    keep = np.isin(g.edges[:, 2], (tagset.seq_id, tagset.bos_id, tagset.eos_id))
+    return CharGraph(num_nodes=g.num_nodes, edges=g.edges[keep])
 
 
 def with_graphs(examples: list[Example], tagset: Tagset, ablated: bool = False):

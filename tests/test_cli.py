@@ -528,7 +528,9 @@ def test_filter_then_condition_on_kept_labels(tmp_path, tagset):
     ["condition", "--jobs", "2"],
 ])
 def test_jobs_other_than_one_only_for_label(tmp_path, capsys, argv):
-    argv = argv + ["--corpus", str(tmp_path), "--out", str(tmp_path / "o")]
+    if argv[0] != "evaluate":  # evaluate takes no --corpus
+        argv = argv + ["--corpus", str(tmp_path)]
+    argv = argv + ["--out", str(tmp_path / "o")]
     assert cli.main(argv) == 2
     assert _usage_error_line(capsys).startswith("error: --jobs ")
     assert not (tmp_path / "o").exists()
@@ -644,3 +646,118 @@ def test_failed_train_leaves_no_earlier_result(tmp_path, tagset):
         _break_item(c, uid, "ann_not_json")
     assert cli.main(argv) == 1
     assert sorted(p.name for p in out.iterdir()) == ["failures.json"]
+
+
+@short_audio
+def test_label_frame_shorter_than_shortest_lag_fails_the_item(tmp_path, capsys):
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": {"frame_length_sec": 0.01, "f0_max_hz": 70}}))
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["a0"]
+    assert failures[0]["error"].startswith("TooShortError: a0: 240-sample frame shorter ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_failed_predict_leaves_no_earlier_result(tmp_path, tagset, capsys):
+    from prosemph import embeddings, model as M
+
+    c, out, ckpt = tmp_path / "corpus", tmp_path / "out", tmp_path / "m.pemo"
+    write_labeled_corpus(c, tagset, count=2)
+    M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
+        hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
+    )).save(ckpt)
+    argv = ["predict", "--corpus", str(c), "--config",
+            str(small_train_config(tmp_path / "cfg.json")), "--checkpoint", str(ckpt),
+            "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "failures.json", "manifest.json", "u0000.lab.tsv", "u0001.lab.tsv"]
+    ckpt.write_bytes(ckpt.read_bytes()[:4])
+    assert cli.main(argv) == 1
+    assert "MalformedFileError" in _usage_error_line(capsys)
+    assert list(out.iterdir()) == []
+
+
+# the options each subcommand used to accept without reading them
+@pytest.mark.parametrize("command, option", [
+    ("validate", "--config"), ("validate", "--seed"),
+    ("label", "--tagset"), ("label", "--seed"),
+    ("predict", "--seed"),
+    ("filter", "--tagset"), ("filter", "--config"), ("filter", "--seed"),
+    ("evaluate", "--corpus"), ("evaluate", "--tagset"), ("evaluate", "--config"),
+    ("evaluate", "--seed"),
+])
+def test_option_a_subcommand_does_not_read_is_usage_error(tmp_path, capsys, command,
+                                                         option):
+    required = {"validate": ["--corpus", "c"], "label": ["--corpus", "c", "--wav", "w"],
+                "predict": ["--corpus", "c", "--checkpoint", "m"],
+                "filter": ["--corpus", "c", "--predicted", "p"],
+                "evaluate": ["--predicted", "p", "--gold", "g"]}
+    argv = [command, *required[command], "--out", str(tmp_path / "o"), option, "1"]
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def write_readme_corpus(corpus_dir, wav_dir, tagset, count, misplaced):
+    """Sine-carrier utterances of five one-char words. The one adjective hangs
+    off the root by ATT and has gold label 1; it is also the char with injected
+    prominence, except in the `misplaced` last utterances, where that char is
+    the next word."""
+    corpus_dir.mkdir()
+    wav_dir.mkdir()
+    rng = np.random.default_rng(11)
+    for i in range(count):
+        uid, emph = f"r{i}", i % 5
+        utt, wav = synth_utterance(
+            uid, rng, emphasized=(emph + 1) % 5 if i >= count - misplaced else emph)
+        root = (emph + 2) % 5
+        ann = corpus.DepAnnotation(
+            uid, tuple(tagset.pos["a" if w == emph else "n"] for w in range(5)),
+            tuple(None if w == root else root for w in range(5)),
+            tuple(tagset.root_id if w == root else
+                  tagset.rel["ATT" if w == emph else "SBV"] for w in range(5)))
+        gold = tuple(int(w == emph) for w in range(5))
+        corpus.save_utterance(utt, corpus_dir / f"{uid}.utt.json")
+        corpus.save_annotation(ann, tagset, corpus_dir / f"{uid}.ann.json")
+        corpus.save_labels(corpus.EmphasisLabels(uid, gold, (1.0,) * 5, "human"),
+                           corpus_dir / f"{uid}.lab.tsv")
+        write_wav(wav_dir / f"{uid}.wav", wav)
+
+
+@short_audio
+def test_readme_chain(tmp_path, tagset, monkeypatch, capsys):
+    """The README's command chain, line by line, on synthetic audio and text."""
+    monkeypatch.chdir(tmp_path)
+    write_readme_corpus(tmp_path / "corpus", tmp_path / "wav", tagset, count=10,
+                        misplaced=3)
+    # a non-default semantic dim: predict and condition need the same config
+    (tmp_path / "train.json").write_text(json.dumps({
+        "model": {"hidden_dim": 16, "num_iterations": 2, "head_hidden": 8},
+        "train": {"epochs": 60, "learning_rate": 1e-2, "batch_size": 4},
+        "semantic": {"mode": "hash", "dim": 16, "seed": 0},
+    }))
+    chain = [
+        "validate --corpus corpus/",
+        "label --corpus corpus/ --wav wav/ --out labels/ --jobs 2",
+        "train --corpus corpus/ --config train.json --out run/",
+        "predict --corpus corpus/ --config train.json --checkpoint run/model.pemo "
+        "--out pred/",
+        "filter --corpus labels/ --predicted pred/ --tau 0.9 --out kept/",
+        "evaluate --predicted pred/ --gold corpus/ --out eval/",  # gold: the corpus's
+        "condition --corpus corpus/ --config train.json --labels kept/ --out cond/",
+    ]
+    for line in chain:
+        assert cli.main(line.split()) == 0, line
+    # the model reproduces the pseudo label wherever prominence and adjective agree
+    kept = json.loads((tmp_path / "kept" / "kept.json").read_text())
+    assert kept == [f"r{i}" for i in range(7)]
+    assert sorted(p.name for p in (tmp_path / "cond").glob("*.cond.bin")) == [
+        f"{uid}.cond.bin" for uid in kept]
+    capsys.readouterr()

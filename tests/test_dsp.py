@@ -95,6 +95,17 @@ def test_frame_energy_too_short():
         dsp.frame_energy(dsp.Waveform(np.zeros(10), SR), CFG)
 
 
+def test_estimate_f0_frame_shorter_than_shortest_lag():
+    x = np.sin(2 * np.pi * 100 * np.arange(SR) / SR)
+    # 240-sample frames hold no lag from 24000 // 70 = 342 samples on
+    cfg = dsp.FrameConfig(frame_length_sec=0.01, f0_max_hz=70.0)
+    with pytest.raises(TooShortError, match=r"shortest F0 lag \(342 samples\)"):
+        dsp.estimate_f0(dsp.Waveform(x, SR), cfg)
+    # 343-sample frames hold exactly that one lag
+    cfg = dsp.FrameConfig(frame_length_sec=343 / SR, f0_max_hz=70.0)
+    assert len(dsp.estimate_f0(dsp.Waveform(x, SR), cfg).values) > 0
+
+
 def test_estimate_f0_pure_sine():
     x = np.sin(2 * np.pi * 200 * np.arange(SR) / SR)
     t = dsp.estimate_f0(dsp.Waveform(x, SR), CFG)

@@ -73,13 +73,14 @@ def test_build_char_graph_minimal(tagset):
     ann = corpus.DepAnnotation("m", (0,), (None,), (tagset.root_id,))
     g = graph.build_char_graph(utt, ann, tagset)
     assert g.num_nodes == 3
-    out_edges = {e for e in g.edges if e[3] == graph.DIR_OUT}
+    edges = set(map(tuple, g.edges.tolist()))
+    out_edges = {e for e in edges if e[3] == graph.DIR_OUT}
     assert out_edges == {(0, 1, tagset.bos_id, graph.DIR_OUT),
                          (1, 2, tagset.eos_id, graph.DIR_OUT)}
     # every out edge mirrored
-    for u, v, r, d in g.edges:
+    for u, v, r, d in edges:
         mirror = (v, u, r, graph.DIR_IN if d == graph.DIR_OUT else graph.DIR_OUT)
-        assert mirror in g.edges
+        assert mirror in edges
 
 
 def test_build_char_graph_two_words(tagset):
@@ -92,7 +93,7 @@ def test_build_char_graph_two_words(tagset):
         "t", (0, 1), (1, None), (tagset.rel["ATT"], tagset.root_id)
     )
     g = graph.build_char_graph(utt, ann, tagset)
-    out_edges = {e for e in g.edges if e[3] == graph.DIR_OUT}
+    out_edges = {e for e in map(tuple, g.edges.tolist()) if e[3] == graph.DIR_OUT}
     # nodes: BOS=0, A=1, B=2, C=3, EOS=4
     assert (1, 2, tagset.seq_id, graph.DIR_OUT) in out_edges
     assert (1, 3, tagset.rel["ATT"], graph.DIR_OUT) in out_edges
@@ -142,7 +143,12 @@ def test_build_char_graph_properties(tagset, rng):
         g = graph.build_char_graph(utt, ann, tagset)
         assert g.num_nodes == utt.num_chars + 2
         assert is_weakly_connected(g)
-        assert g.node_char_index[0] is None and g.node_char_index[-1] is None
+        # node 0 is BOS and the last node EOS: they touch only BOS/EOS edges
+        last = g.num_nodes - 1
+        rows = set(map(tuple, g.edges[:, :3].tolist()))
+        assert {(0, 1, tagset.bos_id), (last - 1, last, tagset.eos_id)} <= rows
+        ends = np.isin(g.edges[:, :2], (0, last)).any(axis=1)
+        assert set(g.edges[ends, 2].tolist()) == {tagset.bos_id, tagset.eos_id}
         assert all(r < tagset.num_relations for _, _, r, _ in g.edges)
 
 

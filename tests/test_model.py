@@ -82,7 +82,7 @@ def test_ggn_no_edges_matches_scalar_gru(tagset):
             "gru_Wz": 0.0, "gru_Wr": 0.0, "gru_Wc": 0.0}
     for k, v in vals.items():
         m.params[k][:] = v
-    g = CharGraph(num_nodes=2, edges=(), node_char_index=(None, None))
+    g = CharGraph(num_nodes=2, edges=np.empty((0, 4), dtype=np.int64))
     h = 0.4
     h0 = np.array([[h], [h]])
     hT, _ = m.ggn_forward(g, h0)
@@ -105,13 +105,13 @@ def test_ggn_permutation_equivariance(tagset):
     for u, v, r in ((0, 1, 2), (1, 3, 5), (2, 3, 1), (4, 0, 7)):
         edges.append((u, v, r, 0))
         edges.append((v, u, r, 1))
-    g = CharGraph(num_nodes=n, edges=tuple(edges), node_char_index=(None,) * n)
+    g = CharGraph(num_nodes=n, edges=np.array(edges, dtype=np.int64))
     h0 = rng.normal(size=(n, 6))
     hT, _ = m.ggn_forward(g, h0)
 
     perm = np.array([3, 0, 4, 1, 2])  # new id of each old node
-    p_edges = tuple((int(perm[u]), int(perm[v]), r, d) for u, v, r, d in edges)
-    gp = CharGraph(num_nodes=n, edges=p_edges, node_char_index=(None,) * n)
+    p_edges = [(int(perm[u]), int(perm[v]), r, d) for u, v, r, d in edges]
+    gp = CharGraph(num_nodes=n, edges=np.array(p_edges, dtype=np.int64))
     h0p = np.empty_like(h0)
     h0p[perm] = h0
     hTp, _ = m.ggn_forward(gp, h0p)
@@ -408,6 +408,18 @@ def test_packed_predict_matches_single_forward(tagset):
         assert lab.utterance_id == utt.id
         assert lab.labels == tuple(int(p1 > p0) for p0, p1 in probs)
         assert lab.confidences == pytest.approx(probs.max(axis=1), abs=1e-12)
+
+
+def test_tuples_and_examples_are_one_input(tagset):
+    m = small_model(tagset, seed=7)
+    batch = varied_batch(tagset)
+    examples = [M.Example(utt, ann, lab, build_char_graph(utt, ann, tagset))
+                for utt, ann, lab in batch]
+    loss, grads = m.loss_and_grads(batch)
+    loss_ex, grads_ex = m.loss_and_grads(examples)
+    assert loss == loss_ex
+    assert all(np.array_equal(grads[k], grads_ex[k]) for k in grads)
+    assert m.predict([(utt, ann) for utt, ann, _ in batch]) == m.predict(examples)
 
 
 def test_adam_in_place_step_is_bit_identical():
