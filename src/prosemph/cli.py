@@ -317,6 +317,9 @@ def cmd_predict(args) -> int:
     t0 = time.monotonic()
     cfg_obj, tagset, provider, _ = _model_inputs(args)
     out_dir = Path(args.out)
+    # predict deletes every corpus id's labels from --out, the corpus's own included
+    if out_dir.resolve() == Path(args.corpus).resolve():
+        raise UsageError("predict --out must differ from --corpus")
     out_dir.mkdir(parents=True, exist_ok=True)
     # a run that fails as a whole (a bad checkpoint) must not leave the last run's labels
     _remove(out_dir, ["failures.json", "manifest.json",

@@ -682,6 +682,18 @@ def test_failed_predict_leaves_no_earlier_result(tmp_path, tagset, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_predict_into_its_corpus_is_usage_error(tmp_path, tagset, capsys):
+    c = tmp_path / "corpus"
+    write_labeled_corpus(c, tagset, count=2)
+    (tmp_path / "m.pemo").write_bytes(b"PEMO")
+    labels = {p.name: p.read_bytes() for p in c.glob("*.lab.tsv")}
+    assert cli.main(["predict", "--corpus", str(c), "--checkpoint",
+                     str(tmp_path / "m.pemo"), "--out", str(c / ".")]) == 2
+    assert "predict --out must differ from --corpus" in _usage_error_line(capsys)
+    assert {p.name: p.read_bytes() for p in c.glob("*.lab.tsv")} == labels
+    assert len(labels) == 2
+
+
 # the options each subcommand used to accept without reading them
 @pytest.mark.parametrize("command, option", [
     ("validate", "--config"), ("validate", "--seed"),
@@ -732,7 +744,7 @@ def write_readme_corpus(corpus_dir, wav_dir, tagset, count, misplaced):
 
 
 @short_audio
-def test_readme_chain(tmp_path, tagset, monkeypatch, capsys):
+def test_readme_chain(tmp_path, tagset, monkeypatch):
     """The README's command chain, line by line, on synthetic audio and text."""
     monkeypatch.chdir(tmp_path)
     write_readme_corpus(tmp_path / "corpus", tmp_path / "wav", tagset, count=10,
@@ -760,4 +772,3 @@ def test_readme_chain(tmp_path, tagset, monkeypatch, capsys):
     assert kept == [f"r{i}" for i in range(7)]
     assert sorted(p.name for p in (tmp_path / "cond").glob("*.cond.bin")) == [
         f"{uid}.cond.bin" for uid in kept]
-    capsys.readouterr()
