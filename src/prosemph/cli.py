@@ -14,6 +14,7 @@ import json
 import multiprocessing
 import sys
 import time
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
@@ -142,16 +143,21 @@ def _prominence_config(path) -> prominence.ProminenceConfig:
 
 
 def _attempt(work, uid):
-    try:
-        return uid, work(uid), None
-    except ProsemphError as exc:
-        return uid, None, describe(exc)
+    """(uid, work(uid) or None, the failure or None, the warnings work raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            outcome = work(uid), None
+        except ProsemphError as exc:
+            outcome = None, describe(exc)
+    return uid, *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
 def _each(ids, work, jobs=1):
     """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
     (work must then pickle); work's results other than None, in id order, and
-    the failures, {utterance_id: "<Type>: <message>"}."""
+    the failures, {utterance_id: "<Type>: <message>"}. The warnings of each
+    item are issued here, in id order, under this process's filters."""
     attempt = partial(_attempt, work)
     if jobs > 1:
         spawn = multiprocessing.get_context("spawn")
@@ -159,8 +165,10 @@ def _each(ids, work, jobs=1):
             outcomes = list(pool.map(attempt, ids))
     else:
         outcomes = map(attempt, ids)
-    results, failures = [], {}
-    for uid, result, failure in outcomes:
+    results, failures, registry = [], {}, {}
+    for uid, result, failure, caught in outcomes:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
         if failure is not None:
             failures[uid] = failure
         elif result is not None:
@@ -272,9 +280,11 @@ def cmd_train(args) -> int:
         raise UsageError(f"config key val_fraction: expected a number in [0, 1), "
                          f"got {val_fraction!r}")
 
+    labels_dir = Path(args.labels or args.corpus)
+
     def labeled(utt, ann):
         # an utterance without labels is left out, not failed
-        lab_path = Path(args.corpus) / f"{utt.id}.lab.tsv"
+        lab_path = labels_dir / f"{utt.id}.lab.tsv"
         if lab_path.exists():
             return model_mod.Example(
                 utt, ann, corpus.load_labels(lab_path, utt.id, utt.num_chars))
@@ -414,7 +424,7 @@ def cmd_condition(args) -> int:
     projection = rng.uniform(-0.1, 0.1, size=(provider.dim, cond_dim)).astype(
         np.float32
     )
-    labels_dir = Path(args.labels) if args.labels else Path(args.corpus)
+    labels_dir = Path(args.labels or args.corpus)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _remove(out_dir, [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
@@ -458,7 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     shared = {"corpus": dict(required=True, help="corpus directory"),
               "tagset": dict(help="tagset.json (default inventory otherwise)"),
-              "config": dict(help="JSON config file"), "seed": dict(type=int)}
+              "config": dict(help="JSON config file"), "seed": dict(type=int),
+              "labels": dict(help="directory of <id>.lab.tsv (default: corpus)")}
 
     def common(p, *names):
         """--out, --jobs and the named shared options: only those p reads."""
@@ -478,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_label, out_required=True)
 
     p = sub.add_parser("train", help="train the emphasis predictor")
-    common(p, "corpus", "tagset", "config", "seed")
+    common(p, "corpus", "tagset", "config", "seed", "labels")
     p.set_defaults(func=cmd_train, out_required=True)
 
     p = sub.add_parser("predict", help="predict emphasis labels")
@@ -499,8 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate, out_required=True)
 
     p = sub.add_parser("condition", help="export phone-level conditioning bundles")
-    common(p, "corpus", "tagset", "config", "seed")
-    p.add_argument("--labels", default=None, help="labels directory (default: corpus)")
+    common(p, "corpus", "tagset", "config", "seed", "labels")
     p.set_defaults(func=cmd_condition, out_required=True)
 
     return parser

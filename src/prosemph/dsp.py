@@ -20,6 +20,8 @@ from .errors import (
 )
 
 LOG_EPS = 1e-10
+# frames per block of estimate_f0, chosen by measurement
+F0_BLOCK = 32
 
 TRACK_KINDS = ("f0_hz", "energy_db", "duration", "combined", "zscore")
 
@@ -92,16 +94,14 @@ def read_wav(path) -> Waveform:
 
 
 def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
-    """Slice into overlapping frames [num_frames x frame_length]."""
+    """Overlapping frames [num_frames x frame_length]: a read-only view, no copy."""
     flen = int(round(cfg.frame_length_sec * sr))
     hop = int(round(cfg.hop_sec * sr))
     if len(samples) < flen:
         raise TooShortError(
             f"waveform of {len(samples)} samples shorter than one {flen}-sample frame"
         )
-    num = (len(samples) - flen) // hop + 1
-    idx = np.arange(flen)[None, :] + hop * np.arange(num)[:, None]
-    return samples[idx]
+    return np.lib.stride_tricks.sliding_window_view(samples, flen)[::hop]
 
 
 def frame_energy(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
@@ -119,9 +119,12 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     threshold are reported as 0 (unvoiced). Peak lag is refined by
     parabolic interpolation.
 
-    The autocorrelation of each frame comes from an FFT of
-    `next_fast_len(flen + lag_max)` points: any length >= flen + lag_max
-    keeps the circular wrap out of lags 0..lag_max, the only lags read.
+    Frames are processed F0_BLOCK at a time, so each step's arrays stay
+    small enough for the cache. The autocorrelation of each frame comes
+    from an FFT of `next_fast_len(flen + lag_max)` points: any length >=
+    flen + lag_max keeps the circular wrap out of lags 0..lag_max, the only
+    lags read. Its power spectrum is `re**2 + im**2`, elementwise and real,
+    so a frame's F0 does not depend on the frame's position in its block.
     """
     sr = w.sample_rate
     if not cfg.f0_max_hz < sr / 2:
@@ -135,42 +138,43 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     if lag_max < lag_min:
         raise TooShortError(
             f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")
-    lags = np.arange(lag_min, lag_max + 1)
-
-    x = frames - frames.mean(axis=1, keepdims=True)
-    # raw autocorrelation of every frame via FFT
+    last = lag_max - lag_min
     nfft = sp_fft.next_fast_len(flen + lag_max, real=True)
-    spec = sp_fft.rfft(x, n=nfft, axis=1)
-    acf = sp_fft.irfft(spec * np.conj(spec), n=nfft, axis=1)[:, : lag_max + 1]
-    # normalization energies of the two overlapping segments, per lag
-    sq = np.cumsum(x**2, axis=1)
-    total = sq[:, -1]
-    e_head = sq[:, flen - 1 - lags]            # sum x[0 : flen-tau]^2
-    e_tail = total[:, None] - sq[:, lags - 1]  # sum x[tau : flen]^2
-    denom = np.sqrt(e_head * e_tail)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r = np.where(denom > 1e-12, acf[:, lags] / denom, 0.0)
 
     out = np.zeros(len(frames))
-    peak = r.max(axis=1)
-    voiced = np.flatnonzero((peak >= cfg.voicing_threshold) & (total > 1e-12))
-    r, peak = r[voiced], peak[voiced]
-    last = len(lags) - 1
-    # prefer the shortest near-maximal lag to avoid subharmonic picks, then
-    # climb to its local peak: the first lag from there on whose successor
-    # is no higher, else the last lag
-    start = np.argmax(r >= peak[:, None] - 0.01, axis=1)
-    stop = np.ones(r.shape, dtype=bool)
-    stop[:, :-1] = (r[:, 1:] <= r[:, :-1]) & (np.arange(last) >= start[:, None])
-    k = np.argmax(stop, axis=1)
-    tau = lags[k].astype(np.float64)
-    # parabolic refinement around an inner peak
-    (i,) = np.nonzero((k > 0) & (k < last))
-    below, at, above = r[i, k[i] - 1], r[i, k[i]], r[i, k[i] + 1]
-    d = below - 2 * at + above
-    curved = np.abs(d) > 1e-12
-    tau[i[curved]] += 0.5 * (below - above)[curved] / d[curved]
-    out[voiced] = sr / tau
+    for a in range(0, len(frames), F0_BLOCK):
+        x = frames[a : a + F0_BLOCK]
+        x = x - x.mean(axis=1, keepdims=True)
+        # raw autocorrelation at lags lag_min..lag_max via FFT
+        spec = sp_fft.rfft(x, n=nfft, axis=1)
+        acf = sp_fft.irfft(spec.real**2 + spec.imag**2, n=nfft, axis=1)
+        # normalization energies of the two overlapping segments, per lag:
+        # sum x[0 : flen-tau]^2 and sum x[tau : flen]^2
+        sq = np.cumsum(x**2, axis=1)
+        total = sq[:, -1]
+        e_head = sq[:, flen - 1 - lag_max : flen - lag_min][:, ::-1]
+        e_tail = total[:, None] - sq[:, lag_min - 1 : lag_max]
+        denom = np.sqrt(e_head * e_tail)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            r = np.where(denom > 1e-12, acf[:, lag_min : lag_max + 1] / denom, 0.0)
+        peak = r.max(axis=1)
+        voiced = np.flatnonzero((peak >= cfg.voicing_threshold) & (total > 1e-12))
+        r, peak = r[voiced], peak[voiced]
+        # prefer the shortest near-maximal lag to avoid subharmonic picks, then
+        # climb to its local peak: the first lag from there on whose successor
+        # is no higher, else the last lag
+        start = np.argmax(r >= peak[:, None] - 0.01, axis=1)
+        stop = np.ones(r.shape, dtype=bool)
+        stop[:, :-1] = (r[:, 1:] <= r[:, :-1]) & (np.arange(last) >= start[:, None])
+        k = np.argmax(stop, axis=1)
+        tau = (lag_min + k).astype(np.float64)
+        # parabolic refinement around an inner peak
+        (i,) = np.nonzero((k > 0) & (k < last))
+        below, at, above = r[i, k[i] - 1], r[i, k[i]], r[i, k[i] + 1]
+        d = below - 2 * at + above
+        curved = np.abs(d) > 1e-12
+        tau[i[curved]] += 0.5 * (below - above)[curved] / d[curved]
+        out[a + voiced] = sr / tau
     return ProsodicTrack(values=out, frame_rate=cfg.frame_rate, kind="f0_hz")
 
 

@@ -1,4 +1,6 @@
 import json
+import shutil
+import warnings
 
 import numpy as np
 import pytest
@@ -758,6 +760,9 @@ def test_readme_chain(tmp_path, tagset, monkeypatch):
     chain = [
         "validate --corpus corpus/",
         "label --corpus corpus/ --wav wav/ --out labels/ --jobs 2",
+        # on corpus/ (the gold labels), not labels/: trained on the pseudo labels,
+        # 3 of 10 of which contradict the adjective rule, the model keeps only
+        # r0, r1, r5 and r6 at tau 0.9
         "train --corpus corpus/ --config train.json --out run/",
         "predict --corpus corpus/ --config train.json --checkpoint run/model.pemo "
         "--out pred/",
@@ -772,3 +777,42 @@ def test_readme_chain(tmp_path, tagset, monkeypatch):
     assert kept == [f"r{i}" for i in range(7)]
     assert sorted(p.name for p in (tmp_path / "cond").glob("*.cond.bin")) == [
         f"{uid}.cond.bin" for uid in kept]
+
+
+def test_label_jobs_issues_worker_warnings_in_the_parent(tmp_path, capfd):
+    c, w = tmp_path / "c", tmp_path / "wav"
+    write_audio_corpus(c, w, count=3)
+    caught = {}
+    for jobs in (1, 2):
+        with warnings.catch_warnings(record=True) as log:
+            warnings.simplefilter("always")
+            assert cli.main(["label", "--corpus", str(c), "--wav", str(w),
+                             "--out", str(tmp_path / f"out{jobs}"),
+                             "--jobs", str(jobs)]) == 0
+        caught[jobs] = [(x.category, str(x.message)) for x in log]
+    # every synthetic utterance is short next to the widest scored scale
+    assert len(caught[1]) == 3
+    assert {cat.__name__ for cat, _ in caught[1]} == {"LargeScaleTruncatedWarning"}
+    assert caught[2] == caught[1]
+    # recorded in this process, none printed by the workers
+    assert "Warning" not in capfd.readouterr().err
+
+
+def test_train_reads_labels_from_labels_dir(tmp_path, tagset):
+    c, labels = tmp_path / "corpus", tmp_path / "labels"
+    write_labeled_corpus(c, tagset, count=6)
+    labels.mkdir()
+    for p in c.glob("*.lab.tsv"):
+        shutil.move(p, labels / p.name)
+    cfg = small_train_config(tmp_path / "cfg.json")
+    assert cli.main(["train", "--corpus", str(c), "--labels", str(labels),
+                     "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    # the same labels copied into a corpus of their own
+    both = tmp_path / "both"
+    shutil.copytree(c, both)
+    for p in labels.iterdir():
+        shutil.copy(p, both / p.name)
+    assert cli.main(["train", "--corpus", str(both), "--config", str(cfg),
+                     "--out", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "model.pemo").read_bytes()
+            == (tmp_path / "b" / "model.pemo").read_bytes())

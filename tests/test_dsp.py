@@ -224,6 +224,55 @@ def test_estimate_f0_climb_ending_on_the_last_lag_is_not_refined():
     assert (f0 == SR / 400).all()
 
 
+def mixed_signal(seconds, sr=SR, seed=11):
+    """A pitch glide with a noise burst and a silent gap, so that voiced and
+    unvoiced frames both fall inside and across blocks."""
+    n = int(seconds * sr)
+    t = np.arange(n) / sr
+    x = 0.4 * np.sin(2 * np.pi * (110 * t + 40 * t**2))
+    rng = np.random.default_rng(seed)
+    x[n // 4 : n // 4 + sr // 3] = 0.2 * rng.normal(size=sr // 3)
+    x[n // 2 : n // 2 + sr // 5] = 0.0
+    return x
+
+
+def test_estimate_f0_blocks_match_reference():
+    x = mixed_signal(3.4)
+    num_frames = len(dsp.frame_energy(dsp.Waveform(x, SR), CFG).values)
+    # at least five blocks, the last one ragged
+    assert num_frames >= 5 * dsp.F0_BLOCK and num_frames % dsp.F0_BLOCK
+    f0 = assert_matches_reference(x, SR, CFG)
+    assert 0 < np.mean(f0 > 0) < 1
+
+
+def test_estimate_f0_independent_of_block_size(monkeypatch):
+    w = dsp.Waveform(mixed_signal(1.7), SR)
+    default = dsp.estimate_f0(w, CFG).values
+    for k in (1, 7):
+        monkeypatch.setattr(dsp, "F0_BLOCK", k)
+        assert np.array_equal(dsp.estimate_f0(w, CFG).values, default)
+
+
+@pytest.mark.parametrize("hops", [1, 2, 3, 5, 7])
+def test_estimate_f0_independent_of_frame_position(hops):
+    # dropping whole hops from the front moves every frame to another place
+    # in its block; the frames both inputs share keep bit-equal F0
+    x = mixed_signal(1.7)
+    hop = int(round(CFG.hop_sec * SR))
+    full = dsp.estimate_f0(dsp.Waveform(x, SR), CFG).values
+    shifted = dsp.estimate_f0(dsp.Waveform(x[hops * hop :], SR), CFG).values
+    assert np.array_equal(shifted, full[hops:])
+
+
+def test_frame_signal_is_a_read_only_view():
+    x = np.arange(SR, dtype=np.float64)
+    frames = dsp._frame_signal(x, SR, CFG)
+    assert np.shares_memory(frames, x)
+    assert frames[3, 0] == 3 * int(round(CFG.hop_sec * SR))
+    with pytest.raises(ValueError):
+        frames[0, 0] = 1.0
+
+
 def test_interpolate_unvoiced_midpoint():
     t = dsp.ProsodicTrack(np.array([100.0, 0.0, 200.0]), 100.0, "f0_hz")
     out = dsp.interpolate_unvoiced(t)
