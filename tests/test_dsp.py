@@ -224,15 +224,14 @@ def test_estimate_f0_climb_ending_on_the_last_lag_is_not_refined():
     assert (f0 == SR / 400).all()
 
 
-def mixed_signal(seconds, sr=SR, seed=11):
+def mixed_signal(seconds):
     """A pitch glide with a noise burst and a silent gap, so that voiced and
     unvoiced frames both fall inside and across blocks."""
-    n = int(seconds * sr)
-    t = np.arange(n) / sr
+    n = int(seconds * SR)
+    t = np.arange(n) / SR
     x = 0.4 * np.sin(2 * np.pi * (110 * t + 40 * t**2))
-    rng = np.random.default_rng(seed)
-    x[n // 4 : n // 4 + sr // 3] = 0.2 * rng.normal(size=sr // 3)
-    x[n // 2 : n // 2 + sr // 5] = 0.0
+    x[n // 4 : n // 4 + SR // 3] = 0.2 * np.random.default_rng(11).normal(size=SR // 3)
+    x[n // 2 : n // 2 + SR // 5] = 0.0
     return x
 
 
