@@ -1,14 +1,19 @@
 """prosody-emph: one executable over the whole pipeline.
 
 Subcommands: validate, label, train, predict, filter, evaluate, condition.
-Every run writes a manifest.json recording the effective config hash, the
-seed, input counts, output paths and wall time. Usage errors (including a
-bad config file) exit 2, data errors exit 1 with a per-item report.
+Each opens one run record once its command line and config file are checked
+and before it reads any input file. Opening it creates --out and deletes the
+last run's manifest.json, failures.json and whole-run results; finishing it
+writes failures.json and a manifest.json recording the effective config hash,
+the seed, the input count, output paths and wall time. Usage errors (a bad
+config file or a missing input directory too) exit 2 and create nothing; data
+errors exit 1 with a per-item report.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import multiprocessing
@@ -38,27 +43,6 @@ class UsageError(Exception):
     """Bad command line or config file; exits 2."""
 
 
-def _config_hash(obj) -> str:
-    blob = json.dumps(obj, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, seed: int,
-                    input_count: int, outputs: list[str], t0: float) -> None:
-    manifest = {
-        "command": command,
-        "config_hash": _config_hash(config),
-        "seed": seed,
-        "input_count": input_count,
-        "output_paths": sorted(outputs),
-        "wall_time_sec": time.monotonic() - t0,
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
-        json.dump(manifest, f, indent=2)
-        f.write("\n")
-
-
 def _tagset(args):
     return load_tagset(args.tagset) if args.tagset else default_tagset()
 
@@ -73,6 +57,7 @@ def _int_key(section: dict, key: str, default: int, minimum: int, name=None) -> 
 
 
 def _provider(cfg_obj: dict):
+    """A loader of the semantic provider the config names."""
     semantic = cfg_obj.get("semantic", {})
     if not isinstance(semantic, dict):
         raise UsageError("config section semantic: expected a JSON object")
@@ -84,11 +69,12 @@ def _provider(cfg_obj: dict):
         if not isinstance(semantic.get("path"), str):
             raise UsageError("config key semantic.path: mode file_backed needs "
                              "a path string")
-        return load_semantic(semantic["path"])
+        return partial(load_semantic, semantic["path"])
     if mode != "hash":
         raise UsageError(f"config key semantic.mode: expected hash or "
                          f"file_backed, got {mode!r}")
-    return hash_provider(
+    return partial(
+        hash_provider,
         dim=_int_key(semantic, "dim", SEMANTIC_DIM_DEFAULT, 1, "semantic.dim"),
         seed=_int_key(semantic, "seed", 0, 0, "semantic.seed"),
     )
@@ -106,14 +92,16 @@ def _load_json(path) -> dict:
 
 
 def _model_inputs(args):
-    """The config object, tagset, semantic provider and config seed of train,
-    predict and condition, which share one config file."""
+    """The config object and config seed of train, predict and condition, which
+    share one config file, and a loader of their (tagset, semantic provider).
+    The loader reads input files, so it runs once the run record is open."""
     cfg_obj = _load_json(args.config) if args.config else {}
     for key in cfg_obj:
         if key not in ("model", "train", "semantic", "val_fraction", "cond_dim",
                        "emph_dim", "seed"):
             raise UsageError(f"config key {key}: unknown key")
-    return cfg_obj, _tagset(args), _provider(cfg_obj), _int_key(cfg_obj, "seed", 0, 0)
+    provider = _provider(cfg_obj)
+    return cfg_obj, _int_key(cfg_obj, "seed", 0, 0), lambda: (_tagset(args), provider())
 
 
 def _config(cls, section: str | None, values: dict, **fixed):
@@ -153,35 +141,6 @@ def _attempt(work, uid):
     return uid, *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _each(ids, work, jobs=1):
-    """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
-    (work must then pickle); work's results other than None, in id order, and
-    the failures, {utterance_id: "<Type>: <message>"}. The warnings of each
-    item are issued here, in id order, under this process's filters."""
-    attempt = partial(_attempt, work)
-    if jobs > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-            outcomes = list(pool.map(attempt, ids))
-    else:
-        outcomes = map(attempt, ids)
-    results, failures, registry = [], {}, {}
-    for uid, result, failure, caught in outcomes:
-        for message, category, filename, lineno in caught:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-        if failure is not None:
-            failures[uid] = failure
-        elif result is not None:
-            results.append(result)
-    return results, failures
-
-
-def _each_item(corpus_dir, tagset, prepare):
-    """_each over the corpus items, with prepare(utt, ann) as the work."""
-    return _each(corpus.corpus_ids(corpus_dir),
-                 lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
-
-
 def _remove(out_dir: Path, names) -> None:
     """Delete the named files from out_dir, so that a run leaves none of an
     earlier run's outputs that it does not write again. Never a glob:
@@ -190,14 +149,73 @@ def _remove(out_dir: Path, names) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
-def _report(out_dir: Path, failures: dict[str, str]) -> int:
-    """Print the failed items, write them ([] if none) to failures.json; the exit code."""
-    report = [{"utterance_id": uid, "error": failures[uid]} for uid in sorted(failures)]
-    for item in report:
-        print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
-    with open(out_dir / "failures.json", "w", encoding="utf-8") as f:
-        json.dump(report, f, indent=2)
-    return 1 if report else 0
+class _Run:
+    """The record of one command's run. Opening it creates `out` (None: the
+    run writes no files) and deletes the last run's manifest.json,
+    failures.json and the whole-run `results`, so a run that fails as a whole
+    leaves none of them."""
+
+    def __init__(self, command: str, out, results=()):
+        self.command, self.out = command, Path(out) if out else None
+        self.t0 = time.monotonic()
+        self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
+        self.input_count = 0
+        if self.out:
+            self.out.mkdir(parents=True, exist_ok=True)
+            _remove(self.out, ["manifest.json", "failures.json", *results])
+
+    def each(self, ids, work, jobs=1):
+        """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
+        (work must then pickle); work's results other than None, in id order.
+        The failures are kept, and the warnings of each item are issued here,
+        in id order, under this process's filters."""
+        attempt = partial(_attempt, work)
+        if jobs > 1:
+            spawn = multiprocessing.get_context("spawn")
+            with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+                outcomes = list(pool.map(attempt, ids))
+        else:
+            outcomes = map(attempt, ids)
+        results, registry = [], {}
+        for uid, result, failure, caught in outcomes:
+            for message, category, filename, lineno in caught:
+                warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+            if failure is not None:
+                self.failures[uid] = failure
+            elif result is not None:
+                results.append(result)
+        self.input_count += len(ids)
+        return results
+
+    def items(self, corpus_dir, tagset, prepare):
+        """each over the corpus items, with prepare(utt, ann) as the work."""
+        return self.each(corpus.corpus_ids(corpus_dir),
+                         lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
+
+    def finish(self, config=None, seed=0, outputs=()) -> int:
+        """Print the failed items and write them ([] if none) to failures.json,
+        and, given the run's effective config, manifest.json; the exit code."""
+        report = [{"utterance_id": uid, "error": self.failures[uid]}
+                  for uid in sorted(self.failures)]
+        for item in report:
+            print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
+        if self.out:
+            if config is not None:
+                blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+                manifest = {
+                    "command": self.command,
+                    "config_hash": hashlib.sha256(blob).hexdigest(),
+                    "seed": seed,
+                    "input_count": self.input_count,
+                    "output_paths": sorted(outputs),
+                    "wall_time_sec": time.monotonic() - self.t0,
+                }
+                with open(self.out / "manifest.json", "w", encoding="utf-8") as f:
+                    json.dump(manifest, f, indent=2)
+                    f.write("\n")
+            with open(self.out / "failures.json", "w", encoding="utf-8") as f:
+                json.dump(report, f, indent=2)
+        return 1 if report else 0
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +223,7 @@ def _report(out_dir: Path, failures: dict[str, str]) -> int:
 
 
 def cmd_validate(args) -> int:
-    t0 = time.monotonic()
+    run = _Run("validate", args.out, ["validation.json"])
 
     def check(utt, ann):
         lab_path = Path(args.corpus) / f"{utt.id}.lab.tsv"
@@ -213,21 +231,17 @@ def cmd_validate(args) -> int:
             corpus.load_labels(lab_path, utt.id, utt.num_chars)
         return utt.id
 
-    passed, failures = _each_item(args.corpus, _tagset(args), check)
+    passed, failures = run.items(args.corpus, _tagset(args), check), run.failures
     ids = sorted([*passed, *failures])
     for uid in ids:
         print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
     print(f"{len(passed)} pass, {len(failures)} fail")
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if run.out:
         entries = [{"utterance_id": uid, "ok": uid not in failures,
                     "failure": failures.get(uid)} for uid in ids]
-        with open(out / "validation.json", "w", encoding="utf-8") as f:
+        with open(run.out / "validation.json", "w", encoding="utf-8") as f:
             json.dump(entries, f, ensure_ascii=False, indent=2)
-        _write_manifest(out, "validate", {"corpus": str(args.corpus)}, 0,
-                        len(ids), ["validation.json"], t0)
-    return 1 if failures else 0
+    return run.finish({"corpus": str(args.corpus)}, 0, ["validation.json"])
 
 
 def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
@@ -249,27 +263,22 @@ def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
 
 
 def cmd_label(args) -> int:
-    t0 = time.monotonic()
     cfg = (
         _prominence_config(args.config) if args.config
         else prominence.ProminenceConfig()
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = corpus.corpus_ids(args.corpus)
-    work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, out_dir)
-    written, failures = _each(ids, work, args.jobs)
-    outputs = [name for names in written for name in names]
-    _write_manifest(out_dir, "label", cfg.to_dict(), 0, len(ids), outputs, t0)
-    return _report(out_dir, failures)
+    run = _Run("label", args.out)
+    work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
+    written = run.each(corpus.corpus_ids(args.corpus), work, args.jobs)
+    return run.finish(cfg.to_dict(), 0, [name for names in written for name in names])
 
 
 def cmd_train(args) -> int:
-    t0 = time.monotonic()
-    cfg_obj, tagset, provider, seed = _model_inputs(args)
+    cfg_obj, seed, load = _model_inputs(args)
     seed = args.seed if args.seed is not None else seed
+    # semantic_dim is the provider's, known once the run is open
     model_cfg = _config(model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
-                        semantic_dim=provider.dim, seed=seed)
+                        semantic_dim=SEMANTIC_DIM_DEFAULT, seed=seed)
     train_kwargs = dict(cfg_obj.get("train", {}))
     if args.seed is not None:
         train_kwargs["seed"] = args.seed
@@ -290,15 +299,13 @@ def cmd_train(args) -> int:
                 utt, ann, corpus.load_labels(lab_path, utt.id, utt.num_chars))
         return None
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a run that fails as a whole must not leave the last run's model behind
-    _remove(out_dir, ["model.pemo", "train_log.ldjson", "manifest.json",
-                      "failures.json"])
-    dataset, failures = _each_item(args.corpus, tagset, labeled)
+    run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
+    tagset, provider = load()
+    model_cfg = dataclasses.replace(model_cfg, semantic_dim=provider.dim)
+    dataset = run.items(args.corpus, tagset, labeled)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
-        _report(out_dir, failures)
+        run.finish()
         return 1
     if val_fraction > 0:
         rng = np.random.default_rng(train_cfg.seed)
@@ -309,31 +316,24 @@ def cmd_train(args) -> int:
     else:
         val, trn = None, dataset
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    ckpt = out_dir / "model.pemo"
     model_mod.train(
         model, trn, train_cfg, val_dataset=val,
-        log_path=out_dir / "train_log.ldjson", checkpoint_path=ckpt,
+        log_path=run.out / "train_log.ldjson", checkpoint_path=run.out / "model.pemo",
     )
-    _write_manifest(
-        out_dir, "train",
+    return run.finish(
         {"config": cfg_obj, "model": vars(model_cfg), "train": vars(train_cfg)},
-        train_cfg.seed, len(dataset) + len(failures),
-        ["model.pemo", "train_log.ldjson"], t0,
+        train_cfg.seed, ["model.pemo", "train_log.ldjson"],
     )
-    return _report(out_dir, failures)
 
 
 def cmd_predict(args) -> int:
-    t0 = time.monotonic()
-    cfg_obj, tagset, provider, _ = _model_inputs(args)
-    out_dir = Path(args.out)
+    cfg_obj, _, load = _model_inputs(args)
     # predict deletes every corpus id's labels from --out, the corpus's own included
-    if out_dir.resolve() == Path(args.corpus).resolve():
+    if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a run that fails as a whole (a bad checkpoint) must not leave the last run's labels
-    _remove(out_dir, ["failures.json", "manifest.json",
-                      *(f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus))])
+    run = _Run("predict", args.out,
+               [f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus)])
+    tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
 
     def packable(utt, ann):
@@ -343,50 +343,42 @@ def cmd_predict(args) -> int:
         provider.check(utt.id, utt.chars)
         return model_mod.Example(utt, ann, graph=graph)
 
-    good, failures = _each_item(args.corpus, tagset, packable)
     outputs = []
-    for lab in model.predict(good):
-        path = out_dir / f"{lab.utterance_id}.lab.tsv"
+    for lab in model.predict(run.items(args.corpus, tagset, packable)):
+        path = run.out / f"{lab.utterance_id}.lab.tsv"
         corpus.save_labels(lab, path)
         outputs.append(path.name)
-    _write_manifest(out_dir, "predict", cfg_obj, model.config.seed,
-                    len(good) + len(failures), outputs, t0)
-    return _report(out_dir, failures)
+    return run.finish(cfg_obj, model.config.seed, outputs)
 
 
 def cmd_filter(args) -> int:
-    t0 = time.monotonic()
     pseudo_dir, pred_dir = Path(args.corpus), Path(args.predicted)
-    out_dir = Path(args.out)
     # filter deletes the labels it does not keep from --out
-    if out_dir.resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
+    if Path(args.out).resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
         raise UsageError("filter --out must differ from --corpus and --predicted")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    ids = [uid for uid in corpus.corpus_ids(pseudo_dir, ".lab.tsv")
-           if (pred_dir / f"{uid}.lab.tsv").exists()]
+    pseudo_ids = corpus.corpus_ids(pseudo_dir, ".lab.tsv")
+    run = _Run("filter", args.out,
+               ["kept.json", *(f"{uid}.lab.tsv" for uid in pseudo_ids)])
+    ids = [uid for uid in pseudo_ids if (pred_dir / f"{uid}.lab.tsv").exists()]
 
     def keep(uid):
-        _remove(out_dir, [f"{uid}.lab.tsv"])
         pseudo = corpus.load_labels(pseudo_dir / f"{uid}.lab.tsv", uid)
         pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
         if not metrics.filter_by_confidence(pseudo, pred, args.tau):
             return None
-        corpus.save_labels(pseudo, out_dir / f"{uid}.lab.tsv")
+        corpus.save_labels(pseudo, run.out / f"{uid}.lab.tsv")
         return uid
 
-    kept, failures = _each(ids, keep)
-    with open(out_dir / "kept.json", "w", encoding="utf-8") as f:
+    kept = run.each(ids, keep)
+    with open(run.out / "kept.json", "w", encoding="utf-8") as f:
         json.dump(kept, f, indent=2)
     print(f"kept {len(kept)} of {len(ids)}")
-    _write_manifest(out_dir, "filter", {"tau": args.tau}, 0, len(ids),
-                    ["kept.json"] + [f"{uid}.lab.tsv" for uid in kept], t0)
-    return _report(out_dir, failures)
+    return run.finish({"tau": args.tau}, 0,
+                      ["kept.json"] + [f"{uid}.lab.tsv" for uid in kept])
 
 
 def cmd_evaluate(args) -> int:
-    t0 = time.monotonic()
     pred_dir, gold_dir = Path(args.predicted), Path(args.gold)
-    ids = corpus.corpus_ids(gold_dir, ".lab.tsv")
 
     def pair(uid):
         # a gold id without a predicted file fails the whole run below
@@ -396,27 +388,26 @@ def cmd_evaluate(args) -> int:
                 if pred_path.exists() else None)
         return uid, gold, pred
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # a run that fails as a whole must not leave the last run's result behind
-    _remove(out_dir, ["metrics.json", "failures.json", "manifest.json"])
-    pairs, failures = _each(ids, pair)
+    run = _Run("evaluate", args.out, ["metrics.json"])
+    pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
     m = metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                          {uid: g for uid, g, _ in pairs})
-    with open(out_dir / "metrics.json", "w", encoding="utf-8") as f:
+    with open(run.out / "metrics.json", "w", encoding="utf-8") as f:
         json.dump(m.to_dict(), f, indent=2)
         f.write("\n")
     print(json.dumps(m.to_dict()))
-    _write_manifest(out_dir, "evaluate", {}, 0, len(ids), ["metrics.json"], t0)
-    return _report(out_dir, failures)
+    return run.finish({}, 0, ["metrics.json"])
 
 
 def cmd_condition(args) -> int:
-    t0 = time.monotonic()
-    cfg_obj, tagset, provider, seed = _model_inputs(args)
+    cfg_obj, seed, load = _model_inputs(args)
     seed = args.seed if args.seed is not None else seed
     cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
     emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
+    labels_dir = Path(args.labels or args.corpus)
+    run = _Run("condition", args.out,
+               [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
+    tagset, provider = load()
     rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
     pos_table = init_table(tagset.num_pos, cond_dim, "pos", seed + 1)
     emph_table = init_table(2, emph_dim, "emph", seed + 2)
@@ -424,10 +415,6 @@ def cmd_condition(args) -> int:
     projection = rng.uniform(-0.1, 0.1, size=(provider.dim, cond_dim)).astype(
         np.float32
     )
-    labels_dir = Path(args.labels or args.corpus)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _remove(out_dir, [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
 
     def export(utt, ann):
         # an utterance without labels is left out, not failed
@@ -444,17 +431,13 @@ def cmd_condition(args) -> int:
             linguistic=ling.astype(np.float32),
             emphasis=emph.astype(np.float32),
         )
-        path = out_dir / f"{utt.id}.cond.bin"
+        path = run.out / f"{utt.id}.cond.bin"
         conditioning.export_bundle(bundle, path)
         return path.name
 
-    outputs, failures = _each_item(args.corpus, tagset, export)
-    _write_manifest(
-        out_dir, "condition",
-        {"cond_dim": cond_dim, "emph_dim": emph_dim, "config": cfg_obj},
-        seed, len(outputs) + len(failures), outputs, t0,
-    )
-    return _report(out_dir, failures)
+    outputs = run.items(args.corpus, tagset, export)
+    return run.finish({"cond_dim": cond_dim, "emph_dim": emph_dim, "config": cfg_obj},
+                      seed, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +507,10 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1 or (args.jobs > 1 and args.command != "label"):
             raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for label)")
+        for name in ("corpus", "wav", "labels", "predicted", "gold"):
+            value = getattr(args, name, None)
+            if value is not None and not Path(value).is_dir():
+                raise UsageError(f"--{name} {value}: not a directory")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

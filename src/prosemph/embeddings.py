@@ -146,6 +146,8 @@ def save_semantic(store: dict[str, np.ndarray], dim: int, path) -> None:
 def load_semantic(path) -> SemanticProvider:
     r = Reader(path, PEMB_MAGIC, PEMB_VERSION)
     dim, count = r.unpack("<II")
+    if dim < 1:
+        raise r.error("semantic dim 0")
     store: dict[str, np.ndarray] = {}
     for _ in range(count):
         uid = r.text()

@@ -4,6 +4,8 @@ import pytest
 from prosemph import corpus
 from prosemph.tagset import default_tagset
 
+from synth import ACCEPTANCE_LINES
+
 
 @pytest.fixture(scope="session")
 def tagset():
@@ -33,33 +35,9 @@ def tiny_ann(tagset, tiny_utt):
     return ann
 
 
-def random_utterance(rng, num_words=None, max_word_len=3, max_phones=3):
-    """Random structurally valid utterance for property tests."""
-    if num_words is None:
-        num_words = int(rng.integers(1, 6))
-    lens = [int(rng.integers(1, max_word_len + 1)) for _ in range(num_words)]
-    spans, s = [], 0
-    for length in lens:
-        spans.append((s, s + length))
-        s += length
-    n = s
-    return corpus.Utterance(
-        id="rnd",
-        chars=tuple(chr(ord("A") + (i % 26)) for i in range(n)),
-        word_spans=tuple(spans),
-        phones_per_char=tuple(int(x) for x in rng.integers(1, max_phones + 1, n)),
-        char_times=tuple((i * 0.1, (i + 1) * 0.1) for i in range(n)),
-    )
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
-
-
-# one "[criterion N] PASS/FAIL" line per acceptance criterion, emitted after
-# the run so pytest's output capture cannot swallow them
-ACCEPTANCE_LINES: list[str] = []
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -22,10 +22,10 @@ from prosemph.graph import (
 )
 from prosemph.tagset import default_tagset
 
-import conftest
-from conftest import random_utterance
+import synth
 from synth import (
     gen_learnable_corpus,
+    random_utterance,
     short_audio,
     strip_dependency_edges,
     synth_utterance,
@@ -40,7 +40,7 @@ def report(n: int, desc: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     extra = f" ({detail})" if detail else ""
     line = f"[criterion {n:2d}] {status} - {desc}{extra}"
-    conftest.ACCEPTANCE_LINES.append(line)
+    synth.ACCEPTANCE_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
 
 

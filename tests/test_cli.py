@@ -41,6 +41,14 @@ def small_train_config(path):
     return path
 
 
+def save_small_model(tagset, path):
+    from prosemph import embeddings, model as M
+
+    M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
+        hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
+    )).save(path)
+
+
 def test_validate_ok(tmp_path, tagset, capsys):
     c = tmp_path / "corpus"
     write_labeled_corpus(c, tagset, count=3)
@@ -349,17 +357,13 @@ def _break_item(c, uid, fault):
     ("condition", ["u0000.cond.bin", "u0002.cond.bin"]),
 ])
 def test_bad_item_fails_alone(tmp_path, tagset, command, outputs, fault):
-    from prosemph import embeddings, model as M
-
     c, out = tmp_path / "corpus", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     _break_item(c, "u0001", fault)
     cfg = small_train_config(tmp_path / "cfg.json")
     argv = [command, "--corpus", str(c), "--config", str(cfg), "--out", str(out)]
     if command == "predict":
-        M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
-            hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
-        )).save(tmp_path / "m.pemo")
+        save_small_model(tagset, tmp_path / "m.pemo")
         argv += ["--checkpoint", str(tmp_path / "m.pemo")]
     assert cli.main(argv) == 1
     failures = json.loads((out / "failures.json").read_text())
@@ -590,16 +594,12 @@ def test_label_rerun_removes_a_failed_items_outputs(tmp_path):
 @pytest.mark.parametrize("command, suffix", [("predict", ".lab.tsv"),
                                              ("condition", ".cond.bin")])
 def test_rerun_removes_a_failed_items_output(tmp_path, tagset, command, suffix):
-    from prosemph import embeddings, model as M
-
     c, out = tmp_path / "corpus", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     argv = [command, "--corpus", str(c), "--config",
             str(small_train_config(tmp_path / "cfg.json")), "--out", str(out)]
     if command == "predict":
-        M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
-            hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
-        )).save(tmp_path / "m.pemo")
+        save_small_model(tagset, tmp_path / "m.pemo")
         argv += ["--checkpoint", str(tmp_path / "m.pemo")]
     assert cli.main(argv) == 0
     assert (out / f"u0001{suffix}").exists()
@@ -624,6 +624,20 @@ def test_filter_rerun_removes_labels_no_longer_kept(tmp_path, tagset):
         assert json.loads((kept / "kept.json").read_text()) == ids
         assert sorted(p.name for p in kept.glob("*.lab.tsv")) == [
             f"{uid}.lab.tsv" for uid in ids]
+
+
+def test_filter_rerun_removes_labels_of_an_id_no_longer_predicted(tmp_path, tagset):
+    c, pred, kept = tmp_path / "corpus", tmp_path / "pred", tmp_path / "kept"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    argv = ["filter", "--corpus", str(c), "--predicted", str(pred), "--tau", "0.5",
+            "--out", str(kept)]
+    assert cli.main(argv) == 0
+    (pred / "u0001.lab.tsv").unlink()
+    assert cli.main(argv) == 0
+    assert json.loads((kept / "kept.json").read_text()) == ["u0000", "u0002"]
+    assert sorted(p.name for p in kept.glob("*.lab.tsv")) == ["u0000.lab.tsv",
+                                                              "u0002.lab.tsv"]
 
 
 @pytest.mark.parametrize("into", ["corpus", "pred"])
@@ -665,13 +679,9 @@ def test_label_frame_shorter_than_shortest_lag_fails_the_item(tmp_path, capsys):
 
 
 def test_failed_predict_leaves_no_earlier_result(tmp_path, tagset, capsys):
-    from prosemph import embeddings, model as M
-
     c, out, ckpt = tmp_path / "corpus", tmp_path / "out", tmp_path / "m.pemo"
     write_labeled_corpus(c, tagset, count=2)
-    M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
-        hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
-    )).save(ckpt)
+    save_small_model(tagset, ckpt)
     argv = ["predict", "--corpus", str(c), "--config",
             str(small_train_config(tmp_path / "cfg.json")), "--checkpoint", str(ckpt),
             "--out", str(out)]
@@ -816,3 +826,104 @@ def test_train_reads_labels_from_labels_dir(tmp_path, tagset):
                      "--out", str(tmp_path / "b")]) == 0
     assert ((tmp_path / "a" / "model.pemo").read_bytes()
             == (tmp_path / "b" / "model.pemo").read_bytes())
+
+
+@pytest.mark.parametrize("fault", ["tagset_not_json", "semantic_cut_to_magic"])
+@pytest.mark.parametrize("command", ["train", "predict", "condition"])
+def test_whole_run_failure_leaves_no_earlier_result(tmp_path, tagset, capsys, command,
+                                                    fault):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=2)
+    cfg = small_train_config(tmp_path / "cfg.json")
+    argv = [command, "--corpus", str(c), "--out", str(out)]
+    if command == "predict":
+        save_small_model(tagset, tmp_path / "m.pemo")
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    clean = {p.name for p in out.iterdir()}
+    assert {"manifest.json", "failures.json"} < clean
+    if fault == "tagset_not_json":
+        (tmp_path / "tagset.json").write_text("{not json", encoding="utf-8")
+        argv += ["--config", str(cfg), "--tagset", str(tmp_path / "tagset.json")]
+    else:
+        (tmp_path / "sem.pemb").write_bytes(b"PEMB")
+        bad = json.loads(cfg.read_text())
+        bad["semantic"] = {"mode": "file_backed", "path": str(tmp_path / "sem.pemb")}
+        (tmp_path / "bad.json").write_text(json.dumps(bad))
+        argv += ["--config", str(tmp_path / "bad.json")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert _usage_error_line(capsys).startswith("error: MalformedFileError: ")
+    assert not clean & {p.name for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("command, option", [
+    ("validate", "corpus"), ("label", "corpus"), ("label", "wav"),
+    ("train", "corpus"), ("train", "labels"), ("predict", "corpus"),
+    ("filter", "corpus"), ("filter", "predicted"), ("evaluate", "predicted"),
+    ("evaluate", "gold"), ("condition", "corpus"), ("condition", "labels"),
+])
+def test_missing_input_directory_is_usage_error(tmp_path, capsys, command, option):
+    empty, nope = tmp_path / "empty", tmp_path / "nope"
+    empty.mkdir()
+    names = {"validate": ["corpus"], "label": ["corpus", "wav"], "train": ["corpus"],
+             "predict": ["corpus"], "filter": ["corpus", "predicted"],
+             "evaluate": ["predicted", "gold"], "condition": ["corpus"]}[command]
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "predict":
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    for name in dict.fromkeys([*names, option]):
+        argv += [f"--{name}", str(nope if name == option else empty)]
+    assert cli.main(argv) == 2
+    assert _usage_error_line(capsys) == f"error: --{option} {nope}: not a directory"
+    assert not (tmp_path / "o").exists()
+    # an existing empty directory is a valid input
+    argv[argv.index(str(nope))] = str(empty)
+    assert cli.main(argv) in (0, 1)
+    assert "error: --" not in capsys.readouterr().err
+
+
+@short_audio
+def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_readme_corpus(tmp_path / "corpus", tmp_path / "wav", tagset, count=4,
+                        misplaced=0)
+    # one unlabeled id, which train and condition leave out but still ran over
+    (tmp_path / "corpus" / "r3.lab.tsv").unlink()
+    small_train_config(tmp_path / "cfg.json")
+    chain = {
+        "validate": "validate --corpus corpus --out v",
+        "label": "label --corpus corpus --wav wav --out labels",
+        "train": "train --corpus corpus --config cfg.json --out run",
+        "predict": "predict --corpus corpus --config cfg.json --checkpoint run/model.pemo "
+                   "--out pred",
+        "filter": "filter --corpus labels --predicted pred --out kept",
+        "evaluate": "evaluate --predicted pred --gold labels --out eval",
+        "condition": "condition --corpus corpus --config cfg.json --out cond",
+    }
+    recorded = {}
+    for command, line in chain.items():
+        assert cli.main(line.split()) == 0, line
+        manifest = json.loads((tmp_path / line.split()[-1] / "manifest.json").read_text())
+        assert set(manifest) == {"command", "config_hash", "seed", "input_count",
+                                 "output_paths", "wall_time_sec"}
+        recorded[command] = manifest["command"], manifest["input_count"]
+    assert recorded == {command: (command, 4) for command in chain}
+
+
+def test_validate_out_follows_the_run_rule(tmp_path, tagset, capsys):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _break_item(c, "u0001", "ann_not_json")
+    before = sorted(tmp_path.rglob("*"))
+    assert cli.main(["validate", "--corpus", str(c)]) == 1
+    assert sorted(tmp_path.rglob("*")) == before
+    listing = capsys.readouterr()
+    assert cli.main(["validate", "--corpus", str(c), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured == listing
+    assert captured.err.startswith("u0001\tfail\tMalformedFileError: ")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "failures.json", "manifest.json", "validation.json"]
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0001"]

@@ -11,7 +11,7 @@ from prosemph.errors import (
     WordCountMismatchError,
 )
 
-from conftest import random_utterance
+from synth import random_utterance
 
 
 def write_json(path, obj):

@@ -72,6 +72,13 @@ def test_semantic_truncated(tmp_path):
         embeddings.load_semantic(p)
 
 
+def test_semantic_dim_zero_rejected(tmp_path):
+    p = tmp_path / "z.pemb"
+    embeddings.save_semantic({}, 0, p)
+    with pytest.raises(MalformedFileError, match="semantic dim 0"):
+        embeddings.load_semantic(p)
+
+
 def test_lookup_repeated_ids():
     t = embeddings.init_table(4, 3, "t", seed=0)
     out = embeddings.lookup(t, [0, 0])

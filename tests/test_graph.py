@@ -6,7 +6,7 @@ import pytest
 from prosemph import corpus, graph
 from prosemph.errors import LengthMismatchError
 
-from conftest import random_utterance
+from synth import random_utterance
 
 
 def test_graph2relation_direct(tagset, tiny_ann):
