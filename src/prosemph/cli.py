@@ -5,9 +5,9 @@ Each opens one run record once its command line and config file are checked
 and before it reads any input file. Opening it creates --out and deletes the
 last run's manifest.json, failures.json and whole-run results; finishing it
 writes failures.json and a manifest.json recording the effective config hash,
-the seed, the input count, output paths and wall time. Usage errors (a bad
-config file or a missing input directory too) exit 2 and create nothing; data
-errors exit 1 with a per-item report.
+the seed, the input count, output paths, wall time and peak RSS. Usage errors
+(a bad config file or a missing input directory too) exit 2 and create
+nothing; data errors exit 1 with a per-item report.
 """
 
 from __future__ import annotations
@@ -149,6 +149,15 @@ def _remove(out_dir: Path, names) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident set size so far of this process or of its largest
+    finished child (a `--jobs` worker), in MB."""
+    import resource  # here, not at the top: the CLI's import time stays put
+
+    return max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
+
+
 class _Run:
     """The record of one command's run. Opening it creates `out` (None: the
     run writes no files) and deletes the last run's manifest.json,
@@ -209,6 +218,7 @@ class _Run:
                     "input_count": self.input_count,
                     "output_paths": sorted(outputs),
                     "wall_time_sec": time.monotonic() - self.t0,
+                    "peak_rss_mb": _peak_rss_mb(),
                 }
                 with open(self.out / "manifest.json", "w", encoding="utf-8") as f:
                     json.dump(manifest, f, indent=2)

@@ -31,8 +31,10 @@ class Writer:
         self.parts.append(b)
 
     def floats(self, arr) -> None:
-        """Row-major little-endian float32 data, no shape."""
-        self.parts.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        """Row-major little-endian float32 data, no shape. The part is `arr`
+        itself when it is that already, else one converted copy, and it is
+        held until `save` writes it: do not change `arr` before then."""
+        self.parts.append(np.ascontiguousarray(arr, dtype="<f4"))
 
     def save(self, path) -> None:
         with open(path, "wb") as f:
@@ -44,7 +46,8 @@ class Reader:
         self.path = path
         try:
             with open(path, "rb") as f:
-                self.data = f.read()
+                # a view, so each read slices the file without copying it
+                self.data = memoryview(f.read())
         except OSError as exc:
             raise MalformedFileError(f"cannot read {path}: {exc}") from exc
         if self.data[:4] != magic:
@@ -57,7 +60,7 @@ class Reader:
     def error(self, what: str) -> MalformedFileError:
         return MalformedFileError(f"{self.path}: {what}")
 
-    def _take(self, n: int) -> bytes:
+    def _take(self, n: int) -> memoryview:
         if n > len(self.data) - self.off:
             raise self.error(f"truncated at byte {self.off} (need {n} more)")
         self.off += n
@@ -69,12 +72,12 @@ class Reader:
     def text(self, len_fmt: str = "<I") -> str:
         (n,) = self.unpack(len_fmt)
         try:
-            return self._take(n).decode("utf-8")
+            return str(self._take(n), "utf-8")
         except UnicodeDecodeError as exc:
             raise self.error(f"invalid UTF-8 at byte {self.off - n}") from exc
 
     def floats(self, shape) -> np.ndarray:
-        """A float32 array of `shape`, copied out of the file."""
+        """A float32 array of `shape`, copied once out of the file."""
         raw = self._take(4 * math.prod(shape))
         return np.frombuffer(raw, dtype="<f4").reshape(shape).astype(np.float32)
 

@@ -39,6 +39,9 @@ HEAD_HIDDEN_DEFAULT = 128
 NUM_CLASSES = 2
 # utterances per packed propagation when predicting
 PREDICT_PACK = 64
+# elements per slice of the blocked Adam update and of the blocked init draws
+ADAM_BLOCK = 1 << 16
+INIT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,9 +106,21 @@ def _incidence(rows, num_rows, dtype):
     )
 
 
+def _uniform(rng, limit, shape, dtype):
+    """rng.uniform(-limit, limit, shape).astype(dtype), drawn INIT_BLOCK
+    doubles at a time straight into the output: each double takes one 64-bit
+    draw, so the stream and the values are those of the whole-tensor draw."""
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, INIT_BLOCK):
+        part = flat[a : a + INIT_BLOCK]
+        part[...] = rng.uniform(-limit, limit, size=part.size)
+    return out
+
+
 def _glorot(rng, shape, dtype):
     limit = np.sqrt(6.0 / (shape[-1] + shape[-2])) if len(shape) >= 2 else 0.1
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return _uniform(rng, limit, shape, dtype)
 
 
 def _param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]:
@@ -132,6 +147,10 @@ class PredictorModel:
         config: ModelConfig = ModelConfig(),
         dtype=np.float32,
     ):
+        self._bind(tagset, provider, config, dtype)
+        self.params = self._init_params()
+
+    def _bind(self, tagset, provider, config, dtype):
         if provider.dim != config.semantic_dim:
             raise DimMismatchError(
                 f"provider dim {provider.dim} != configured semantic dim "
@@ -141,7 +160,6 @@ class PredictorModel:
         self.provider = provider
         self.config = config
         self.dtype = dtype
-        self.params = self._init_params()
 
     def _init_params(self) -> dict[str, np.ndarray]:
         """Glorot weights, U(-0.1, 0.1) embeddings, zero biases. Drawn in
@@ -150,7 +168,7 @@ class PredictorModel:
         p = {}
         for name, shape in _param_shapes(self.config, self.tagset).items():
             if name in ("bos", "eos", "pos_table"):
-                p[name] = rng.uniform(-0.1, 0.1, size=shape).astype(self.dtype)
+                p[name] = _uniform(rng, 0.1, shape, self.dtype)
             elif "_b" in name:
                 p[name] = np.zeros(shape, dtype=self.dtype)
             else:
@@ -294,7 +312,9 @@ class PredictorModel:
     # -- loss / gradients ---------------------------------------------------
 
     def zero_grads(self) -> dict[str, np.ndarray]:
-        return {k: np.zeros_like(v) for k, v in self.params.items()}
+        # np.zeros, not zeros_like: its pages are zeroed on first touch, not
+        # written up front
+        return {k: np.zeros(v.shape, v.dtype) for k, v in self.params.items()}
 
     def loss_and_grads(self, batch, class_weight_positive: float = 3.0):
         """Class-weighted cross-entropy over all characters in the batch.
@@ -350,7 +370,7 @@ class PredictorModel:
             dz = dh_new * (h_prev - c)
             dc = dh_new * (1.0 - z)
             dh_prev = dh_new * z
-            dm = np.zeros_like(m)
+            dm = np.zeros(m.shape, m.dtype)
 
             dac = dc * (1.0 - c * c)
             grads["gru_Wc"] += dac.T @ m
@@ -441,11 +461,11 @@ class PredictorModel:
             (ndim,) = r.unpack("<I")
             params[name] = r.floats(r.unpack(f"<{ndim}I"))
         r.done()
-        # checked before the model is built: the constructor allocates what
-        # the config asks for, which a corrupt header could make gigabytes
         if {k: v.shape for k, v in params.items()} != _param_shapes(config, tagset):
             raise r.error("tensor names or shapes do not match the model config")
-        model = cls(tagset, provider, config)
+        # bound to the read tensors without drawing an init to discard
+        model = cls.__new__(cls)
+        model._bind(tagset, provider, config, np.float32)
         model.params = params
         return model
 
@@ -460,29 +480,43 @@ class AdamOptimizer:
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
+        self.v = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
 
     def step(self, params, grads):
-        """One update, in place and in float32 where the tensors are."""
+        """One update, in place and in float32 where the tensors are. Each
+        tensor runs the update's elementwise operations, in the same order,
+        over ADAM_BLOCK-element slices, so the working set stays in cache
+        and no whole-tensor temporary is made; the bits are those of the
+        whole-tensor update. Tensors must be C-contiguous."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k in params:
-            g, m, v = grads[k], self.m[k], self.v[k]
-            m *= b1
-            m += (1 - b1) * g
-            g2 = (1 - b2) * g
-            g2 *= g
-            v *= b2
-            v += g2
-            upd = m / c1
-            upd *= self.lr
-            den = v / c2
-            np.sqrt(den, out=den)
-            den += eps
-            upd /= den
-            params[k] -= upd
+            p = params[k].reshape(-1, copy=False)
+            g = grads[k].reshape(-1, copy=False)
+            m = self.m[k].reshape(-1, copy=False)
+            v = self.v[k].reshape(-1, copy=False)
+            n = min(len(p), ADAM_BLOCK)
+            upd, den = np.empty(n, p.dtype), np.empty(n, p.dtype)
+            for a in range(0, len(p), ADAM_BLOCK):
+                s = slice(a, a + ADAM_BLOCK)
+                gs, ms, vs = g[s], m[s], v[s]
+                u, d = upd[: len(gs)], den[: len(gs)]
+                ms *= b1
+                np.multiply(gs, 1 - b1, out=u)
+                ms += u
+                np.multiply(gs, 1 - b2, out=d)
+                d *= gs
+                vs *= b2
+                vs += d
+                np.divide(ms, c1, out=u)
+                u *= self.lr
+                np.divide(vs, c2, out=d)
+                np.sqrt(d, out=d)
+                d += eps
+                u /= d
+                p[s] -= u
 
 
 # ---------------------------------------------------------------------------

@@ -906,7 +906,8 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
         assert cli.main(line.split()) == 0, line
         manifest = json.loads((tmp_path / line.split()[-1] / "manifest.json").read_text())
         assert set(manifest) == {"command", "config_hash", "seed", "input_count",
-                                 "output_paths", "wall_time_sec"}
+                                 "output_paths", "wall_time_sec", "peak_rss_mb"}
+        assert manifest["peak_rss_mb"] > 0
         recorded[command] = manifest["command"], manifest["input_count"]
     assert recorded == {command: (command, 4) for command in chain}
 

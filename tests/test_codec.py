@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prosemph import conditioning, corpus, embeddings
+from prosemph.codec import Writer
 from prosemph.errors import ProsemphError
 from prosemph.model import ModelConfig, PredictorModel
 from prosemph.tagset import default_tagset
@@ -74,6 +75,20 @@ def test_golden_bytes(tagset, tmp_path):
         "pcnd": sha256(tmp_path / "c.pcnd"),
     }
     assert digests == GOLDEN
+
+
+def test_writer_floats_bytes(tmp_path):
+    """floats writes the little-endian float32 bytes of any array layout."""
+    base = np.arange(24, dtype=np.float64).reshape(4, 6) / 7
+    arrays = [base, np.asfortranarray(base), base[::2, 1::3],
+              base.astype(np.float32)[:, ::-1], np.empty((0, 3)),
+              base.astype(">f4")]
+    w = Writer(b"TEST", 1)
+    for arr in arrays:
+        w.floats(arr)
+    w.save(tmp_path / "f.bin")
+    want = b"".join(np.ascontiguousarray(a, "<f4").tobytes() for a in arrays)
+    assert (tmp_path / "f.bin").read_bytes()[8:] == want
 
 
 # -- malformed input -----------------------------------------------------------

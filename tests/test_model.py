@@ -317,6 +317,47 @@ def test_checkpoint_roundtrip_bitwise(tagset, tmp_path):
         assert np.array_equal(m.params[k], loaded.params[k])
 
 
+def test_load_draws_no_init(tagset, tmp_path, monkeypatch):
+    """load binds the read tensors; it draws no random init to discard."""
+    prov = embeddings.hash_provider(dim=16, seed=0)
+    m = M.PredictorModel(tagset, prov, M.ModelConfig(hidden_dim=16, semantic_dim=16))
+    m.save(tmp_path / "m.pemo")
+
+    def no_init(self):
+        raise AssertionError("load drew an init")
+
+    monkeypatch.setattr(M.PredictorModel, "_init_params", no_init)
+    loaded = M.PredictorModel.load(tmp_path / "m.pemo", tagset, prov)
+    assert (loaded.tagset, loaded.provider, loaded.config) == (tagset, prov, m.config)
+    assert loaded.dtype == np.float32
+    for k, v in m.params.items():
+        assert np.array_equal(loaded.params[k], v)
+        assert loaded.params[k].flags.writeable and loaded.params[k].flags.owndata
+    with pytest.raises(DimMismatchError):
+        M.PredictorModel.load(tmp_path / "m.pemo", tagset, embeddings.hash_provider(dim=8))
+
+
+def test_init_params_match_whole_tensor_draws(tagset):
+    """The blocked draws give the whole-tensor rng.uniform(...).astype bits."""
+    cfg = M.ModelConfig(hidden_dim=64, head_hidden=8, semantic_dim=8, seed=5)
+    shapes = M._param_shapes(cfg, tagset)
+    assert any(math.prod(s) > M.INIT_BLOCK and math.prod(s) % M.INIT_BLOCK
+               for s in shapes.values())
+    params = M.PredictorModel(tagset, embeddings.hash_provider(dim=8), cfg).params
+    rng = np.random.default_rng(cfg.seed)
+    for name, shape in shapes.items():
+        if name in ("bos", "eos", "pos_table") or len(shape) < 2:
+            limit = 0.1
+        else:
+            limit = np.sqrt(6.0 / (shape[-1] + shape[-2]))
+        if "_b" in name:
+            want = np.full(shape, name == "gru_bz", np.float32)
+        else:
+            want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
+        assert params[name].dtype == np.float32
+        assert np.array_equal(params[name], want), name
+
+
 def test_checkpoint_rejects_wrong_magic(tagset, tmp_path):
     p = tmp_path / "bad.pemo"
     p.write_bytes(b"JUNK" + b"\x00" * 40)
@@ -425,7 +466,10 @@ def test_tuples_and_examples_are_one_input(tagset):
 def test_adam_in_place_step_is_bit_identical():
     """Three steps of the in-place update against the plain formula."""
     rng = np.random.default_rng(4)
-    shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4)}
+    # "d" spans more than one ADAM_BLOCK and ends in a partial block
+    shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4), "d": (3, M.ADAM_BLOCK // 2 + 7)}
+    assert math.prod(shapes["d"]) > M.ADAM_BLOCK
+    assert math.prod(shapes["d"]) % M.ADAM_BLOCK
     params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
     ref = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
