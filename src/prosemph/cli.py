@@ -17,6 +17,7 @@ import dataclasses
 import hashlib
 import json
 import multiprocessing
+import resource
 import sys
 import time
 import warnings
@@ -152,8 +153,6 @@ def _remove(out_dir: Path, names) -> None:
 def _peak_rss_mb() -> float:
     """Peak resident set size so far of this process or of its largest
     finished child (a `--jobs` worker), in MB."""
-    import resource  # here, not at the top: the CLI's import time stays put
-
     return max(resource.getrusage(who).ru_maxrss
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
 
@@ -280,7 +279,7 @@ def cmd_label(args) -> int:
     run = _Run("label", args.out)
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
     written = run.each(corpus.corpus_ids(args.corpus), work, args.jobs)
-    return run.finish(cfg.to_dict(), 0, [name for names in written for name in names])
+    return run.finish(dataclasses.asdict(cfg), 0, [name for names in written for name in names])
 
 
 def cmd_train(args) -> int:
@@ -400,12 +399,12 @@ def cmd_evaluate(args) -> int:
 
     run = _Run("evaluate", args.out, ["metrics.json"])
     pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
-    m = metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
-                         {uid: g for uid, g, _ in pairs})
+    m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
+                                            {uid: g for uid, g, _ in pairs}))
     with open(run.out / "metrics.json", "w", encoding="utf-8") as f:
-        json.dump(m.to_dict(), f, indent=2)
+        json.dump(m, f, indent=2)
         f.write("\n")
-    print(json.dumps(m.to_dict()))
+    print(json.dumps(m))
     return run.finish({}, 0, ["metrics.json"])
 
 

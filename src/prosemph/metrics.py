@@ -17,16 +17,6 @@ class Metrics:
     fp: int
     fn: int
 
-    def to_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-        }
-
 
 def evaluate(
     predicted: dict[str, EmphasisLabels], gold: dict[str, EmphasisLabels]

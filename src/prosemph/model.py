@@ -86,11 +86,6 @@ class Example:
     graph: CharGraph | None = None
 
 
-def _examples(items) -> list[Example]:
-    """Examples, or tuples in Example's field order, as Examples."""
-    return [it if isinstance(it, Example) else Example(*it) for it in items]
-
-
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
@@ -288,9 +283,8 @@ class PredictorModel:
         return self._forward_packed([Example(utt, ann, graph=graph)])
 
     def predict(self, batch) -> list[EmphasisLabels]:
-        """Argmax labels with confidences for Examples, or (utt, ann) tuples,
-        PREDICT_PACK items per propagation; ties break toward non-emphasis."""
-        batch = _examples(batch)
+        """Argmax labels with confidences for Examples, PREDICT_PACK items per
+        propagation; ties break toward non-emphasis."""
         out = []
         for start in range(0, len(batch), PREDICT_PACK):
             chunk = batch[start : start + PREDICT_PACK]
@@ -319,10 +313,9 @@ class PredictorModel:
     def loss_and_grads(self, batch, class_weight_positive: float = 3.0):
         """Class-weighted cross-entropy over all characters in the batch.
 
-        batch: labeled Examples, or (utt, ann, labels) tuples, run as one
-        packed graph. Returns (scalar loss, grads dict matching self.params).
+        batch: labeled Examples, run as one packed graph. Returns
+        (scalar loss, grads dict matching self.params).
         """
-        batch = _examples(batch)
         total_chars = sum(ex.utt.num_chars for ex in batch)
         if total_chars == 0:
             raise EmptyDatasetError("batch contains no characters")

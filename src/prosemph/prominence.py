@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 
 from . import dsp
 from .corpus import EmphasisLabels, Utterance
@@ -70,15 +69,6 @@ class ProminenceConfig:
         if isinstance(self.threshold_sigma, bool) or not isinstance(
                 self.threshold_sigma, (int, float)):
             raise ValueError("threshold_sigma must be a number")
-
-    def to_dict(self) -> dict:
-        return {
-            "weights": vars(self.weights),
-            "wavelet": vars(self.wavelet),
-            "band": list(self.band),
-            "threshold_sigma": self.threshold_sigma,
-            "frame": vars(self.frame),
-        }
 
 
 @dataclass(frozen=True)
@@ -155,9 +145,11 @@ def cwt_ricker(
 ) -> Scalogram:
     """Continuous wavelet transform of the mean-removed track.
 
-    Scale j is base_scale_frames * 2^(j / scales_per_octave). Borders are
-    zero-padded; a track shorter than 4x the largest scale triggers a
-    LargeScaleTruncatedWarning but coefficients are still computed.
+    Scale j is base_scale_frames * 2^(j / scales_per_octave). Each row is
+    the centred len(track) slice of the full convolution, so borders are
+    zero-padded at any track length, shorter than the kernel too; a track
+    shorter than 4x the largest scale triggers a LargeScaleTruncatedWarning
+    but coefficients are still computed.
     """
     if num_scales < 1:
         raise ValueError("num_scales must be >= 1")
@@ -172,7 +164,9 @@ def cwt_ricker(
         )
     rows = np.empty((num_scales, len(x)))
     for j, s in enumerate(scales):
-        rows[j] = signal.convolve(x, ricker_kernel(s), mode="same", method="direct")
+        k = ricker_kernel(s)
+        h = (len(k) - 1) // 2
+        rows[j] = np.convolve(x, k)[h : h + len(x)]
     return Scalogram(coefficients=rows, scales_frames=scales, frame_rate=t.frame_rate)
 
 

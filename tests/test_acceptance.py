@@ -87,7 +87,7 @@ def test_criterion_1_gradient_fidelity():
         cfg = M.ModelConfig(hidden_dim=8, num_iterations=3, head_hidden=4,
                             pos_dim=4, semantic_dim=8, seed=inst)
         model = M.PredictorModel(TAGSET, prov, cfg, dtype=np.float64)
-        batch = [_random_instance(rng, f"g{inst}")]
+        batch = [M.Example(*_random_instance(rng, f"g{inst}"))]
         _, grads = model.loss_and_grads(batch)
         for name, arr in model.params.items():
             flat = arr.reshape(-1)

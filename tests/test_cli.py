@@ -1,6 +1,9 @@
 import json
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +50,18 @@ def save_small_model(tagset, path):
     M.PredictorModel(tagset, embeddings.hash_provider(dim=16, seed=0), M.ModelConfig(
         hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=16,
     )).save(path)
+
+
+def test_cli_import_loads_no_scipy_signal():
+    # every prosody-emph process imports the label code; the CWT convolves
+    # with numpy, so the 400-odd modules of scipy.signal stay unloaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r}); import prosemph.cli; "
+            "print('scipy.signal' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_validate_ok(tmp_path, tagset, capsys):

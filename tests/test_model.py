@@ -144,7 +144,7 @@ def test_loss_uniform_is_ln2(tagset):
     utt, ann, lab = small_example(tagset)
     for k in ("head_W1", "head_b1", "head_W2", "head_b2"):
         m.params[k][:] = 0
-    loss, _ = m.loss_and_grads([(utt, ann, lab)], class_weight_positive=1.0)
+    loss, _ = m.loss_and_grads([M.Example(utt, ann, lab)], class_weight_positive=1.0)
     assert loss == pytest.approx(math.log(2))
 
 
@@ -155,7 +155,7 @@ def test_loss_perfect_prediction_near_zero(tagset):
     m.params["head_W1"][:] = 0
     m.params["head_W2"][:] = 0
     m.params["head_b2"][:] = [30.0, -30.0]  # class 0 certain
-    loss, _ = m.loss_and_grads([(utt, ann, lab)], class_weight_positive=1.0)
+    loss, _ = m.loss_and_grads([M.Example(utt, ann, lab)], class_weight_positive=1.0)
     assert loss <= 1e-6
 
 
@@ -165,7 +165,7 @@ def test_class_weight_scales_positive_terms(tagset):
     for k in ("head_W1", "head_b1", "head_W2", "head_b2"):
         m.params[k][:] = 0
     lab = corpus.EmphasisLabels(utt.id, (1, 1, 1, 1), (1.0,) * 4, "human")
-    loss, _ = m.loss_and_grads([(utt, ann, lab)], class_weight_positive=3.0)
+    loss, _ = m.loss_and_grads([M.Example(utt, ann, lab)], class_weight_positive=3.0)
     assert loss == pytest.approx(3 * math.log(2))
 
 
@@ -200,7 +200,7 @@ def test_full_model_gradient_check(tagset):
     for seed in range(5):
         m = small_model(tagset, seed=seed)
         utt, ann, lab = small_example(tagset, uid=f"gc{seed}")
-        worst = fd_check(m, [(utt, ann, lab)], rng)
+        worst = fd_check(m, [M.Example(utt, ann, lab)], rng)
         assert worst <= 1e-4
 
 
@@ -210,7 +210,7 @@ def test_gradient_check_batched(tagset):
     batch = []
     for uid in ("b1", "b2"):
         utt, ann, lab = small_example(tagset, uid=uid)
-        batch.append((utt, ann, lab))
+        batch.append(M.Example(utt, ann, lab))
     assert fd_check(m, batch, rng) <= 1e-4
 
 
@@ -223,7 +223,7 @@ def test_predict_confident_negative(tagset):
     m.params["head_W1"][:] = 0
     m.params["head_W2"][:] = 0
     m.params["head_b2"][:] = [math.log(9), 0.0]  # probs (0.9, 0.1)
-    lab = m.predict([(utt, ann)])[0]
+    lab = m.predict([M.Example(utt, ann)])[0]
     assert lab.labels == (0, 0, 0, 0)
     assert lab.confidences == pytest.approx((0.9,) * 4)
     assert lab.source == "predicted"
@@ -234,7 +234,7 @@ def test_predict_tie_breaks_to_zero(tagset):
     utt, ann, _ = small_example(tagset)
     for k in ("head_W1", "head_b1", "head_W2", "head_b2"):
         m.params[k][:] = 0
-    lab = m.predict([(utt, ann)])[0]
+    lab = m.predict([M.Example(utt, ann)])[0]
     assert lab.labels == (0, 0, 0, 0)
     assert lab.confidences == pytest.approx((0.5,) * 4)
 
@@ -242,9 +242,9 @@ def test_predict_tie_breaks_to_zero(tagset):
 def test_logit_shift_invariance(tagset):
     m = small_model(tagset, seed=4)
     utt, ann, _ = small_example(tagset)
-    before = m.predict([(utt, ann)])[0]
+    before = m.predict([M.Example(utt, ann)])[0]
     m.params["head_b2"][:] += 7.3
-    after = m.predict([(utt, ann)])[0]
+    after = m.predict([M.Example(utt, ann)])[0]
     assert before.labels == after.labels
 
 
@@ -307,11 +307,11 @@ def test_checkpoint_roundtrip_bitwise(tagset, tmp_path):
     m = M.PredictorModel(tagset, prov,
                          M.ModelConfig(hidden_dim=16, semantic_dim=16, seed=8))
     utt, ann, _ = small_example(tagset)
-    before = m.predict([(utt, ann)])[0]
+    before = m.predict([M.Example(utt, ann)])[0]
     p = tmp_path / "m.pemo"
     m.save(p)
     loaded = M.PredictorModel.load(p, tagset, prov)
-    after = loaded.predict([(utt, ann)])[0]
+    after = loaded.predict([M.Example(utt, ann)])[0]
     assert before == after
     for k in m.params:
         assert np.array_equal(m.params[k], loaded.params[k])
@@ -398,7 +398,7 @@ def varied_batch(tagset, lengths=(1, 3, 5, 8)):
         )
         lab = corpus.EmphasisLabels(
             uid, tuple(int(x) for x in rng.integers(0, 2, n)), (1.0,) * n, "human")
-        batch.append((utt, ann, lab))
+        batch.append(M.Example(utt, ann, lab))
     return batch
 
 
@@ -406,12 +406,12 @@ def test_packed_loss_is_char_weighted_sum_of_singles(tagset):
     m = small_model(tagset, seed=2)
     batch = varied_batch(tagset)
     loss, grads = m.loss_and_grads(batch)
-    total = sum(utt.num_chars for utt, _, _ in batch)
+    total = sum(ex.utt.num_chars for ex in batch)
     want_loss = 0.0
     want = m.zero_grads()
-    for item in batch:
-        li, gi = m.loss_and_grads([item])
-        share = item[0].num_chars / total
+    for ex in batch:
+        li, gi = m.loss_and_grads([ex])
+        share = ex.utt.num_chars / total
         want_loss += share * li
         for k in want:
             want[k] += share * gi[k]
@@ -429,7 +429,7 @@ def test_ggn_union_blocks_are_independent(tagset):
     from prosemph.graph import disjoint_union
 
     m = small_model(tagset, seed=5)
-    parts = [item[:2] for item in varied_batch(tagset, lengths=(3, 6))]
+    parts = [(ex.utt, ex.ann) for ex in varied_batch(tagset, lengths=(3, 6))]
     graphs = [build_char_graph(utt, ann, tagset) for utt, ann in parts]
     h0s = [m.node_init(utt, ann)[0] for utt, ann in parts]
     union = disjoint_union(graphs)
@@ -442,25 +442,25 @@ def test_ggn_union_blocks_are_independent(tagset):
 def test_packed_predict_matches_single_forward(tagset):
     m = small_model(tagset, seed=6)
     batch = varied_batch(tagset, lengths=(1, 3, 5, 8) * (M.PREDICT_PACK // 4 + 1))
-    labs = m.predict([(utt, ann) for utt, ann, _ in batch])
+    labs = m.predict(batch)
     assert len(labs) > M.PREDICT_PACK  # crosses a pack boundary
-    for (utt, ann, _), lab in zip(batch, labs):
-        probs, _ = m.forward(utt, ann)
-        assert lab.utterance_id == utt.id
+    for ex, lab in zip(batch, labs):
+        probs, _ = m.forward(ex.utt, ex.ann)
+        assert lab.utterance_id == ex.utt.id
         assert lab.labels == tuple(int(p1 > p0) for p0, p1 in probs)
         assert lab.confidences == pytest.approx(probs.max(axis=1), abs=1e-12)
 
 
-def test_tuples_and_examples_are_one_input(tagset):
+def test_prebuilt_graph_is_the_graph_built_on_demand(tagset):
     m = small_model(tagset, seed=7)
-    batch = varied_batch(tagset)
-    examples = [M.Example(utt, ann, lab, build_char_graph(utt, ann, tagset))
-                for utt, ann, lab in batch]
+    batch = varied_batch(tagset)  # graph=None: the model builds each graph
+    prebuilt = [M.Example(ex.utt, ex.ann, ex.labels, build_char_graph(ex.utt, ex.ann, tagset))
+                for ex in batch]
     loss, grads = m.loss_and_grads(batch)
-    loss_ex, grads_ex = m.loss_and_grads(examples)
-    assert loss == loss_ex
-    assert all(np.array_equal(grads[k], grads_ex[k]) for k in grads)
-    assert m.predict([(utt, ann) for utt, ann, _ in batch]) == m.predict(examples)
+    loss_pre, grads_pre = m.loss_and_grads(prebuilt)
+    assert loss == loss_pre
+    assert all(np.array_equal(grads[k], grads_pre[k]) for k in grads)
+    assert m.predict(batch) == m.predict(prebuilt)
 
 
 def test_adam_in_place_step_is_bit_identical():

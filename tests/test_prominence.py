@@ -162,6 +162,26 @@ def test_cwt_rows_do_not_depend_on_num_scales(n, k, extra, spo, base, seed):
     assert few.scales_frames.tobytes() == many.scales_frames[:k].tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 7, 40, 100, 300, 726, 727, 900])
+def test_cwt_rows_are_zero_padded_direct_sums(n):
+    # the kernels of scales 0..9 have 33 to 727 taps: n runs from shorter
+    # than all of them to longer than all of them
+    t = track(np.random.default_rng(n).normal(size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", prominence.LargeScaleTruncatedWarning)
+        sc = prominence.cwt_ricker(t, num_scales=10)
+    x = t.values - t.values.mean()
+    for row, s in zip(sc.coefficients, sc.scales_frames):
+        k = prominence.ricker_kernel(s)
+        h = (len(k) - 1) // 2
+        padded = np.concatenate([np.zeros(h), x, np.zeros(h)])
+        # row[i] = sum_j x[i + h - j] k[j], x zero outside the track
+        want = np.array([padded[i : i + len(k)] @ k[::-1] for i in range(n)])
+        assert np.allclose(row, want, rtol=1e-12, atol=1e-12)
+        if n >= len(k):
+            assert row.tobytes() == np.convolve(x, k, "same").tobytes()
+
+
 def test_widest_scored_scale_is_bounded():
     prominence.ProminenceConfig(band=(2, 16))  # 4 * 2^(16/2) = 1024 frames
     for kw in ({"band": (2, 17)}, {"band": (2, 5000)},
