@@ -10,6 +10,7 @@ shows confidence-based filtering of the predictions.
 import numpy as np
 
 from prosemph import corpus, embeddings, metrics, model as M
+from prosemph.graph import build_char_graph
 from prosemph.tagset import default_tagset
 
 CHAR_POOL = [chr(0x4E00 + i) for i in range(200)]
@@ -59,7 +60,8 @@ def make_example(uid, rng, tagset):
     for c in range(*spans[target]):
         gold[c] = 1
     lab = corpus.EmphasisLabels(uid, tuple(gold), (1.0,) * s, "human")
-    return M.Example(utt=utt, ann=ann, labels=lab)
+    # built once here: training builds a missing graph at every step
+    return M.Example(utt=utt, ann=ann, labels=lab, graph=build_char_graph(utt, ann, tagset))
 
 
 def main():

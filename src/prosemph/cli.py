@@ -93,27 +93,29 @@ def _load_json(path) -> dict:
 
 
 def _model_inputs(args):
-    """The config object and config seed of train, predict and condition, which
-    share one config file, and a loader of their (tagset, semantic provider).
-    The loader reads input files, so it runs once the run record is open."""
+    """The config object and seed (--seed over the config's) of train, predict and
+    condition, which share one config file, and a loader of their (tagset, semantic
+    provider). The loader reads input files, so it runs once the run record is open."""
     cfg_obj = _load_json(args.config) if args.config else {}
     for key in cfg_obj:
         if key not in ("model", "train", "semantic", "val_fraction", "cond_dim",
                        "emph_dim", "seed"):
             raise UsageError(f"config key {key}: unknown key")
     provider = _provider(cfg_obj)
-    return cfg_obj, _int_key(cfg_obj, "seed", 0, 0), lambda: (_tagset(args), provider())
+    seed = _int_key(cfg_obj, "seed", 0, 0)
+    seed = seed if getattr(args, "seed", None) is None else args.seed
+    return cfg_obj, seed, lambda: (_tagset(args), provider())
 
 
 def _config(cls, section: str | None, values: dict, **fixed):
     """Build `cls` from one config section (None: the top level), naming
-    the first bad key."""
+    the first bad key; a key of the run's `fixed` fields is a bad key."""
     where = f"section {section}" if section else "file"
     if not isinstance(values, dict):
         raise UsageError(f"config {where}: expected a JSON object")
     for key, value in values.items():
         try:
-            cls(**{**fixed, key: value})
+            cls(**fixed, **{key: value})
         except (TypeError, ValueError, OverflowError) as exc:
             name = f"{section}.{key}" if section else key
             raise UsageError(f"config key {name}: {exc}") from exc
@@ -227,6 +229,20 @@ class _Run:
         return 1 if report else 0
 
 
+def _item_labels(labels_dir, utt):
+    """The item's <id>.lab.tsv in labels_dir, or None when it has none there."""
+    path = Path(labels_dir) / f"{utt.id}.lab.tsv"
+    return corpus.load_labels(path, utt.id, utt.num_chars) if path.exists() else None
+
+
+def _example(tagset, provider, utt, ann, labels=None):
+    """The item as the model reads it. Everything that can fail for one item
+    happens here, so the packed propagations of train and predict see only good items."""
+    graph = build_char_graph(utt, ann, tagset)
+    provider.check(utt.id, utt.chars)
+    return model_mod.Example(utt, ann, labels, graph)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -235,9 +251,7 @@ def cmd_validate(args) -> int:
     run = _Run("validate", args.out, ["validation.json"])
 
     def check(utt, ann):
-        lab_path = Path(args.corpus) / f"{utt.id}.lab.tsv"
-        if lab_path.exists():
-            corpus.load_labels(lab_path, utt.id, utt.num_chars)
+        _item_labels(args.corpus, utt)
         return utt.id
 
     passed, failures = run.items(args.corpus, _tagset(args), check), run.failures
@@ -284,32 +298,26 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg_obj, seed, load = _model_inputs(args)
-    seed = args.seed if args.seed is not None else seed
     # semantic_dim is the provider's, known once the run is open
     model_cfg = _config(model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
                         semantic_dim=SEMANTIC_DIM_DEFAULT, seed=seed)
-    train_kwargs = dict(cfg_obj.get("train", {}))
+    train_cfg = _config(model_mod.TrainConfig, "train", cfg_obj.get("train", {}))
     if args.seed is not None:
-        train_kwargs["seed"] = args.seed
-    train_cfg = _config(model_mod.TrainConfig, "train", train_kwargs)
+        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
     val_fraction = cfg_obj.get("val_fraction", 0.0)
     if (isinstance(val_fraction, bool) or not isinstance(val_fraction, (int, float))
             or not 0 <= val_fraction < 1):
         raise UsageError(f"config key val_fraction: expected a number in [0, 1), "
                          f"got {val_fraction!r}")
 
-    labels_dir = Path(args.labels or args.corpus)
+    run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
+    tagset, provider = load()
 
     def labeled(utt, ann):
         # an utterance without labels is left out, not failed
-        lab_path = labels_dir / f"{utt.id}.lab.tsv"
-        if lab_path.exists():
-            return model_mod.Example(
-                utt, ann, corpus.load_labels(lab_path, utt.id, utt.num_chars))
-        return None
+        labels = _item_labels(args.labels or args.corpus, utt)
+        return None if labels is None else _example(tagset, provider, utt, ann, labels)
 
-    run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
-    tagset, provider = load()
     model_cfg = dataclasses.replace(model_cfg, semantic_dim=provider.dim)
     dataset = run.items(args.corpus, tagset, labeled)
     if not dataset:
@@ -325,10 +333,9 @@ def cmd_train(args) -> int:
     else:
         val, trn = None, dataset
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    model_mod.train(
-        model, trn, train_cfg, val_dataset=val,
-        log_path=run.out / "train_log.ldjson", checkpoint_path=run.out / "model.pemo",
-    )
+    model_mod.train(model, trn, train_cfg, val_dataset=val,
+                    log_path=run.out / "train_log.ldjson")
+    model.save(run.out / "model.pemo")
     return run.finish(
         {"config": cfg_obj, "model": vars(model_cfg), "train": vars(train_cfg)},
         train_cfg.seed, ["model.pemo", "train_log.ldjson"],
@@ -344,16 +351,9 @@ def cmd_predict(args) -> int:
                [f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus)])
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
-
-    def packable(utt, ann):
-        # everything that can fail for one utterance happens here, so the
-        # packed propagations below see only good items
-        graph = build_char_graph(utt, ann, tagset)
-        provider.check(utt.id, utt.chars)
-        return model_mod.Example(utt, ann, graph=graph)
-
     outputs = []
-    for lab in model.predict(run.items(args.corpus, tagset, packable)):
+    for lab in model.predict(run.items(args.corpus, tagset,
+                                       partial(_example, tagset, provider))):
         path = run.out / f"{lab.utterance_id}.lab.tsv"
         corpus.save_labels(lab, path)
         outputs.append(path.name)
@@ -410,10 +410,8 @@ def cmd_evaluate(args) -> int:
 
 def cmd_condition(args) -> int:
     cfg_obj, seed, load = _model_inputs(args)
-    seed = args.seed if args.seed is not None else seed
     cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
     emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
-    labels_dir = Path(args.labels or args.corpus)
     run = _Run("condition", args.out,
                [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
     tagset, provider = load()
@@ -427,10 +425,9 @@ def cmd_condition(args) -> int:
 
     def export(utt, ann):
         # an utterance without labels is left out, not failed
-        lab_path = labels_dir / f"{utt.id}.lab.tsv"
-        if not lab_path.exists():
+        lab = _item_labels(args.labels or args.corpus, utt)
+        if lab is None:
             return None
-        lab = corpus.load_labels(lab_path, utt.id, utt.num_chars)
         ling = conditioning.build_linguistic(
             utt, ann, provider, rel_table, pos_table, projection, tagset
         )

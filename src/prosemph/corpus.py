@@ -178,19 +178,27 @@ def _read_json(path) -> dict:
     return obj
 
 
+def _exact(values, field: str, kinds=(int,)) -> tuple:
+    """A JSON array's entries, each exactly of one of `kinds`: int() reads 0.9 as 0."""
+    for v in values:
+        if type(v) not in kinds:
+            raise TypeError(f"{field}: expected {kinds[0].__name__}, got {v!r}")
+    return tuple(values)
+
+
 def load_utterance(path) -> Utterance:
     obj = _read_json(path)
     try:
         utt = Utterance(
             id=str(obj["id"]),
-            chars=tuple(str(c) for c in obj["chars"]),
-            word_spans=tuple((int(s), int(e)) for s, e in obj["word_spans"]),
-            phones_per_char=tuple(int(p) for p in obj["phones_per_char"]),
+            chars=_exact(obj["chars"], "chars", (str,)),
+            word_spans=tuple(_exact(span, "word_spans") for span in obj["word_spans"]),
+            phones_per_char=_exact(obj["phones_per_char"], "phones_per_char"),
             char_times=tuple((float(s), float(e)) for s, e in obj["char_times"]),
         )
+        utt.validate()  # a word span that is not a pair fails here too
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad utterance schema ({exc})") from exc
-    utt.validate()
     return utt
 
 
@@ -213,7 +221,7 @@ def load_annotation(path, utt: Utterance, tagset: Tagset) -> DepAnnotation:
         ann = DepAnnotation(
             utterance_id=str(obj["utterance_id"]),
             pos_tags=tuple(tagset.pos_ids([str(t) for t in obj["pos"]])),
-            heads=tuple(None if h is None else int(h) for h in obj["heads"]),
+            heads=_exact(obj["heads"], "heads", (int, type(None))),
             relations=tuple(tagset.rel_ids([str(r) for r in obj["rels"]])),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

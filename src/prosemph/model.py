@@ -522,18 +522,14 @@ def train(
     cfg: TrainConfig,
     val_dataset: list[Example] | None = None,
     log_path=None,
-    checkpoint_path=None,
 ) -> list[dict]:
     """Deterministic mini-batch training over whole utterances.
 
-    Returns the per-epoch log records; optionally appends them to an
-    LDJSON file and writes a final checkpoint.
+    Returns the per-epoch log records; optionally writes them to an
+    LDJSON file. An Example without a graph has it built at every step.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
-    for ex in dataset:
-        if ex.graph is None:
-            ex.graph = build_char_graph(ex.utt, ex.ann, model.tagset)
     optimizer = AdamOptimizer(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     records = []
@@ -568,6 +564,4 @@ def train(
     finally:
         if log_f:
             log_f.close()
-    if checkpoint_path:
-        model.save(checkpoint_path)
     return records

@@ -223,6 +223,20 @@ def test_train_bad_config_key_is_usage_error(tmp_path, tagset, capsys):
         assert f"{section}.{next(iter(bad))}" in err[0]
 
 
+@pytest.mark.parametrize("section", ["ab", [["epochs", 3]]])
+def test_train_section_that_is_no_object_is_usage_error(tmp_path, tagset, capsys,
+                                                        section):
+    c = tmp_path / "corpus"
+    write_labeled_corpus(c, tagset, count=1)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": section}))
+    rc = cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert _usage_error_line(capsys) == "error: config section train: expected a JSON object"
+    assert not (tmp_path / "o").exists()
+
+
 def test_predict_missing_semantic_rows_fail_per_item(tmp_path, tagset):
     from prosemph import embeddings, model as M
 
@@ -261,6 +275,46 @@ def test_predict_missing_semantic_rows_fail_per_item(tmp_path, tagset):
             assert not got.exists()
         else:
             assert got.read_bytes() == (tmp_path / "lean_out" / f"{uid}.lab.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("fault", ["missing", "short"])
+def test_train_missing_semantic_rows_fail_per_item(tmp_path, tagset, fault):
+    from prosemph import embeddings
+
+    c, lean = tmp_path / "corpus", tmp_path / "lean"
+    write_labeled_corpus(c, tagset, count=6)
+    ids = corpus.corpus_ids(c)
+    bad = ids[2]
+    lean.mkdir()
+    for p in c.iterdir():
+        if not p.name.startswith(bad + "."):
+            (lean / p.name).write_bytes(p.read_bytes())
+    rng = np.random.default_rng(3)
+    store = {uid: rng.standard_normal(
+        (corpus.load_utterance(c / f"{uid}.utt.json").num_chars, 16)
+    ).astype(np.float32) for uid in ids}
+    if fault == "missing":
+        del store[bad]
+    else:  # one row fewer than the item has chars
+        store[bad] = store[bad][:-1]
+    embeddings.save_semantic(store, 16, tmp_path / "sem.pemb")
+    cfg = json.loads(small_train_config(tmp_path / "cfg.json").read_text())
+    cfg["semantic"] = {"mode": "file_backed", "path": str(tmp_path / "sem.pemb")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+
+    def train(corpus_dir, out):
+        return cli.main(["train", "--corpus", str(corpus_dir),
+                         "--config", str(tmp_path / "cfg.json"), "--out", str(out)])
+
+    assert train(c, tmp_path / "full") == 1
+    failures = json.loads((tmp_path / "full" / "failures.json").read_text())
+    error = "UnknownUtteranceError" if fault == "missing" else "DimMismatchError"
+    assert [f["utterance_id"] for f in failures] == [bad]
+    assert failures[0]["error"].startswith(f"{error}: ")
+    assert train(lean, tmp_path / "lean_out") == 0
+    for name in ("model.pemo", "train_log.ldjson"):
+        assert ((tmp_path / "full" / name).read_bytes()
+                == (tmp_path / "lean_out" / name).read_bytes())
 
 
 def _usage_error_line(capsys) -> str:
@@ -343,6 +397,8 @@ def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
     ("train", {"epochs": 3}, "epochs"),
     ("condition", {"cnod_dim": 4}, "cnod_dim"),
     ("train", {"model": {"hidden_dim": 8}, "seed": "x"}, "seed"),
+    ("train", {"model": {"seed": 3}}, "model.seed"),
+    ("train", {"model": {"semantic_dim": 16}}, "model.semantic_dim"),
 ])
 def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
                                                       command, bad, key):

@@ -79,6 +79,40 @@ def test_huge_numbers_are_malformed(tmp_path, tagset):
         corpus.load_annotation(tmp_path / "u1.ann.json", three_word_utt(), tagset)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("phones_per_char", [2, 3.7]),
+    ("phones_per_char", [2, True]),
+    ("word_spans", [[0, 2.0]]),
+    ("word_spans", [[False, 2]]),
+    ("chars", ["你", 1]),
+    ("chars", ["你", None]),
+    ("heads", [0.9]),
+    ("heads", [True]),
+])
+def test_corpus_entries_must_be_exact_json_types(tmp_path, tagset, field, value):
+    # int() would read 3.7 as 3 and true as 1, and str() would read 1 as "1"
+    if field == "heads":
+        path = tmp_path / "u3.ann.json"
+        write_json(path, {"utterance_id": "u3", "pos": ["n", "v", "n"],
+                          "heads": [1, None, *value], "rels": ["SBV", "ROOT", "VOB"]})
+        with pytest.raises(MalformedFileError, match=f"{field}: expected int"):
+            corpus.load_annotation(path, three_word_utt(), tagset)
+        return
+    path = tmp_path / "u1.utt.json"
+    write_json(path, dict(VALID_UTT, **{field: value}))
+    kind = "str" if field == "chars" else "int"
+    with pytest.raises(MalformedFileError, match=f"{field}: expected {kind}"):
+        corpus.load_utterance(path)
+
+
+@pytest.mark.parametrize("span", [[0, 1, 2], [0], 2])
+def test_word_span_that_is_not_a_pair_is_malformed(tmp_path, span):
+    path = tmp_path / "u1.utt.json"
+    write_json(path, dict(VALID_UTT, word_spans=[span]))
+    with pytest.raises(MalformedFileError):
+        corpus.load_utterance(path)
+
+
 def three_word_utt():
     return corpus.Utterance(
         id="u3",

@@ -274,8 +274,8 @@ def test_train_deterministic_checkpoints(tagset, tmp_path):
         m = M.PredictorModel(tagset, prov,
                              M.ModelConfig(hidden_dim=16, semantic_dim=16, seed=3))
         p = tmp_path / f"run{run}.pemo"
-        M.train(m, [M.Example(e.utt, e.ann, e.labels) for e in data], cfg,
-                checkpoint_path=p)
+        M.train(m, [M.Example(e.utt, e.ann, e.labels) for e in data], cfg)
+        m.save(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -461,6 +461,9 @@ def test_prebuilt_graph_is_the_graph_built_on_demand(tagset):
     assert loss == loss_pre
     assert all(np.array_equal(grads[k], grads_pre[k]) for k in grads)
     assert m.predict(batch) == m.predict(prebuilt)
+    # training reads the graphs it builds, never writes them into the Examples
+    M.train(m, batch, M.TrainConfig(epochs=1, batch_size=2))
+    assert all(ex.graph is None for ex in batch)
 
 
 def test_adam_in_place_step_is_bit_identical():
