@@ -20,6 +20,7 @@ import multiprocessing
 import resource
 import sys
 import time
+import typing
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from functools import partial
@@ -27,14 +28,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conditioning, corpus, dsp, metrics, model as model_mod, prominence
-from .embeddings import (
-    EMPHASIS_DIM_DEFAULT,
-    SEMANTIC_DIM_DEFAULT,
-    hash_provider,
-    init_table,
-    load_semantic,
-)
+from . import conditioning, corpus, metrics, model as model_mod, prominence
+from .embeddings import EMPHASIS_DIM_DEFAULT, SemanticConfig, init_table
 from .errors import ProsemphError, describe
 from .graph import build_char_graph
 from .tagset import default_tagset, load_tagset
@@ -48,89 +43,98 @@ def _tagset(args):
     return load_tagset(args.tagset) if args.tagset else default_tagset()
 
 
-def _int_key(section: dict, key: str, default: int, minimum: int, name=None) -> int:
-    """section[key], or `default` when absent; must be an integer >= minimum."""
-    value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise UsageError(f"config key {name or key}: expected an integer >= "
-                         f"{minimum}, got {value!r}")
-    return value
+@dataclasses.dataclass(frozen=True)
+class RunConfig:
+    """The config file of train, predict and condition. The run fixes the
+    model's seed (the top-level one) and semantic_dim (the provider's dim)."""
+
+    val_fraction: float = 0.0
+    cond_dim: int = conditioning.COND_DIM_DEFAULT
+    emph_dim: int = EMPHASIS_DIM_DEFAULT
+    seed: int = 0
+    model: model_mod.ModelConfig = dataclasses.field(
+        default_factory=model_mod.ModelConfig, metadata={"fixed": ("seed", "semantic_dim")})
+    train: model_mod.TrainConfig = dataclasses.field(default_factory=model_mod.TrainConfig)
+    semantic: SemanticConfig = dataclasses.field(default_factory=SemanticConfig)
+
+    def __post_init__(self):
+        if (not 0 <= self.val_fraction < 1 or min(self.cond_dim, self.emph_dim) < 1
+                or self.seed < 0):
+            raise ValueError("need 0 <= val_fraction < 1, cond_dim, emph_dim >= 1, seed >= 0")
 
 
-def _provider(cfg_obj: dict):
-    """A loader of the semantic provider the config names."""
-    semantic = cfg_obj.get("semantic", {})
-    if not isinstance(semantic, dict):
-        raise UsageError("config section semantic: expected a JSON object")
-    for key in semantic:
-        if key not in ("mode", "path", "dim", "seed"):
-            raise UsageError(f"config key semantic.{key}: unknown key")
-    mode = semantic.get("mode", "hash")
-    if mode == "file_backed":
-        if not isinstance(semantic.get("path"), str):
-            raise UsageError("config key semantic.path: mode file_backed needs "
-                             "a path string")
-        return partial(load_semantic, semantic["path"])
-    if mode != "hash":
-        raise UsageError(f"config key semantic.mode: expected hash or "
-                         f"file_backed, got {mode!r}")
-    return partial(
-        hash_provider,
-        dim=_int_key(semantic, "dim", SEMANTIC_DIM_DEFAULT, 1, "semantic.dim"),
-        seed=_int_key(semantic, "seed", 0, 0, "semantic.seed"),
-    )
+def _typed(hint, value):
+    """value as a field annotated `hint` holds it: an int from a JSON integer, a float
+    from a finite JSON number, neither from a bool, a tuple from a JSON array."""
+    args = typing.get_args(hint)  # a tuple's entries, or a union's members (str | None)
+    if typing.get_origin(hint) is tuple:
+        if type(value) is list and len(value) == len(args):
+            return tuple(map(_typed, args, value))
+    elif hint is float:
+        if type(value) in (int, float) and abs(value) <= sys.float_info.max:
+            return float(value)
+    elif type(value) in (args or (hint,)):
+        return value
+    raise TypeError
 
 
-def _load_json(path) -> dict:
+def _config(cls, values, section: str | None = None, fixed=()):
+    """Decode one config object (section None: the whole file) into the frozen
+    dataclass `cls`; a field whose default is a dataclass is a section, decoded
+    the same way. A bad key is named: one with no field or one the run fixes, a
+    value `_typed` rejects, or, if the class rejects the whole, one it rejects alone."""
+    where = f"key {section}" if section else "file"
+    if not isinstance(values, dict):
+        raise UsageError(f"config {where}: expected a JSON object")
+    fields, hints = {f.name: f for f in dataclasses.fields(cls)}, typing.get_type_hints(cls)
+    prefix = f"{section}." if section else ""
+    sections, scalars = {}, {}
+    for key, value in values.items():
+        f = fields.get(key)
+        if f is None or key in fixed:
+            raise UsageError(f"config key {prefix}{key}: "
+                             f"{'set by the run' if f else 'unknown key'}")
+        if dataclasses.is_dataclass(f.default_factory):
+            sections[key] = _config(f.default_factory, value, prefix + key,
+                                    f.metadata.get("fixed", ()))
+            continue
+        try:
+            scalars[key] = _typed(hints[key], value)
+        except TypeError:
+            raise UsageError(f"config key {prefix}{key}: expected {f.type}, "
+                             f"got {value!r}") from None
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+        return cls(**sections, **scalars)
+    except (ValueError, OverflowError) as exc:
+        error = exc
+    for key, value in scalars.items():  # a key the checks reject with the defaults
+        try:
+            cls(**sections, **{key: value})
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"config key {prefix}{key}: {exc}") from exc
+    raise UsageError(f"config {where}: {error}") from error
+
+
+def _read_config(cls, path):
+    """The config file at path (None: all defaults) decoded into cls."""
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8")) if path else {}
     except (OSError, ValueError) as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
-    return obj
+    return _config(cls, values)
 
 
 def _model_inputs(args):
-    """The config object and seed (--seed over the config's) of train, predict and
-    condition, which share one config file, and a loader of their (tagset, semantic
-    provider). The loader reads input files, so it runs once the run record is open."""
-    cfg_obj = _load_json(args.config) if args.config else {}
-    for key in cfg_obj:
-        if key not in ("model", "train", "semantic", "val_fraction", "cond_dim",
-                       "emph_dim", "seed"):
-            raise UsageError(f"config key {key}: unknown key")
-    provider = _provider(cfg_obj)
-    seed = _int_key(cfg_obj, "seed", 0, 0)
-    seed = seed if getattr(args, "seed", None) is None else args.seed
-    return cfg_obj, seed, lambda: (_tagset(args), provider())
-
-
-def _config(cls, section: str | None, values: dict, **fixed):
-    """Build `cls` from one config section (None: the top level), naming
-    the first bad key; a key of the run's `fixed` fields is a bad key."""
-    where = f"section {section}" if section else "file"
-    if not isinstance(values, dict):
-        raise UsageError(f"config {where}: expected a JSON object")
-    for key, value in values.items():
-        try:
-            cls(**fixed, **{key: value})
-        except (TypeError, ValueError, OverflowError) as exc:
-            name = f"{section}.{key}" if section else key
-            raise UsageError(f"config key {name}: {exc}") from exc
-    try:
-        return cls(**fixed, **values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"config {where}: {exc}") from exc
-
-
-def _prominence_config(path) -> prominence.ProminenceConfig:
-    obj = _load_json(path)
-    sections = {"weights": prominence.CombineWeights,
-                "wavelet": prominence.WaveletConfig, "frame": dsp.FrameConfig}
-    fixed = {k: _config(cls, k, obj.pop(k)) for k, cls in sections.items() if k in obj}
-    return _config(prominence.ProminenceConfig, None, obj, **fixed)
+    """The decoded config file of train, predict and condition, with --seed
+    over its seeds, and a loader of their (tagset, semantic provider). The
+    loader reads input files, so it runs once the run record is open."""
+    cfg = _read_config(RunConfig, args.config)
+    if cfg.semantic.mode == "file_backed" and cfg.semantic.path is None:
+        raise UsageError("config key semantic.path: mode file_backed needs a path string")
+    if getattr(args, "seed", None) is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed,
+                                  train=dataclasses.replace(cfg.train, seed=args.seed))
+    return cfg, lambda: (_tagset(args), cfg.semantic.provider())
 
 
 def _attempt(work, uid):
@@ -286,10 +290,7 @@ def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
 
 
 def cmd_label(args) -> int:
-    cfg = (
-        _prominence_config(args.config) if args.config
-        else prominence.ProminenceConfig()
-    )
+    cfg = _read_config(prominence.ProminenceConfig, args.config)
     run = _Run("label", args.out)
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
     written = run.each(corpus.corpus_ids(args.corpus), work, args.jobs)
@@ -297,19 +298,7 @@ def cmd_label(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg_obj, seed, load = _model_inputs(args)
-    # semantic_dim is the provider's, known once the run is open
-    model_cfg = _config(model_mod.ModelConfig, "model", cfg_obj.get("model", {}),
-                        semantic_dim=SEMANTIC_DIM_DEFAULT, seed=seed)
-    train_cfg = _config(model_mod.TrainConfig, "train", cfg_obj.get("train", {}))
-    if args.seed is not None:
-        train_cfg = dataclasses.replace(train_cfg, seed=args.seed)
-    val_fraction = cfg_obj.get("val_fraction", 0.0)
-    if (isinstance(val_fraction, bool) or not isinstance(val_fraction, (int, float))
-            or not 0 <= val_fraction < 1):
-        raise UsageError(f"config key val_fraction: expected a number in [0, 1), "
-                         f"got {val_fraction!r}")
-
+    cfg, load = _model_inputs(args)
     run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
     tagset, provider = load()
 
@@ -318,32 +307,30 @@ def cmd_train(args) -> int:
         labels = _item_labels(args.labels or args.corpus, utt)
         return None if labels is None else _example(tagset, provider, utt, ann, labels)
 
-    model_cfg = dataclasses.replace(model_cfg, semantic_dim=provider.dim)
     dataset = run.items(args.corpus, tagset, labeled)
     if not dataset:
         print("no labeled utterances found", file=sys.stderr)
         run.finish()
         return 1
-    if val_fraction > 0:
-        rng = np.random.default_rng(train_cfg.seed)
+    if cfg.val_fraction > 0:
+        rng = np.random.default_rng(cfg.train.seed)
         order = rng.permutation(len(dataset))
-        n_val = max(1, int(len(dataset) * val_fraction))
+        n_val = max(1, int(len(dataset) * cfg.val_fraction))
         val = [dataset[i] for i in order[:n_val]]
         trn = [dataset[i] for i in order[n_val:]]
     else:
         val, trn = None, dataset
-    model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    model_mod.train(model, trn, train_cfg, val_dataset=val,
+    model = model_mod.PredictorModel(tagset, provider, dataclasses.replace(
+        cfg.model, seed=cfg.seed, semantic_dim=provider.dim))
+    model_mod.train(model, trn, cfg.train, val_dataset=val,
                     log_path=run.out / "train_log.ldjson")
     model.save(run.out / "model.pemo")
-    return run.finish(
-        {"config": cfg_obj, "model": vars(model_cfg), "train": vars(train_cfg)},
-        train_cfg.seed, ["model.pemo", "train_log.ldjson"],
-    )
+    return run.finish(dataclasses.asdict(cfg), cfg.train.seed,
+                      ["model.pemo", "train_log.ldjson"])
 
 
 def cmd_predict(args) -> int:
-    cfg_obj, _, load = _model_inputs(args)
+    cfg, load = _model_inputs(args)
     # predict deletes every corpus id's labels from --out, the corpus's own included
     if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
@@ -357,7 +344,7 @@ def cmd_predict(args) -> int:
         path = run.out / f"{lab.utterance_id}.lab.tsv"
         corpus.save_labels(lab, path)
         outputs.append(path.name)
-    return run.finish(cfg_obj, model.config.seed, outputs)
+    return run.finish(dataclasses.asdict(cfg), model.config.seed, outputs)
 
 
 def cmd_filter(args) -> int:
@@ -409,15 +396,14 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_condition(args) -> int:
-    cfg_obj, seed, load = _model_inputs(args)
-    cond_dim = _int_key(cfg_obj, "cond_dim", conditioning.COND_DIM_DEFAULT, 1)
-    emph_dim = _int_key(cfg_obj, "emph_dim", EMPHASIS_DIM_DEFAULT, 1)
+    cfg, load = _model_inputs(args)
+    seed, cond_dim = cfg.seed, cfg.cond_dim
     run = _Run("condition", args.out,
                [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
     tagset, provider = load()
     rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
     pos_table = init_table(tagset.num_pos, cond_dim, "pos", seed + 1)
-    emph_table = init_table(2, emph_dim, "emph", seed + 2)
+    emph_table = init_table(2, cfg.emph_dim, "emph", seed + 2)
     rng = np.random.default_rng(seed + 3)
     projection = rng.uniform(-0.1, 0.1, size=(provider.dim, cond_dim)).astype(
         np.float32
@@ -442,8 +428,7 @@ def cmd_condition(args) -> int:
         return path.name
 
     outputs = run.items(args.corpus, tagset, export)
-    return run.finish({"cond_dim": cond_dim, "emph_dim": emph_dim, "config": cfg_obj},
-                      seed, outputs)
+    return run.finish(dataclasses.asdict(cfg), seed, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +498,8 @@ def main(argv=None) -> int:
     try:
         if args.jobs < 1 or (args.jobs > 1 and args.command != "label"):
             raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for label)")
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError(f"--seed {args.seed}: expected an integer >= 0")
         for name in ("corpus", "wav", "labels", "predicted", "gold"):
             value = getattr(args, name, None)
             if value is not None and not Path(value).is_dir():

@@ -182,7 +182,8 @@ def _exact(values, field: str, kinds=(int,)) -> tuple:
     """A JSON array's entries, each exactly of one of `kinds`: int() reads 0.9 as 0."""
     for v in values:
         if type(v) not in kinds:
-            raise TypeError(f"{field}: expected {kinds[0].__name__}, got {v!r}")
+            raise TypeError(f"{field}: expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {v!r}")
     return tuple(values)
 
 
@@ -194,7 +195,8 @@ def load_utterance(path) -> Utterance:
             chars=_exact(obj["chars"], "chars", (str,)),
             word_spans=tuple(_exact(span, "word_spans") for span in obj["word_spans"]),
             phones_per_char=_exact(obj["phones_per_char"], "phones_per_char"),
-            char_times=tuple((float(s), float(e)) for s, e in obj["char_times"]),
+            char_times=tuple((float(s), float(e)) for s, e in (
+                _exact(t, "char_times", (int, float)) for t in obj["char_times"])),
         )
         utt.validate()  # a word span that is not a pair fails here too
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -97,6 +97,8 @@ def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
     """Overlapping frames [num_frames x frame_length]: a read-only view, no copy."""
     flen = int(round(cfg.frame_length_sec * sr))
     hop = int(round(cfg.hop_sec * sr))
+    if hop < 1:
+        raise UnsupportedEncodingError(f"hop_sec {cfg.hop_sec:g} is under one sample at {sr} Hz")
     if len(samples) < flen:
         raise TooShortError(
             f"waveform of {len(samples)} samples shorter than one {flen}-sample frame"
@@ -128,7 +130,8 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     """
     sr = w.sample_rate
     if not cfg.f0_max_hz < sr / 2:
-        raise ValueError("f0_max_hz must be below Nyquist")
+        raise UnsupportedEncodingError(
+            f"f0_max_hz {cfg.f0_max_hz:g} is not below the Nyquist frequency of {sr} Hz")
     lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
     lag_max = int(math.ceil(sr / cfg.f0_min_hz))
     frames = _frame_signal(w.samples, sr, cfg)

@@ -125,6 +125,26 @@ def hash_provider(dim: int = SEMANTIC_DIM_DEFAULT, seed: int = 0) -> SemanticPro
     return SemanticProvider(mode="hash", dim=dim, seed=seed)
 
 
+@dataclass(frozen=True)
+class SemanticConfig:
+    """The provider a config names: `path` is mode file_backed's PEMB file,
+    `dim` and `seed` are mode hash's."""
+
+    mode: str = "hash"
+    path: str | None = None
+    dim: int = SEMANTIC_DIM_DEFAULT
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("hash", "file_backed") or self.dim < 1 or self.seed < 0:
+            raise ValueError("need mode hash or file_backed, dim >= 1 and seed >= 0")
+
+    def provider(self) -> SemanticProvider:
+        if self.mode == "file_backed":
+            return load_semantic(self.path)
+        return hash_provider(self.dim, self.seed)
+
+
 # ---------------------------------------------------------------------------
 # PEMB container: layout in the README ("File formats"). Any external
 # encoder can write it.

@@ -27,7 +27,9 @@ class WordCountMismatchError(ProsemphError):
 
 
 class UnsupportedEncodingError(ProsemphError):
-    """WAV encoding other than PCM16 / IEEE float32."""
+    """WAV encoding other than PCM16 / IEEE float32, or a sample rate the
+    frame config cannot use (a hop under one sample, f0_max_hz at or above
+    Nyquist)."""
 
 
 class TooShortError(ProsemphError):

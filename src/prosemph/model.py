@@ -55,7 +55,7 @@ class ModelConfig:
 
     def __post_init__(self):
         dims = (self.hidden_dim, self.head_hidden, self.pos_dim, self.semantic_dim)
-        if not all(isinstance(v, int) for v in (*dims, self.num_iterations, self.seed)):
+        if not all(type(v) is int for v in (*dims, self.num_iterations, self.seed)):
             raise ValueError("model config values must be integers")
         if min(dims) < 1 or self.num_iterations < 0 or self.seed < 0:
             raise ValueError("model dims must be >= 1, num_iterations and seed >= 0")
@@ -70,10 +70,9 @@ class TrainConfig:
     class_weight_positive: float = 3.0
 
     def __post_init__(self):
-        if not all(isinstance(v, int) for v in (self.epochs, self.batch_size, self.seed)):
-            raise ValueError("epochs, batch_size and seed must be integers")
-        if self.epochs < 0 or self.learning_rate < 0 or self.batch_size < 1 or self.seed < 0:
-            raise ValueError("train config values must be positive")
+        if (min(self.epochs, self.learning_rate, self.seed, self.class_weight_positive) < 0
+                or self.batch_size < 1):
+            raise ValueError("need batch_size >= 1 and the other train values >= 0")
 
 
 @dataclass

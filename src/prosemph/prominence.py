@@ -41,8 +41,6 @@ class WaveletConfig:
     base_scale_frames: float = 4.0
 
     def __post_init__(self):
-        if not isinstance(self.scales_per_octave, int):
-            raise ValueError("scales_per_octave must be an integer")
         if self.scales_per_octave < 1 or not self.base_scale_frames > 0:
             raise ValueError("scales_per_octave and base_scale_frames must be positive")
 
@@ -56,9 +54,8 @@ class ProminenceConfig:
     frame: dsp.FrameConfig = field(default_factory=dsp.FrameConfig)
 
     def __post_init__(self):
-        object.__setattr__(self, "band", tuple(self.band))  # JSON gives a list
         lo, hi = self.band
-        if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi):
+        if not 0 <= lo <= hi:
             raise ValueError("band must be scale indices 0 <= lo <= hi")
         w = self.wavelet
         # scale hi, base_scale_frames * 2^(hi / scales_per_octave), in log2
@@ -66,9 +63,6 @@ class ProminenceConfig:
             raise ValueError(f"scale {hi}, {w.base_scale_frames:g} * 2^({hi}/"
                              f"{w.scales_per_octave}) frames, is wider than "
                              f"{MAX_SCALE_FRAMES}")
-        if isinstance(self.threshold_sigma, bool) or not isinstance(
-                self.threshold_sigma, (int, float)):
-            raise ValueError("threshold_sigma must be a number")
 
 
 @dataclass(frozen=True)

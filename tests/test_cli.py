@@ -233,7 +233,7 @@ def test_train_section_that_is_no_object_is_usage_error(tmp_path, tagset, capsys
     rc = cli.main(["train", "--corpus", str(c), "--config", str(cfg),
                    "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert _usage_error_line(capsys) == "error: config section train: expected a JSON object"
+    assert _usage_error_line(capsys) == "error: config key train: expected a JSON object"
     assert not (tmp_path / "o").exists()
 
 
@@ -333,17 +333,25 @@ def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
                      ({"wavelet": {"num_scales": 12}}, "wavelet.num_scales"),
                      ({"band": [2, 40]}, "band"),
                      ({"band": [2, 10**400]}, "band"),
-                     ({"bands": [2, 9]}, "bands")):
+                     ({"bands": [2, 9]}, "bands"),
+                     ({"frame": {"f0_min_hz": True}}, "frame.f0_min_hz"),
+                     ({"weights": {"w_f0": True}}, "weights.w_f0"),
+                     ({"threshold_sigma": float("inf")}, "threshold_sigma"),
+                     ({"band": 5}, "band"),
+                     ({"band": [2.0, 9]}, "band")):
         cfg.write_text(json.dumps(bad))
         rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
                        str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert _usage_error_line(capsys).startswith(f"error: config key {key}: ")
-    # band is checked against the configured wavelet, not the default one
-    cfg.write_text(json.dumps({"wavelet": {"scales_per_octave": 4}, "band": [2, 26]}))
-    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
-                     str(cfg), "--out", str(tmp_path / "o")]) == 0
-    assert (tmp_path / "o" / "a0.lab.tsv").exists()
+    # band is checked against the configured wavelet, not the default one, and
+    # each key against the file's other keys, not only against the defaults
+    for good in ({"wavelet": {"scales_per_octave": 4}, "band": [2, 26]},
+                 {"frame": {"frame_length_sec": 0.06, "hop_sec": 0.05}}):
+        cfg.write_text(json.dumps(good))
+        assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
+                         str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "a0.lab.tsv").exists()
 
 
 @pytest.mark.parametrize("bad", [{"band": [2, 40]}, {"band": [2, 26]},
@@ -399,6 +407,15 @@ def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
     ("train", {"model": {"hidden_dim": 8}, "seed": "x"}, "seed"),
     ("train", {"model": {"seed": 3}}, "model.seed"),
     ("train", {"model": {"semantic_dim": 16}}, "model.semantic_dim"),
+    ("train", {"train": {"epochs": True}}, "train.epochs"),
+    ("train", {"train": {"learning_rate": float("nan")}}, "train.learning_rate"),
+    ("train", {"train": {"class_weight_positive": "x"}}, "train.class_weight_positive"),
+    ("train", {"train": {"class_weight_positive": -5}}, "train.class_weight_positive"),
+    ("train", {"model": {"hidden_dim": True}}, "model.hidden_dim"),
+    *((command, bad, key) for command in ("predict", "condition") for bad, key in (
+        ({"train": "ab"}, "train"),
+        ({"model": {"hidden_dim": "x"}}, "model.hidden_dim"),
+        ({"val_fraction": 7}, "val_fraction"))),
 ])
 def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
                                                       command, bad, key):
@@ -613,6 +630,14 @@ def test_jobs_other_than_one_only_for_label(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "condition"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    argv = [command, "--corpus", str(tmp_path), "--seed", "-1", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert _usage_error_line(capsys) == "error: --seed -1: expected an integer >= 0"
+    assert not (tmp_path / "o").exists()
+
+
 # sha256 of every file `label --scores` writes for the corpus below, recorded
 # before the F0 autocorrelation changed its FFT size and its peak climb
 LABEL_GOLDEN = {
@@ -746,6 +771,21 @@ def test_label_frame_shorter_than_shortest_lag_fails_the_item(tmp_path, capsys):
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["a0"]
     assert failures[0]["error"].startswith("TooShortError: a0: 240-sample frame shorter ")
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@short_audio
+@pytest.mark.parametrize("frame", [{"hop_sec": 1e-9}, {"f0_max_hz": 20000.0}])
+def test_label_frame_the_sample_rate_cannot_meet_fails_each_item(tmp_path, capsys, frame):
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": frame}))
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["a0", "a1"]
+    assert all(f["error"].startswith("UnsupportedEncodingError: ") for f in failures)
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -88,9 +88,12 @@ def test_huge_numbers_are_malformed(tmp_path, tagset):
     ("chars", ["你", None]),
     ("heads", [0.9]),
     ("heads", [True]),
+    ("char_times", [["0", "0.2"], ["0.2", "0.5"]]),
+    ("char_times", [[0, True], [0.2, 0.5]]),
 ])
 def test_corpus_entries_must_be_exact_json_types(tmp_path, tagset, field, value):
-    # int() would read 3.7 as 3 and true as 1, and str() would read 1 as "1"
+    # int() would read 3.7 as 3 and true as 1, float() "0" as 0.0 and true as 1.0,
+    # and str() would read 1 as "1"
     if field == "heads":
         path = tmp_path / "u3.ann.json"
         write_json(path, {"utterance_id": "u3", "pos": ["n", "v", "n"],

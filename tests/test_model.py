@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from prosemph import corpus, embeddings, model as M
-from prosemph.errors import DimMismatchError, EmptyDatasetError
+from prosemph.errors import DimMismatchError, EmptyDatasetError, MalformedFileError
 from prosemph.graph import CharGraph, build_char_graph
 
 from synth import gen_learnable_corpus
@@ -366,6 +366,16 @@ def test_checkpoint_rejects_wrong_magic(tagset, tmp_path):
 
     with pytest.raises(MalformedFileError):
         M.PredictorModel.load(p, tagset, prov)
+
+
+def test_checkpoint_rejects_a_bool_in_its_config(tagset, tmp_path):
+    # json reads true as a bool, an int subclass: it must not load as 1
+    prov = embeddings.hash_provider(dim=16, seed=0)
+    m = M.PredictorModel(tagset, prov, M.ModelConfig(hidden_dim=16, semantic_dim=16))
+    object.__setattr__(m.config, "num_iterations", True)
+    m.save(tmp_path / "m.pemo")
+    with pytest.raises(MalformedFileError, match="bad model config"):
+        M.PredictorModel.load(tmp_path / "m.pemo", tagset, prov)
 
 
 def test_provider_dim_mismatch(tagset):
