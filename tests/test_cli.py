@@ -670,6 +670,64 @@ def test_label_golden_bytes(tmp_path):
     assert digests == LABEL_GOLDEN
 
 
+# sha256 of every <id>.cond.bin `condition --seed 7` writes for the corpus
+# below, per semantic mode, recorded before the tables moved out of the CLI
+COND_GOLDEN = {
+    "hash": {
+        "k0.cond.bin": "91c4197365ad0bfffb8f965b0bb254138fc5993ce85eb6963777583000e101a5",
+        "k1.cond.bin": "70b47488cb39025082fbb16f38d0a12afebaa11d84a316cf6945ec4624cb0ca6",
+        "k2.cond.bin": "19600987230ea4ef5afebc9b537770cecdd2072701a60f7950402e1ddb0d6969",
+    },
+    "file_backed": {
+        "k0.cond.bin": "bd757a4fd8e88ea980c3bbcbc0dd93de4b1e30c7925018602ff1e3267fdee139",
+        "k1.cond.bin": "64b923b47add403ff83029ff037c3a9abc6d50533ec6b0d6a8ca66f45e26ab15",
+        "k2.cond.bin": "1f6a0dc09463a74e79221132c8e4121ac6f98ea12a577228704246434a3859c7",
+    },
+}
+
+
+def test_condition_golden_bytes(tmp_path, tagset):
+    import hashlib
+
+    from prosemph import embeddings
+
+    c = tmp_path / "c"
+    c.mkdir()
+    p, r = tagset.pos, tagset.rel
+    # (chars, word spans, phones per char, POS, heads, relations, labels)
+    items = {
+        "k0": ("红花开了", ((0, 2), (2, 3), (3, 4)), (2, 2, 2, 1), ("n", "v", "u"),
+               (1, None, 1), ("SBV", None, "RAD"), (1, 1, 0, 0)),
+        "k1": ("我们去", ((0, 2), (2, 3)), (1, 3, 2), ("r", "v"),
+               (1, None), ("SBV", None), (0, 0, 1)),
+        "k2": ("好", ((0, 1),), (3,), ("a",), (None,), (None,), (0,)),
+    }
+    store = {}
+    for uid, (chars, spans, phones, pos, heads, rels, labels) in items.items():
+        n = len(chars)
+        utt = corpus.Utterance(uid, tuple(chars), spans, phones,
+                               tuple((0.1 * i, 0.1 * (i + 1)) for i in range(n)))
+        ann = corpus.DepAnnotation(uid, tuple(p[t] for t in pos), heads,
+                                   tuple(r[t] if t else tagset.root_id for t in rels))
+        corpus.save_utterance(utt, c / f"{uid}.utt.json")
+        corpus.save_annotation(ann, tagset, c / f"{uid}.ann.json")
+        corpus.save_labels(corpus.EmphasisLabels(uid, labels, (1.0,) * n, "human"),
+                           c / f"{uid}.lab.tsv")
+        store[uid] = np.random.default_rng(n).normal(size=(n, 6)).astype(np.float32)
+    embeddings.save_semantic(store, 6, tmp_path / "sem.pemb")
+    digests = {}
+    for mode, semantic in (("hash", {"mode": "hash", "dim": 5, "seed": 3}),
+                           ("file_backed", {"mode": "file_backed",
+                                            "path": str(tmp_path / "sem.pemb")})):
+        cfg, out = tmp_path / f"{mode}.json", tmp_path / mode
+        cfg.write_text(json.dumps({"cond_dim": 12, "emph_dim": 4, "semantic": semantic}))
+        assert cli.main(["condition", "--corpus", str(c), "--config", str(cfg),
+                         "--seed", "7", "--out", str(out)]) == 0
+        digests[mode] = {q.name: hashlib.sha256(q.read_bytes()).hexdigest()
+                         for q in sorted(out.glob("*.cond.bin"))}
+    assert digests == COND_GOLDEN
+
+
 # -- a rerun into the same --out -------------------------------------------------
 
 
