@@ -47,19 +47,13 @@ def main():
     print("word relations:", [rel_names[r] for r in rel_ids])
     print(f"emphasis labels per char: {labels.labels}\n")
 
+    # the tables `condition --seed 7` draws, for a semantic dim of SEM_DIM
     seed = 7
-    rel_table = embeddings.init_table(tagset.num_relations, COND_DIM, "rel", seed)
-    pos_table = embeddings.init_table(tagset.num_pos, COND_DIM, "pos", seed + 1)
-    emph_table = embeddings.init_table(2, EMPH_DIM, "emph", seed + 2)
+    tables = conditioning.draw_tables(tagset, SEM_DIM, COND_DIM, EMPH_DIM, seed)
     provider = embeddings.hash_provider(dim=SEM_DIM, seed=seed)
-    projection = np.random.default_rng(seed + 3).uniform(
-        -0.1, 0.1, size=(SEM_DIM, COND_DIM)
-    )
 
-    ling = conditioning.build_linguistic(
-        utt, ann, provider, rel_table, pos_table, projection, tagset
-    )
-    emph = conditioning.build_emphasis(labels, emph_table, utt)
+    ling = conditioning.build_linguistic(utt, ann, provider, tables, tagset)
+    emph = conditioning.build_emphasis(labels, tables, utt)
     print(f"linguistic matrix: {ling.shape} "
           f"({utt.num_phones} phones x {COND_DIM} dims)")
     print(f"emphasis matrix:   {emph.shape}")
@@ -69,12 +63,12 @@ def main():
     same_char = np.array_equal(ling[0], ling[1])
     print(f"phones 0 and 1 (both char '红') share a row: {same_char}")
     print(f"emphasized chars map to emphasis-table row 1: "
-          f"{np.array_equal(emph[0], emph_table.matrix[1])}\n")
+          f"{np.array_equal(emph[0], tables.emph[1])}\n")
 
     bundle = conditioning.ConditioningBundle(
         utterance_id=utt.id,
         linguistic=ling.astype(np.float32),
-        emphasis=emph.astype(np.float32),
+        emphasis=emph,
     )
     with tempfile.TemporaryDirectory() as td:
         path = Path(td) / "demo.cond.bin"

@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import multiprocessing
 import resource
 import sys
@@ -29,7 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import conditioning, corpus, metrics, model as model_mod, prominence
-from .embeddings import EMPHASIS_DIM_DEFAULT, SemanticConfig, init_table
+from .codec import U32_LIMIT
+from .embeddings import EMPHASIS_DIM_DEFAULT, SemanticConfig
 from .errors import ProsemphError, describe
 from .graph import build_char_graph
 from .tagset import default_tagset, load_tagset
@@ -58,9 +60,11 @@ class RunConfig:
     semantic: SemanticConfig = dataclasses.field(default_factory=SemanticConfig)
 
     def __post_init__(self):
-        if (not 0 <= self.val_fraction < 1 or min(self.cond_dim, self.emph_dim) < 1
+        dims = (self.cond_dim, self.emph_dim)
+        if (not 0 <= self.val_fraction < 1 or min(dims) < 1 or max(dims) >= U32_LIMIT
                 or self.seed < 0):
-            raise ValueError("need 0 <= val_fraction < 1, cond_dim, emph_dim >= 1, seed >= 0")
+            raise ValueError("need 0 <= val_fraction < 1, cond_dim and emph_dim in "
+                             "1..2**32-1, seed >= 0")
 
 
 def _typed(hint, value):
@@ -397,38 +401,29 @@ def cmd_evaluate(args) -> int:
 
 def cmd_condition(args) -> int:
     cfg, load = _model_inputs(args)
-    seed, cond_dim = cfg.seed, cfg.cond_dim
     run = _Run("condition", args.out,
                [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
     tagset, provider = load()
-    rel_table = init_table(tagset.num_relations, cond_dim, "rel", seed)
-    pos_table = init_table(tagset.num_pos, cond_dim, "pos", seed + 1)
-    emph_table = init_table(2, cfg.emph_dim, "emph", seed + 2)
-    rng = np.random.default_rng(seed + 3)
-    projection = rng.uniform(-0.1, 0.1, size=(provider.dim, cond_dim)).astype(
-        np.float32
-    )
+    tables = conditioning.draw_tables(tagset, provider.dim, cfg.cond_dim, cfg.emph_dim,
+                                      cfg.seed)
 
     def export(utt, ann):
         # an utterance without labels is left out, not failed
         lab = _item_labels(args.labels or args.corpus, utt)
         if lab is None:
             return None
-        ling = conditioning.build_linguistic(
-            utt, ann, provider, rel_table, pos_table, projection, tagset
-        )
-        emph = conditioning.build_emphasis(lab, emph_table, utt)
         bundle = conditioning.ConditioningBundle(
             utterance_id=utt.id,
-            linguistic=ling.astype(np.float32),
-            emphasis=emph.astype(np.float32),
+            linguistic=conditioning.build_linguistic(
+                utt, ann, provider, tables, tagset).astype(np.float32),
+            emphasis=conditioning.build_emphasis(lab, tables, utt),
         )
         path = run.out / f"{utt.id}.cond.bin"
         conditioning.export_bundle(bundle, path)
         return path.name
 
     outputs = run.items(args.corpus, tagset, export)
-    return run.finish(dataclasses.asdict(cfg), seed, outputs)
+    return run.finish(dataclasses.asdict(cfg), cfg.seed, outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +495,8 @@ def main(argv=None) -> int:
             raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for label)")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"--seed {args.seed}: expected an integer >= 0")
+        if not math.isfinite(getattr(args, "tau", 0.0)):
+            raise UsageError(f"--tau {args.tau}: expected a finite number")
         for name in ("corpus", "wav", "labels", "predicted", "gold"):
             value = getattr(args, name, None)
             if value is not None and not Path(value).is_dir():

@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import MalformedFileError
 
+# a u32 field holds values below this: every size a container stores is one
+U32_LIMIT = 2**32
+
 
 class Writer:
     def __init__(self, magic: bytes, version: int):

@@ -1,9 +1,9 @@
 """Phone-level conditioning tensors for a downstream acoustic model.
 
-The linguistic matrix sums three expanded components (dependency-relation
-embedding, POS embedding, projected semantic vectors); the emphasis matrix
-carries the per-phone emphasis embedding. Both are exported in a bit-exact
-binary container.
+The linguistic matrix sums three components (dependency-relation embedding,
+POS embedding, projected semantic vectors) at phone resolution; the emphasis
+matrix carries the per-phone emphasis embedding. A run draws its `Tables`
+once; both matrices are exported in a bit-exact binary container.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ import numpy as np
 
 from .codec import Reader, Writer
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
-from .embeddings import EmbeddingTable, SemanticProvider, lookup
-from .errors import DimMismatchError, LengthMismatchError
+from .embeddings import SemanticProvider
+from .errors import DimMismatchError
 from .graph import expand_char_to_phone, expand_word_to_char, graph2relation
 from .tagset import Tagset
 
@@ -50,50 +50,56 @@ class ConditioningBundle:
         return self.emphasis.shape[1]
 
 
+@dataclass(frozen=True)
+class Tables:
+    """The conditioning tables of one run, indexed by the tagset's dense ids."""
+
+    rel: np.ndarray  # [num_relations x cond_dim]
+    pos: np.ndarray  # [num_pos x cond_dim]
+    emph: np.ndarray  # [2 x emph_dim]
+    projection: np.ndarray  # [sem_dim x cond_dim]
+
+    def __post_init__(self):
+        if not self.rel.shape[1] == self.pos.shape[1] == self.projection.shape[1]:
+            raise DimMismatchError(
+                f"relation, POS and projection widths {self.rel.shape[1]}, "
+                f"{self.pos.shape[1]}, {self.projection.shape[1]} differ"
+            )
+        if self.emph.shape[0] != 2:
+            raise DimMismatchError("emphasis table must have exactly 2 rows")
+
+
+def draw_tables(
+    tagset: Tagset, sem_dim: int, cond_dim: int, emph_dim: int, seed: int
+) -> Tables:
+    """Each table uniform in [-0.1, 0.1] as float32, the k-th from seed + k."""
+    shapes = ((tagset.num_relations, cond_dim), (tagset.num_pos, cond_dim),
+              (2, emph_dim), (sem_dim, cond_dim))
+    return Tables(*(
+        np.random.default_rng(seed + k).uniform(-0.1, 0.1, shape).astype(np.float32)
+        for k, shape in enumerate(shapes)
+    ))
+
+
 def build_linguistic(
     utt: Utterance,
     ann: DepAnnotation,
     provider: SemanticProvider,
-    rel_table: EmbeddingTable,
-    pos_table: EmbeddingTable,
-    semantic_projection: np.ndarray,  # [sem_dim x cond_dim]
+    tables: Tables,
     tagset: Tagset,
 ) -> np.ndarray:
-    """Summed phone-level linguistic embedding [num_phones x cond_dim]."""
-    if rel_table.dim != pos_table.dim:
-        raise DimMismatchError(
-            f"relation dim {rel_table.dim} != POS dim {pos_table.dim}"
-        )
-    cond_dim = rel_table.dim
-    if semantic_projection.shape != (provider.dim, cond_dim):
-        raise DimMismatchError(
-            f"semantic projection {semantic_projection.shape} incompatible with "
-            f"sem dim {provider.dim}, cond dim {cond_dim}"
-        )
+    """Summed phone-level linguistic embedding [num_phones x cond_dim]: each
+    word's relation and POS rows, repeated per char, plus the projected
+    semantic rows."""
     rel_ids = graph2relation(ann, tagset).relation_ids
-    rel_vecs = expand_char_to_phone(
-        expand_word_to_char(lookup(rel_table, rel_ids), utt), utt
-    )
-    pos_vecs = expand_char_to_phone(
-        expand_word_to_char(lookup(pos_table, ann.pos_tags), utt), utt
-    )
-    sem = np.asarray(provider.rows(utt.id, utt.chars))
-    sem_vecs = expand_char_to_phone(sem @ semantic_projection, utt)
-    return rel_vecs + pos_vecs + sem_vecs
+    words = tables.rel[list(rel_ids)] + tables.pos[list(ann.pos_tags)]
+    sem = np.asarray(provider.rows(utt.id, utt.chars)) @ tables.projection
+    return expand_char_to_phone(expand_word_to_char(words, utt) + sem, utt)
 
 
-def build_emphasis(
-    labels: EmphasisLabels, emph_table: EmbeddingTable, utt: Utterance
-) -> np.ndarray:
+def build_emphasis(labels: EmphasisLabels, tables: Tables, utt: Utterance) -> np.ndarray:
     """Per-phone emphasis embedding [num_phones x emph_dim]."""
-    if emph_table.vocab_size != 2:
-        raise DimMismatchError("emphasis table must have exactly 2 rows")
-    if len(labels.labels) != utt.num_chars:
-        raise LengthMismatchError(
-            f"{utt.id}: {len(labels.labels)} labels for {utt.num_chars} chars"
-        )
-    char_rows = lookup(emph_table, list(labels.labels))
-    return expand_char_to_phone(char_rows, utt)
+    return expand_char_to_phone(tables.emph[list(labels.labels)], utt)
 
 
 def export_bundle(bundle: ConditioningBundle, path) -> None:

@@ -95,14 +95,16 @@ def read_wav(path) -> Waveform:
 
 def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
     """Overlapping frames [num_frames x frame_length]: a read-only view, no copy."""
-    flen = int(round(cfg.frame_length_sec * sr))
-    hop = int(round(cfg.hop_sec * sr))
-    if hop < 1:
-        raise UnsupportedEncodingError(f"hop_sec {cfg.hop_sec:g} is under one sample at {sr} Hz")
+    # a frame over len + 1 samples is too short already, however large (or inf)
+    flen = int(round(min(cfg.frame_length_sec * sr, len(samples) + 1)))
     if len(samples) < flen:
         raise TooShortError(
-            f"waveform of {len(samples)} samples shorter than one {flen}-sample frame"
+            f"waveform of {len(samples)} samples shorter than a "
+            f"{cfg.frame_length_sec:g} s frame at {sr} Hz"
         )
+    hop = int(round(cfg.hop_sec * sr))  # hop_sec <= frame_length_sec: finite here
+    if hop < 1:
+        raise UnsupportedEncodingError(f"hop_sec {cfg.hop_sec:g} is under one sample at {sr} Hz")
     return np.lib.stride_tricks.sliding_window_view(samples, flen)[::hop]
 
 
@@ -132,12 +134,11 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     if not cfg.f0_max_hz < sr / 2:
         raise UnsupportedEncodingError(
             f"f0_max_hz {cfg.f0_max_hz:g} is not below the Nyquist frequency of {sr} Hz")
-    lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
-    lag_max = int(math.ceil(sr / cfg.f0_min_hz))
     frames = _frame_signal(w.samples, sr, cfg)
     flen = frames.shape[1]
-    if lag_max >= flen:
-        lag_max = flen - 1
+    lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
+    # capped before the ceil, so a vanishing f0_min_hz (sr / f0_min_hz = inf) clips too
+    lag_max = int(math.ceil(min(sr / cfg.f0_min_hz, flen - 1)))
     if lag_max < lag_min:
         raise TooShortError(
             f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")

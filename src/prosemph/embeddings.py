@@ -1,4 +1,5 @@
-"""Embedding tables and character-level semantic vector providers.
+"""Character-level semantic vector providers (the tables that condition
+draws live in `conditioning`).
 
 Semantic vectors normally arrive precomputed in a binary container (any
 external encoder can produce it); a deterministic hashed fallback serves
@@ -11,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import Reader, Writer
-from .errors import DimMismatchError, IdOutOfRangeError, UnknownUtteranceError
+from .codec import U32_LIMIT, Reader, Writer
+from .errors import DimMismatchError, UnknownUtteranceError
 
 PEMB_MAGIC = b"PEMB"
 PEMB_VERSION = 1
@@ -20,38 +21,6 @@ PEMB_VERSION = 1
 POS_DIM_DEFAULT = 30
 SEMANTIC_DIM_DEFAULT = 128
 EMPHASIS_DIM_DEFAULT = 16
-
-
-@dataclass
-class EmbeddingTable:
-    matrix: np.ndarray  # [vocab_size x dim]
-    name: str
-
-    @property
-    def vocab_size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def init_table(
-    vocab_size: int, dim: int, name: str, seed: int, dtype=np.float32
-) -> EmbeddingTable:
-    """Uniform init in [-0.1, 0.1] from a seeded PRNG."""
-    rng = np.random.default_rng(seed)
-    m = rng.uniform(-0.1, 0.1, size=(vocab_size, dim)).astype(dtype)
-    return EmbeddingTable(matrix=m, name=name)
-
-
-def lookup(table: EmbeddingTable, ids) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= table.vocab_size):
-        raise IdOutOfRangeError(
-            f"table {table.name}: id out of range 0..{table.vocab_size - 1}"
-        )
-    return table.matrix[ids]
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +105,9 @@ class SemanticConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.mode not in ("hash", "file_backed") or self.dim < 1 or self.seed < 0:
-            raise ValueError("need mode hash or file_backed, dim >= 1 and seed >= 0")
+        if (self.mode not in ("hash", "file_backed") or not 1 <= self.dim < U32_LIMIT
+                or self.seed < 0):
+            raise ValueError("need mode hash or file_backed, dim in 1..2**32-1 and seed >= 0")
 
     def provider(self) -> SemanticProvider:
         if self.mode == "file_backed":

@@ -64,10 +64,6 @@ class UnknownUtteranceError(ProsemphError):
     """Semantic provider has no vectors for the requested utterance."""
 
 
-class IdOutOfRangeError(ProsemphError):
-    """Embedding lookup id exceeds the table's vocabulary."""
-
-
 class EmptyDatasetError(ProsemphError):
     """Training requested on an empty dataset."""
 

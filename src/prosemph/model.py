@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
-from .codec import Reader, Writer
+from .codec import U32_LIMIT, Reader, Writer
 from .embeddings import (
     POS_DIM_DEFAULT,
     SEMANTIC_DIM_DEFAULT,
@@ -57,8 +57,9 @@ class ModelConfig:
         dims = (self.hidden_dim, self.head_hidden, self.pos_dim, self.semantic_dim)
         if not all(type(v) is int for v in (*dims, self.num_iterations, self.seed)):
             raise ValueError("model config values must be integers")
-        if min(dims) < 1 or self.num_iterations < 0 or self.seed < 0:
-            raise ValueError("model dims must be >= 1, num_iterations and seed >= 0")
+        if (min(dims) < 1 or max(dims) >= U32_LIMIT or self.num_iterations < 0
+                or self.seed < 0):
+            raise ValueError("model dims must be in 1..2**32-1, num_iterations and seed >= 0")
 
 
 @dataclass(frozen=True)

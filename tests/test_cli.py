@@ -416,6 +416,15 @@ def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
         ({"train": "ab"}, "train"),
         ({"model": {"hidden_dim": "x"}}, "model.hidden_dim"),
         ({"val_fraction": 7}, "val_fraction"))),
+    # a u32 field stores each of these dims; the config is rejected before any
+    # table or parameter is allocated
+    *((command, bad, key) for value in (10**30, 2**32) for command, bad, key in (
+        ("condition", {"cond_dim": value}, "cond_dim"),
+        ("condition", {"emph_dim": value}, "emph_dim"),
+        ("train", {"model": {"hidden_dim": value}}, "model.hidden_dim"),
+        ("train", {"model": {"head_hidden": value}}, "model.head_hidden"),
+        ("train", {"model": {"pos_dim": value}}, "model.pos_dim"),
+        ("condition", {"semantic": {"dim": value}}, "semantic.dim"))),
 ])
 def test_bad_top_level_or_semantic_key_is_usage_error(tmp_path, tagset, capsys,
                                                       command, bad, key):
@@ -638,6 +647,16 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_non_finite_tau_is_usage_error(tmp_path, capsys, tau):
+    # NaN kept nothing with exit 0; a tau above 1 stays valid (it keeps nothing)
+    argv = ["filter", "--corpus", str(tmp_path), "--predicted", str(tmp_path),
+            f"--tau={tau}", "--out", str(tmp_path / "o")]
+    assert cli.main(argv) == 2
+    assert _usage_error_line(capsys) == f"error: --tau {float(tau)}: expected a finite number"
+    assert not (tmp_path / "o").exists()
+
+
 # sha256 of every file `label --scores` writes for the corpus below, recorded
 # before the F0 autocorrelation changed its FFT size and its peak climb
 LABEL_GOLDEN = {
@@ -845,6 +864,36 @@ def test_label_frame_the_sample_rate_cannot_meet_fails_each_item(tmp_path, capsy
     assert [f["utterance_id"] for f in failures] == ["a0", "a1"]
     assert all(f["error"].startswith("UnsupportedEncodingError: ") for f in failures)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@short_audio
+def test_label_frame_whose_samples_overflow_fails_each_item(tmp_path, capsys):
+    # 1e308 s times the sample rate is inf samples
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=2)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"frame": {"frame_length_sec": 1e308, "hop_sec": 1e308}}))
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["a0", "a1"]
+    assert all(f["error"].startswith("TooShortError: ") for f in failures)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@short_audio
+def test_label_vanishing_f0_min_clips_to_the_longest_lag(tmp_path):
+    # sr / 5e-324 is inf and sr / 1.0 is 24000: both lags clip to the frame
+    c, w = tmp_path / "c", tmp_path / "wav"
+    write_audio_corpus(c, w, count=2)
+    written = []
+    for f0_min in (5e-324, 1.0):
+        cfg, out = tmp_path / "cfg.json", tmp_path / f"out{f0_min}"
+        cfg.write_text(json.dumps({"frame": {"f0_min_hz": f0_min}}))
+        assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
+                         str(cfg), "--out", str(out), "--scores"]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.glob("*.tsv"))})
+    assert len(written[0]) == 4 and written[0] == written[1]
 
 
 def test_failed_predict_leaves_no_earlier_result(tmp_path, tagset, capsys):

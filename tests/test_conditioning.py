@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -18,19 +20,33 @@ def two_word_case(tagset):
 
 
 def tables(tagset, cond_dim=8, sem_dim=4, seed=0):
-    rel = embeddings.init_table(tagset.num_relations, cond_dim, "rel", seed=seed)
-    pos = embeddings.init_table(tagset.num_pos, cond_dim, "pos", seed=seed + 1)
-    prov = embeddings.hash_provider(dim=sem_dim, seed=seed)
-    proj = np.random.default_rng(seed + 2).normal(size=(sem_dim, cond_dim))
-    return rel, pos, prov, proj
+    t = conditioning.draw_tables(tagset, sem_dim, cond_dim, 2, seed)
+    return t, embeddings.hash_provider(dim=sem_dim, seed=seed)
+
+
+def zeroed(t, *names):
+    return replace(t, **{name: np.zeros_like(getattr(t, name)) for name in names})
+
+
+def test_draw_tables_reproducible(tagset):
+    a = conditioning.draw_tables(tagset, 4, 5, 3, seed=42)
+    b = conditioning.draw_tables(tagset, 4, 5, 3, seed=42)
+    for name in ("rel", "pos", "emph", "projection"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert getattr(a, name).dtype == np.float32
+        assert np.max(np.abs(getattr(a, name))) <= 0.1
+    assert a.rel.shape == (tagset.num_relations, 5) and a.pos.shape == (tagset.num_pos, 5)
+    assert a.emph.shape == (2, 3) and a.projection.shape == (4, 5)
+    # the k-th table comes from seed + k: the projection from seed + 3
+    assert np.array_equal(a.projection, np.random.default_rng(45).uniform(
+        -0.1, 0.1, (4, 5)).astype(np.float32))
 
 
 def test_build_linguistic_zero_tables_zero_output(tagset):
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    rel.matrix[:] = 0
-    pos.matrix[:] = 0
-    out = conditioning.build_linguistic(utt, ann, prov, rel, pos, proj * 0, tagset)
+    t, prov = tables(tagset)
+    out = conditioning.build_linguistic(utt, ann, prov,
+                                        zeroed(t, "rel", "pos", "projection"), tagset)
     assert out.shape == (utt.num_phones, 8)
     assert np.all(out == 0)
 
@@ -38,8 +54,8 @@ def test_build_linguistic_zero_tables_zero_output(tagset):
 def test_build_linguistic_word_rows_repeat(tagset):
     # zero semantics: all phones of a word share one row
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    out = conditioning.build_linguistic(utt, ann, prov, rel, pos, proj * 0, tagset)
+    t, prov = tables(tagset)
+    out = conditioning.build_linguistic(utt, ann, prov, zeroed(t, "projection"), tagset)
     # word 0 covers chars A,B -> phones 0..2; word 1 covers char C -> phones 3..5
     assert np.array_equal(out[0], out[1])
     assert np.array_equal(out[0], out[2])
@@ -50,78 +66,69 @@ def test_build_linguistic_word_rows_repeat(tagset):
 
 def test_build_linguistic_is_sum_of_components(tagset):
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    zero_rel = embeddings.EmbeddingTable(np.zeros_like(rel.matrix), "rel0")
-    zero_pos = embeddings.EmbeddingTable(np.zeros_like(pos.matrix), "pos0")
-    full = conditioning.build_linguistic(utt, ann, prov, rel, pos, proj, tagset)
-    only_rel = conditioning.build_linguistic(utt, ann, prov, rel, zero_pos,
-                                             proj * 0, tagset)
-    only_pos = conditioning.build_linguistic(utt, ann, prov, zero_rel, pos,
-                                             proj * 0, tagset)
-    only_sem = conditioning.build_linguistic(utt, ann, prov, zero_rel, zero_pos,
-                                             proj, tagset)
+    t, prov = tables(tagset)
+    full = conditioning.build_linguistic(utt, ann, prov, t, tagset)
+    only_rel = conditioning.build_linguistic(utt, ann, prov,
+                                             zeroed(t, "pos", "projection"), tagset)
+    only_pos = conditioning.build_linguistic(utt, ann, prov,
+                                             zeroed(t, "rel", "projection"), tagset)
+    only_sem = conditioning.build_linguistic(utt, ann, prov, zeroed(t, "rel", "pos"),
+                                             tagset)
     assert full == pytest.approx(only_rel + only_pos + only_sem)
 
 
 def test_build_linguistic_rel_component_linearity(tagset):
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    zero_pos = embeddings.EmbeddingTable(np.zeros_like(pos.matrix), "pos0")
-    once = conditioning.build_linguistic(utt, ann, prov, rel, zero_pos,
-                                         proj * 0, tagset)
-    doubled_rel = embeddings.EmbeddingTable(rel.matrix * 2, "rel2")
-    twice = conditioning.build_linguistic(utt, ann, prov, doubled_rel, zero_pos,
-                                          proj * 0, tagset)
+    t, prov = tables(tagset)
+    only_rel = zeroed(t, "pos", "projection")
+    once = conditioning.build_linguistic(utt, ann, prov, only_rel, tagset)
+    twice = conditioning.build_linguistic(utt, ann, prov,
+                                          replace(only_rel, rel=t.rel * 2), tagset)
     assert twice == pytest.approx(2 * once)
 
 
 def test_build_linguistic_pos_locality(tagset):
     # changing only word 1's POS tag leaves word 0's phones untouched
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    a = conditioning.build_linguistic(utt, ann, prov, rel, pos, proj, tagset)
+    t, prov = tables(tagset)
+    a = conditioning.build_linguistic(utt, ann, prov, t, tagset)
     ann2 = corpus.DepAnnotation(ann.utterance_id,
                                 (ann.pos_tags[0], tagset.pos["v"]),
                                 ann.heads, ann.relations)
-    b = conditioning.build_linguistic(utt, ann2, prov, rel, pos, proj, tagset)
+    b = conditioning.build_linguistic(utt, ann2, prov, t, tagset)
     assert np.array_equal(a[:3], b[:3])
     assert not np.array_equal(a[3:], b[3:])
 
 
 def test_build_linguistic_dim_mismatch(tagset):
-    utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset)
-    bad_pos = embeddings.init_table(tagset.num_pos, 6, "pos6", seed=9)
+    t, _ = tables(tagset)
     with pytest.raises(DimMismatchError):
-        conditioning.build_linguistic(utt, ann, prov, rel, bad_pos, proj, tagset)
+        replace(t, pos=np.zeros((tagset.num_pos, 6), dtype=np.float32))
     with pytest.raises(DimMismatchError):
-        conditioning.build_linguistic(utt, ann, prov, rel, pos,
-                                      np.zeros((3, 8)), tagset)
+        replace(t, projection=np.zeros((4, 6), dtype=np.float32))
 
 
 def test_build_emphasis_selects_rows(tagset):
     utt, _ = two_word_case(tagset)
-    table = embeddings.EmbeddingTable(np.array([[1.0, 0.0], [0.0, 1.0]]), "emph")
+    t, _ = tables(tagset)
     lab = corpus.EmphasisLabels("c1", (0, 1, 0), (1.0,) * 3, "pseudo")
-    out = conditioning.build_emphasis(lab, table, utt)
+    out = conditioning.build_emphasis(lab, replace(t, emph=np.eye(2)), utt)
     # phones per char: 2,1,3
     assert out.tolist() == [[1, 0], [1, 0], [0, 1], [1, 0], [1, 0], [1, 0]]
 
 
 def test_build_emphasis_rejects_non_binary_table(tagset):
-    utt, _ = two_word_case(tagset)
-    table = embeddings.init_table(3, 2, "bad", seed=0)
-    lab = corpus.EmphasisLabels("c1", (0, 0, 0), (1.0,) * 3, "pseudo")
+    t, _ = tables(tagset)
     with pytest.raises(DimMismatchError):
-        conditioning.build_emphasis(lab, table, utt)
+        replace(t, emph=np.zeros((3, 2), dtype=np.float32))
 
 
 def test_build_emphasis_length_mismatch(tagset):
     utt, _ = two_word_case(tagset)
-    table = embeddings.init_table(2, 4, "emph", seed=0)
+    t, _ = tables(tagset)
     lab = corpus.EmphasisLabels("c1", (0, 1), (1.0,) * 2, "pseudo")
     with pytest.raises(LengthMismatchError):
-        conditioning.build_emphasis(lab, table, utt)
+        conditioning.build_emphasis(lab, t, utt)
 
 
 def test_bundle_rejects_empty(tagset):
@@ -164,13 +171,13 @@ def test_bundle_truncated(tmp_path, rng):
 
 def test_end_to_end_shapes_and_determinism(tagset):
     utt, ann = two_word_case(tagset)
-    rel, pos, prov, proj = tables(tagset, cond_dim=12, sem_dim=6)
-    emph_table = embeddings.init_table(2, 4, "emph", seed=5)
+    t = conditioning.draw_tables(tagset, 6, 12, 4, seed=5)
+    prov = embeddings.hash_provider(dim=6, seed=5)
     lab = corpus.EmphasisLabels("c1", (1, 0, 0), (1.0,) * 3, "pseudo")
     bundles = []
     for _ in range(2):
-        ling = conditioning.build_linguistic(utt, ann, prov, rel, pos, proj, tagset)
-        emph = conditioning.build_emphasis(lab, emph_table, utt)
+        ling = conditioning.build_linguistic(utt, ann, prov, t, tagset)
+        emph = conditioning.build_emphasis(lab, t, utt)
         bundles.append(conditioning.ConditioningBundle(utt.id, ling, emph))
     assert bundles[0].num_phones == utt.num_phones == 6
     assert bundles[0].cond_dim == 12 and bundles[0].emph_dim == 4

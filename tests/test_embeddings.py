@@ -4,7 +4,6 @@ import pytest
 from prosemph import embeddings
 from prosemph.errors import (
     DimMismatchError,
-    IdOutOfRangeError,
     MalformedFileError,
     UnknownUtteranceError,
 )
@@ -77,51 +76,3 @@ def test_semantic_dim_zero_rejected(tmp_path):
     embeddings.save_semantic({}, 0, p)
     with pytest.raises(MalformedFileError, match="semantic dim 0"):
         embeddings.load_semantic(p)
-
-
-def test_lookup_repeated_ids():
-    t = embeddings.init_table(4, 3, "t", seed=0)
-    out = embeddings.lookup(t, [0, 0])
-    assert np.array_equal(out[0], out[1])
-
-
-def test_lookup_row_order():
-    t = embeddings.EmbeddingTable(np.eye(2), "id")
-    out = embeddings.lookup(t, [1, 0])
-    assert out.tolist() == [[0, 1], [1, 0]]
-
-
-def test_lookup_out_of_range():
-    t = embeddings.init_table(4, 3, "t", seed=0)
-    with pytest.raises(IdOutOfRangeError):
-        embeddings.lookup(t, [4])
-
-
-def test_lookup_gradient_accumulates_over_repeats():
-    # scalar = sum(lookup(table, [0,0]) * v); d/d(table[0]) == 2v
-    table = embeddings.EmbeddingTable(
-        np.random.default_rng(1).normal(size=(3, 4)), "g"
-    )
-    v = np.random.default_rng(2).normal(size=4)
-    ids = [0, 0]
-
-    def scalar(mat):
-        return float(np.sum(mat[ids] @ v))
-
-    analytic = np.zeros_like(table.matrix)
-    np.add.at(analytic, ids, np.tile(v, (2, 1)))
-    eps = 1e-6
-    for j in range(4):
-        table.matrix[0, j] += eps
-        up = scalar(table.matrix)
-        table.matrix[0, j] -= 2 * eps
-        dn = scalar(table.matrix)
-        table.matrix[0, j] += eps
-        assert analytic[0, j] == pytest.approx((up - dn) / (2 * eps), rel=1e-6)
-
-
-def test_init_table_reproducible():
-    a = embeddings.init_table(10, 5, "x", seed=42)
-    b = embeddings.init_table(10, 5, "x", seed=42)
-    assert np.array_equal(a.matrix, b.matrix)
-    assert np.max(np.abs(a.matrix)) <= 0.1
