@@ -747,6 +747,44 @@ def test_condition_golden_bytes(tmp_path, tagset):
     assert digests == COND_GOLDEN
 
 
+# sha256 of model.pemo and train_log.ldjson `train` writes for the run below,
+# recorded before the GGNN backward was folded into one routine per operation
+TRAIN_GOLDEN = {
+    "model.pemo": "72ba999a04512885689fdc1fb92f2ace52a726dbb08c9cc71465228aa5dcfdac",
+    "train_log.ldjson": "b89525f831056592ed95a309246fd1b5955185a1732ebd7d89bfb6fce7bcc5c1",
+}
+
+
+def test_train_golden_bytes(tmp_path, tagset):
+    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
+    msg_W has 147,456 elements, three ADAM_BLOCK slices, and val_fraction
+    puts the validation metrics in the log. Like the other golden tests, the
+    digests depend on the BLAS kernels numpy runs: OpenBLAS picks its matmul
+    kernels by size and CPU, so another BLAS or CPU may give other bytes."""
+    import hashlib
+
+    from prosemph import embeddings, model as M
+
+    c, out = tmp_path / "c", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=40)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "val_fraction": 0.25, "seed": 3,
+        "model": {"hidden_dim": 64, "num_iterations": 3, "head_hidden": 16},
+        "train": {"epochs": 3, "learning_rate": 1e-3, "batch_size": 8, "seed": 1},
+        "semantic": {"mode": "hash", "dim": 16, "seed": 2},
+    }))
+    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                     "--out", str(out)]) == 0
+    msg_W = M.PredictorModel.load(out / "model.pemo", tagset,
+                                  embeddings.hash_provider(dim=16, seed=2)).params["msg_W"]
+    assert 2 * M.ADAM_BLOCK < msg_W.size <= 3 * M.ADAM_BLOCK
+    assert "val_f" in json.loads((out / "train_log.ldjson").read_text().splitlines()[-1])
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in TRAIN_GOLDEN}
+    assert digests == TRAIN_GOLDEN
+
+
 # -- a rerun into the same --out -------------------------------------------------
 
 
