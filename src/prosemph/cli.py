@@ -312,10 +312,6 @@ def cmd_train(args) -> int:
         return None if labels is None else _example(tagset, provider, utt, ann, labels)
 
     dataset = run.items(args.corpus, tagset, labeled)
-    if not dataset:
-        print("no labeled utterances found", file=sys.stderr)
-        run.finish()
-        return 1
     if cfg.val_fraction > 0:
         rng = np.random.default_rng(cfg.train.seed)
         order = rng.permutation(len(dataset))
@@ -324,6 +320,10 @@ def cmd_train(args) -> int:
         trn = [dataset[i] for i in order[n_val:]]
     else:
         val, trn = None, dataset
+    if not trn:
+        print("no labeled utterances left to train on", file=sys.stderr)
+        run.finish()
+        return 1
     model = model_mod.PredictorModel(tagset, provider, dataclasses.replace(
         cfg.model, seed=cfg.seed, semantic_dim=provider.dim))
     model_mod.train(model, trn, cfg.train, val_dataset=val,

@@ -67,24 +67,20 @@ class SemanticProvider:
     seed: int = 0
     store: dict[str, np.ndarray] = field(default_factory=dict)
 
-    def rows(self, utterance_id: str, chars=None) -> np.ndarray:
+    def rows(self, utterance_id: str, chars) -> np.ndarray:
         self.check(utterance_id, chars)
         if self.mode == "hash":
             return hash_embedding(chars, self.dim, self.seed)
         return self.store[utterance_id]
 
-    def check(self, utterance_id: str, chars=None) -> None:
+    def check(self, utterance_id: str, chars) -> None:
         """Raises the error `rows` would raise, without building the rows."""
         if self.mode == "hash":
-            if chars is None:
-                raise UnknownUtteranceError(
-                    f"hash provider needs characters for {utterance_id}"
-                )
             return
         if utterance_id not in self.store:
             raise UnknownUtteranceError(utterance_id)
         m = self.store[utterance_id]
-        if chars is not None and len(chars) != m.shape[0]:
+        if len(chars) != m.shape[0]:
             raise DimMismatchError(
                 f"{utterance_id}: {m.shape[0]} stored rows for {len(chars)} chars"
             )

@@ -114,8 +114,14 @@ def _uniform(rng, limit, shape, dtype):
 
 
 def _glorot(rng, shape, dtype):
-    limit = np.sqrt(6.0 / (shape[-1] + shape[-2])) if len(shape) >= 2 else 0.1
-    return _uniform(rng, limit, shape, dtype)
+    return _uniform(rng, np.sqrt(6.0 / (shape[-1] + shape[-2])), shape, dtype)
+
+
+def _affine_backward(dy, x, W, gW, gb):
+    """Backward of y = x @ W.T + b: adds into gW and gb, returns d(x)."""
+    gW += dy.T @ x
+    gb += dy.sum(axis=0)
+    return dy @ W
 
 
 def _param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]:
@@ -222,17 +228,26 @@ class PredictorModel:
             for (r, d), s in groups:
                 msg[s] = hs[s] @ p["msg_W"][r, d].T + p["msg_b"][r, d]
             m = to_dst @ msg
-            az = m @ p["gru_Wz"].T + h @ p["gru_Uz"].T + p["gru_bz"]
-            ar = m @ p["gru_Wr"].T + h @ p["gru_Ur"].T + p["gru_br"]
-            z = _sigmoid(az)
-            r = _sigmoid(ar)
-            ac = m @ p["gru_Wc"].T + (r * h) @ p["gru_Uc"].T + p["gru_bc"]
-            c = np.tanh(ac)
-            h_new = z * h + (1.0 - z) * c
-            steps.append({"h_prev": h, "m": m, "z": z, "r": r, "c": c})
-            h = h_new
+            z = _sigmoid(self._gate("z", m, h))
+            r = _sigmoid(self._gate("r", m, h))
+            c = np.tanh(self._gate("c", m, r * h))
+            steps.append((h, m, z, r, c))
+            h = z * h + (1.0 - z) * c
         cache = {"steps": steps, "src": src, "dst": dst, "groups": groups}
         return h, cache
+
+    def _gate(self, g, m, hin):
+        """Pre-activation of GRU gate g (z, r or c) from messages and state."""
+        p = self.params
+        return m @ p[f"gru_W{g}"].T + hin @ p[f"gru_U{g}"].T + p[f"gru_b{g}"]
+
+    def _gate_backward(self, g, da, m, hin, grads):
+        """Backward of `_gate`: adds gate g's weight gradients, returns
+        d(m) and d(hin)."""
+        p = self.params
+        grads[f"gru_U{g}"] += da.T @ hin
+        dm = _affine_backward(da, m, p[f"gru_W{g}"], grads[f"gru_W{g}"], grads[f"gru_b{g}"])
+        return dm, da @ p[f"gru_U{g}"]
 
     # -- full forward -------------------------------------------------------
 
@@ -337,77 +352,41 @@ class PredictorModel:
         return loss, grads
 
     def _backward(self, dlogits, cache, grads):
-        p = self.params
+        """Adds into grads the gradients of the loss whose d(logits) is given:
+        the head, then BPTT through the propagation steps, then the node init."""
+        p, init, ggn = self.params, cache["init"], cache["ggn"]
         hid, h_chars = cache["hid"], cache["h_chars"]
-        grads["head_W2"] += dlogits.T @ hid
-        grads["head_b2"] += dlogits.sum(axis=0)
-        dhid = dlogits @ p["head_W2"]
-        da1 = dhid * (hid > 0)
-        grads["head_W1"] += da1.T @ h_chars
-        grads["head_b1"] += da1.sum(axis=0)
+        dhid = _affine_backward(dlogits, hid, p["head_W2"], grads["head_W2"], grads["head_b2"])
         dh = np.zeros((cache["num_nodes"], h_chars.shape[1]), dtype=self.dtype)
-        dh[cache["init"]["char_rows"]] = da1 @ p["head_W1"]
-        self._ggn_backward(dh, cache["ggn"], grads)
-        self._init_backward(dh, cache["init"], grads)
+        dh[init["char_rows"]] = _affine_backward(
+            dhid * (hid > 0), h_chars, p["head_W1"], grads["head_W1"], grads["head_b1"])
 
-    def _ggn_backward(self, dh, ggn_cache, grads):
-        """BPTT through the propagation steps; dh is mutated into d(h0)."""
-        p = self.params
-        src, dst = ggn_cache["src"], ggn_cache["dst"]
-        groups = ggn_cache["groups"]
+        src, dst = ggn["src"], ggn["dst"]
         to_src = _incidence(src, dh.shape[0], dh.dtype)
-        for step in reversed(ggn_cache["steps"]):
-            h_prev, m = step["h_prev"], step["m"]
-            z, r, c = step["z"], step["r"], step["c"]
-            dh_new = dh
-            dz = dh_new * (h_prev - c)
-            dc = dh_new * (1.0 - z)
-            dh_prev = dh_new * z
+        for h, m, z, r, c in reversed(ggn["steps"]):  # h: the step's input state
             dm = np.zeros(m.shape, m.dtype)
-
-            dac = dc * (1.0 - c * c)
-            grads["gru_Wc"] += dac.T @ m
-            grads["gru_Uc"] += dac.T @ (r * h_prev)
-            grads["gru_bc"] += dac.sum(axis=0)
-            dm += dac @ p["gru_Wc"]
-            drh = dac @ p["gru_Uc"]
-            dr_ = drh * h_prev
+            dac = dh * (1.0 - z) * (1.0 - c * c)
+            dm_g, drh = self._gate_backward("c", dac, m, r * h, grads)
+            dm += dm_g
+            dh_prev = dh * z
             dh_prev += drh * r
-
-            dar = dr_ * r * (1.0 - r)
-            grads["gru_Wr"] += dar.T @ m
-            grads["gru_Ur"] += dar.T @ h_prev
-            grads["gru_br"] += dar.sum(axis=0)
-            dm += dar @ p["gru_Wr"]
-            dh_prev += dar @ p["gru_Ur"]
-
-            daz = dz * z * (1.0 - z)
-            grads["gru_Wz"] += daz.T @ m
-            grads["gru_Uz"] += daz.T @ h_prev
-            grads["gru_bz"] += daz.sum(axis=0)
-            dm += daz @ p["gru_Wz"]
-            dh_prev += daz @ p["gru_Uz"]
-
-            dmsg, hs = dm[dst], h_prev[src]
+            for g, da in (("r", drh * h * r * (1.0 - r)), ("z", dh * (h - c) * z * (1.0 - z))):
+                dm_g, dh_g = self._gate_backward(g, da, m, h, grads)
+                dm += dm_g
+                dh_prev += dh_g
+            dmsg, hs = dm[dst], h[src]
             back = np.empty_like(dmsg)
-            for (r_, d), s in groups:
-                grads["msg_W"][r_, d] += dmsg[s].T @ hs[s]
-                grads["msg_b"][r_, d] += dmsg[s].sum(axis=0)
-                back[s] = dmsg[s] @ p["msg_W"][r_, d]
+            for (rel, d), s in ggn["groups"]:
+                back[s] = _affine_backward(dmsg[s], hs[s], p["msg_W"][rel, d],
+                                           grads["msg_W"][rel, d], grads["msg_b"][rel, d])
             dh_prev += to_src @ back
-            dh[...] = dh_prev
+            dh = dh_prev
 
-    def _init_backward(self, dh0, init_cache, grads):
-        p = self.params
-        grads["bos"] += dh0[init_cache["bos_rows"]].sum(axis=0)
-        grads["eos"] += dh0[init_cache["eos_rows"]].sum(axis=0)
-        dh_chars = dh0[init_cache["char_rows"]]
-        x = init_cache["x"]
-        grads["proj_W"] += dh_chars.T @ x
-        grads["proj_b"] += dh_chars.sum(axis=0)
-        dx = dh_chars @ p["proj_W"]
-        dpos = dx[:, self.config.semantic_dim:]
-        np.add.at(grads["pos_table"], init_cache["pos_char_ids"], dpos)
+        grads["bos"] += dh[init["bos_rows"]].sum(axis=0)
+        grads["eos"] += dh[init["eos_rows"]].sum(axis=0)
+        dx = _affine_backward(dh[init["char_rows"]], init["x"], p["proj_W"],
+                              grads["proj_W"], grads["proj_b"])
+        np.add.at(grads["pos_table"], init["pos_char_ids"], dx[:, self.config.semantic_dim:])
 
     # -- checkpoint io ------------------------------------------------------
     # PEMO layout: see "File formats" in the README.

@@ -140,7 +140,8 @@ def cwt_ricker(
     """Continuous wavelet transform of the mean-removed track.
 
     Scale j is base_scale_frames * 2^(j / scales_per_octave). Each row is
-    the centred len(track) slice of the full convolution, so borders are
+    the centred len(track) slice of the full convolution, read from numpy's
+    "same" mode so the outputs outside it are not computed; borders are
     zero-padded at any track length, shorter than the kernel too; a track
     shorter than 4x the largest scale triggers a LargeScaleTruncatedWarning
     but coefficients are still computed.
@@ -159,8 +160,8 @@ def cwt_ricker(
     rows = np.empty((num_scales, len(x)))
     for j, s in enumerate(scales):
         k = ricker_kernel(s)
-        h = (len(k) - 1) // 2
-        rows[j] = np.convolve(x, k)[h : h + len(x)]
+        lo = (len(k) - 1) // 2 - (min(len(x), len(k)) - 1) // 2
+        rows[j] = np.convolve(x, k, "same")[lo : lo + len(x)]
     return Scalogram(coefficients=rows, scales_frames=scales, frame_rate=t.frame_rate)
 
 

@@ -481,6 +481,21 @@ def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
     assert not (out / "model.pemo").exists()
 
 
+def test_train_with_no_item_left_after_the_split_writes_failures(tmp_path, tagset,
+                                                                 capsys):
+    c, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+    write_labeled_corpus(c, tagset, count=2)
+    _break_item(c, "u0001", "ann_not_json")
+    # the one item left goes to validation
+    cfg.write_text(json.dumps({"val_fraction": 0.5}))
+    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                     "--out", str(out)]) == 1
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0001"]
+    assert not (out / "model.pemo").exists()
+    assert "u0001\tfail\tMalformedFileError: " in capsys.readouterr().err
+
+
 @short_audio
 @pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time", "id_mismatch"])
 def test_label_bad_item_fails_alone(tmp_path, fault):

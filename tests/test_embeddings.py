@@ -38,14 +38,14 @@ def test_semantic_container_roundtrip(tmp_path):
     prov = embeddings.load_semantic(p)
     assert prov.mode == "file_backed"
     assert prov.dim == 4
-    assert prov.rows("u1") == pytest.approx(store["u1"], abs=1e-7)
+    assert prov.rows("u1", "abc") == pytest.approx(store["u1"], abs=1e-7)
 
 
 def test_semantic_unknown_utterance(tmp_path):
     p = tmp_path / "sem.pemb"
     embeddings.save_semantic({}, 4, p)
     with pytest.raises(UnknownUtteranceError):
-        embeddings.load_semantic(p).rows("nope")
+        embeddings.load_semantic(p).rows("nope", "x")
 
 
 def test_semantic_dim_mismatch_rejected(tmp_path):
