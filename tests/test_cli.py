@@ -800,6 +800,54 @@ def test_train_golden_bytes(tmp_path, tagset):
     assert digests == TRAIN_GOLDEN
 
 
+# sha256 of every <id>.lab.tsv `predict` writes for the run below, recorded
+# before hash-mode semantic rows were memoized per character
+PREDICT_GOLDEN = {
+    "u0000.lab.tsv": "2b2b00945cb8eadb95da350a724bc9092f5a31382bee467497e4eb8e27134413",
+    "u0001.lab.tsv": "05224e2bab92169e96a4b362e4ac6da3fd148205004dce18c240c9f4e688c1cd",
+    "u0002.lab.tsv": "97358f92e168057cfe21ae962d541596cd80c481ae5e59b355c91f3f11792a44",
+    "u0003.lab.tsv": "ffe87ba7cb0ab475eb2befc42f1a10abd456cba6afcfbeed25a4b6bd7b10ab0b",
+    "u0004.lab.tsv": "43354bf67b1e3a32f60a0e83d3c35c2ae7c47591d02562c4e36214c891291600",
+    "u0005.lab.tsv": "c358946e996c41b2a652959574d4caad1e07f4a85a06617bbe5133485ce60871",
+}
+
+
+def test_predict_golden_bytes(tmp_path, tagset):
+    """Predicted labels, byte for byte, in semantic mode hash. The items draw
+    their chars from an alphabet of six, ASCII, CJK and an astral char, so
+    chars repeat within an item and across items. Like the other golden
+    tests, the digests depend on the BLAS kernels numpy runs: OpenBLAS picks
+    its matmul kernels by size and CPU, so another BLAS or CPU may give other
+    bytes."""
+    import dataclasses
+    import hashlib
+
+    from prosemph import embeddings, model as M
+
+    c, out = tmp_path / "c", tmp_path / "out"
+    c.mkdir()
+    rng = np.random.default_rng(5)
+    utts = []
+    for ex in gen_learnable_corpus(6, 4, tagset):
+        chars = rng.choice(list("aZ好红我😀"), len(ex.utt.chars))
+        utt = dataclasses.replace(ex.utt, chars=tuple(map(str, chars)))
+        corpus.save_utterance(utt, c / f"{utt.id}.utt.json")
+        corpus.save_annotation(ex.ann, tagset, c / f"{utt.id}.ann.json")
+        utts.append(utt)
+    assert any(len(set(u.chars)) < len(u.chars) for u in utts)
+    assert set(utts[0].chars) & set(utts[1].chars)
+    M.PredictorModel(tagset, embeddings.hash_provider(dim=5, seed=3), M.ModelConfig(
+        hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=5, seed=4,
+    )).save(tmp_path / "m.pemo")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"semantic": {"mode": "hash", "dim": 5, "seed": 3}}))
+    assert cli.main(["predict", "--corpus", str(c), "--config", str(cfg),
+                     "--checkpoint", str(tmp_path / "m.pemo"), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(out.glob("*.lab.tsv"))}
+    assert digests == PREDICT_GOLDEN
+
+
 # -- a rerun into the same --out -------------------------------------------------
 
 
