@@ -58,7 +58,8 @@ def hash_embedding(chars, dim: int, seed: int) -> np.ndarray:
 class SemanticProvider:
     """Serves one [num_chars x dim] matrix per utterance.
 
-    mode "hash": rows derived from the characters alone (no store).
+    mode "hash": rows derived from the characters alone (no store); each
+    distinct character's row is derived once per provider and kept.
     mode "file_backed": exact matrices loaded from a PEMB container.
     """
 
@@ -66,11 +67,18 @@ class SemanticProvider:
     dim: int
     seed: int = 0
     store: dict[str, np.ndarray] = field(default_factory=dict)
+    # mode hash: char -> its row, which depends only on (char, dim, seed)
+    _memo: dict[str, np.ndarray] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     def rows(self, utterance_id: str, chars) -> np.ndarray:
         self.check(utterance_id, chars)
         if self.mode == "hash":
-            return hash_embedding(chars, self.dim, self.seed)
+            missing = [ch for ch in dict.fromkeys(chars) if ch not in self._memo]
+            if missing:
+                self._memo.update(zip(missing, hash_embedding(missing, self.dim, self.seed)))
+            # a new array, so a caller writing into it leaves the memo as it is
+            return np.array([self._memo[ch] for ch in chars]).reshape(len(chars), self.dim)
         return self.store[utterance_id]
 
     def check(self, utterance_id: str, chars) -> None:
@@ -137,6 +145,8 @@ def load_semantic(path) -> SemanticProvider:
     store: dict[str, np.ndarray] = {}
     for _ in range(count):
         uid = r.text()
+        if uid in store:
+            raise r.error(f"duplicate utterance id {uid!r}")
         (num_chars,) = r.unpack("<I")
         store[uid] = r.floats((num_chars, dim)).astype(np.float64)
     r.done()
