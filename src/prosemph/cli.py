@@ -171,7 +171,7 @@ class _Run:
     """The record of one command's run. Opening it creates `out` (None: the
     run writes no files) and deletes the last run's manifest.json,
     failures.json and the whole-run `results`, so a run that fails as a whole
-    leaves none of them."""
+    leaves none of them. An `out` it cannot create or clear is a UsageError."""
 
     def __init__(self, command: str, out, results=()):
         self.command, self.out = command, Path(out) if out else None
@@ -179,8 +179,11 @@ class _Run:
         self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
         self.input_count = 0
         if self.out:
-            self.out.mkdir(parents=True, exist_ok=True)
-            _remove(self.out, ["manifest.json", "failures.json", *results])
+            try:
+                self.out.mkdir(parents=True, exist_ok=True)
+                _remove(self.out, ["manifest.json", "failures.json", *results])
+            except OSError as exc:
+                raise UsageError(f"--out {self.out}: cannot create or clear it ({exc})") from exc
 
     def each(self, ids, work, jobs=1):
         """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.io import wavfile
 
 from .corpus import Utterance
 from .errors import (
@@ -74,23 +74,72 @@ class FrameConfig:
         return 1.0 / self.hop_sec
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# a WAVE_FORMAT_EXTENSIBLE subformat GUID (RFC 2361) past its leading format tag
+_SUBFORMAT_TAIL = b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
 def read_wav(path) -> Waveform:
-    """Read a RIFF/WAVE file (PCM16 or float32) as a mono [-1,1] waveform."""
+    """Read a RIFF/WAVE file (PCM16 or float32, also as the subformat of
+    WAVE_FORMAT_EXTENSIBLE, any channel count) as a mono [-1,1] waveform: the
+    channels are averaged. Chunks other than `fmt ` and `data` are skipped.
+
+    A structural fault (a bad magic, a short header, `fmt ` or `data` chunk, a
+    missing chunk) raises MalformedFileError; any other encoding, RIFX and
+    RF64 too, raises UnsupportedEncodingError.
+    """
     try:
-        rate, data = wavfile.read(path)
-    except (ValueError, OSError) as exc:
+        blob = memoryview(Path(path).read_bytes())
+    except OSError as exc:
         raise MalformedFileError(f"cannot read {path}: {exc}") from exc
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
+    if blob[:4] in (b"RIFX", b"RF64"):
+        raise UnsupportedEncodingError(f"{path}: {bytes(blob[:4]).decode()} files are not read")
+    if len(blob) < 12 or blob[:4] != b"RIFF" or blob[8:12] != b"WAVE":
+        raise MalformedFileError(f"{path}: not a RIFF/WAVE file")
+    fmt, pos = None, 12
+    while True:
+        if len(blob) < pos + 8:
+            raise MalformedFileError(f"{path}: no {'fmt ' if fmt is None else 'data'} chunk")
+        cid, (size,) = bytes(blob[pos : pos + 4]), struct.unpack_from("<I", blob, pos + 4)
+        start, pos = pos + 8, pos + 8 + size + size % 2  # a pad byte follows an odd size
+        if len(blob) < start + size:
+            raise MalformedFileError(
+                f"{path}: {cid!r} chunk of {size} bytes cut short at {len(blob) - start}")
+        if cid == b"data":
+            break
+        if cid == b"fmt ":
+            fmt = blob[start : start + size]
+    if fmt is None:
+        raise MalformedFileError(f"{path}: data chunk before the fmt chunk")
+    if len(fmt) < 16:
+        raise MalformedFileError(f"{path}: fmt chunk of {len(fmt)} bytes, under 16")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack_from("<HHIIHH", fmt)
+    if tag == _EXTENSIBLE:
+        if len(fmt) < 40 or struct.unpack_from("<H", fmt, 16)[0] < 22:
+            raise MalformedFileError(f"{path}: short WAVE_FORMAT_EXTENSIBLE fmt chunk")
+        if fmt[28:40] == _SUBFORMAT_TAIL:
+            (tag,) = struct.unpack_from("<I", fmt, 24)
+    if channels == 0:
+        raise MalformedFileError(f"{path}: no channels")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise MalformedFileError(f"{path}: byte rate {byte_rate} is not "
+                                 f"{rate} Hz x {block_align}-byte frames")
+    container = block_align // channels
+    if tag == _PCM and container == 2 and 8 < bits <= 16:
+        dtype, scale = "<i2", 32768.0
+    elif tag == _IEEE_FLOAT and container == 4 and bits == 32:
+        dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedEncodingError(
-            f"{path}: unsupported sample format {data.dtype}"
-        )
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return Waveform(samples=samples, sample_rate=int(rate))
+            f"{path}: format tag {tag:#x} with {bits}-bit samples in {container}-byte "
+            "containers; only PCM16 and float32 are read")
+    count = size // container
+    if count % channels:
+        raise MalformedFileError(f"{path}: data chunk ends inside a frame")
+    samples = np.frombuffer(blob, dtype, count, start).astype(np.float64) / scale
+    if channels > 1:
+        samples = samples.reshape(-1, channels).mean(axis=1)
+    return Waveform(samples=samples, sample_rate=rate)
 
 
 def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
@@ -116,6 +165,19 @@ def frame_energy(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     return ProsodicTrack(values=db, frame_rate=cfg.frame_rate, kind="energy_db")
 
 
+def _next_fast_len(n: int) -> int:
+    """The smallest 2·3·5-smooth integer >= n: an FFT length pocketfft runs fast."""
+    m = n
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     """Per-frame F0 via normalized autocorrelation peak picking.
 
@@ -125,7 +187,7 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
 
     Frames are processed F0_BLOCK at a time, so each step's arrays stay
     small enough for the cache. The autocorrelation of each frame comes
-    from an FFT of `next_fast_len(flen + lag_max)` points: any length >=
+    from an FFT of `_next_fast_len(flen + lag_max)` points: any length >=
     flen + lag_max keeps the circular wrap out of lags 0..lag_max, the only
     lags read. Its power spectrum is `re**2 + im**2`, elementwise and real,
     so a frame's F0 does not depend on the frame's position in its block.
@@ -143,15 +205,15 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
         raise TooShortError(
             f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")
     last = lag_max - lag_min
-    nfft = sp_fft.next_fast_len(flen + lag_max, real=True)
+    nfft = _next_fast_len(flen + lag_max)
 
     out = np.zeros(len(frames))
     for a in range(0, len(frames), F0_BLOCK):
         x = frames[a : a + F0_BLOCK]
         x = x - x.mean(axis=1, keepdims=True)
         # raw autocorrelation at lags lag_min..lag_max via FFT
-        spec = sp_fft.rfft(x, n=nfft, axis=1)
-        acf = sp_fft.irfft(spec.real**2 + spec.imag**2, n=nfft, axis=1)
+        spec = np.fft.rfft(x, n=nfft, axis=1)
+        acf = np.fft.irfft(spec.real**2 + spec.imag**2, n=nfft, axis=1)
         # normalization energies of the two overlapping segments, per lag:
         # sum x[0 : flen-tau]^2 and sum x[tau : flen]^2
         sq = np.cumsum(x**2, axis=1)

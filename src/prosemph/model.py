@@ -16,7 +16,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .corpus import DepAnnotation, EmphasisLabels, Utterance
 from .codec import U32_LIMIT, Reader, Writer
@@ -93,6 +92,8 @@ def _sigmoid(x):
 def _incidence(rows, num_rows, dtype):
     """Sparse [num_rows x len(rows)] matrix with a one at (rows[e], e),
     built straight in CSR form: row i lists the e with rows[e] == i."""
+    from scipy import sparse  # here, so only train and predict load it, at their first propagation
+
     indptr = np.zeros(num_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
     return sparse.csr_matrix(

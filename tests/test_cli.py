@@ -52,16 +52,23 @@ def save_small_model(tagset, path):
     )).save(path)
 
 
-def test_cli_import_loads_no_scipy_signal():
-    # every prosody-emph process imports the label code; the CWT convolves
-    # with numpy, so the 400-odd modules of scipy.signal stay unloaded
+@short_audio
+def test_cli_import_loads_no_scipy(tmp_path):
+    # every prosody-emph process, and every label --jobs worker, imports the
+    # CLI: label reads WAV and runs its FFTs with numpy, and only the GGNN's
+    # first propagation (train, predict) loads scipy.sparse
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=1)
     src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)]
     code = (f"import sys; sys.path.insert(0, {src!r}); import prosemph.cli; "
-            "print('scipy.signal' in sys.modules)")
+            f"rc = prosemph.cli.main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert (out / "a0.lab.tsv").exists()
 
 
 def test_validate_ok(tmp_path, tagset, capsys):
@@ -497,8 +504,9 @@ def test_train_with_no_item_left_after_the_split_writes_failures(tmp_path, tagse
 
 
 @short_audio
-@pytest.mark.parametrize("fault", ["nan_audio", "infinite_char_time", "id_mismatch"])
-def test_label_bad_item_fails_alone(tmp_path, fault):
+@pytest.mark.parametrize("fault", ["nan_audio", "truncated_wav", "infinite_char_time",
+                                   "id_mismatch"])
+def test_label_bad_item_fails_alone(tmp_path, capsys, fault):
     from scipy.io import wavfile
 
     c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
@@ -507,6 +515,9 @@ def test_label_bad_item_fails_alone(tmp_path, fault):
         rate, wav = wavfile.read(w / "a1.wav")
         wav[1000:1100] = np.nan
         wavfile.write(w / "a1.wav", rate, wav)
+    elif fault == "truncated_wav":
+        # cut inside the fmt chunk
+        (w / "a1.wav").write_bytes((w / "a1.wav").read_bytes()[:30])
     elif fault == "infinite_char_time":
         obj = json.loads((c / "a1.utt.json").read_text(encoding="utf-8"))
         obj["char_times"][-1][1] = float("inf")
@@ -519,6 +530,7 @@ def test_label_bad_item_fails_alone(tmp_path, fault):
     assert [f["utterance_id"] for f in failures] == ["a1"]
     assert (out / "a0.lab.tsv").exists() and (out / "a2.lab.tsv").exists()
     assert not (out / "a1.lab.tsv").exists() and not (out / "zz.lab.tsv").exists()
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @short_audio
@@ -595,6 +607,25 @@ def test_failed_evaluate_leaves_no_earlier_result(tmp_path, tagset, capsys):
     assert "UtteranceSetMismatchError" in capsys.readouterr().err
     for name in ("metrics.json", "failures.json", "manifest.json"):
         assert not (out / name).exists()
+
+
+@pytest.mark.parametrize("fault", ["out_is_a_file", "directory_at_result"])
+def test_out_that_cannot_be_created_or_cleared_is_usage_error(tmp_path, tagset, capsys,
+                                                               fault):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=2)
+    _predicted_copy(c, pred)
+    if fault == "out_is_a_file":
+        out.write_text("not a directory")
+    else:
+        (out / "metrics.json").mkdir(parents=True)
+    assert cli.main(["evaluate", "--predicted", str(pred), "--gold", str(c),
+                     "--out", str(out)]) == 2
+    assert _usage_error_line(capsys).startswith(f"error: --out {out}: cannot create or clear")
+    if fault == "out_is_a_file":
+        assert out.read_text() == "not a directory"
+    else:
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
 
 
 def test_repaired_rerun_clears_failures(tmp_path, tagset):

@@ -1,4 +1,7 @@
 import math
+import struct
+import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from prosemph import corpus, dsp
 from prosemph.errors import (
     AllUnvoicedError,
     EmptyAlignmentError,
+    MalformedFileError,
     TooShortError,
     UnsupportedEncodingError,
 )
@@ -46,6 +50,116 @@ def test_read_wav_rejects_int32(tmp_path):
     wavfile.write(p, SR, np.zeros(100, dtype=np.int32))
     with pytest.raises(UnsupportedEncodingError):
         dsp.read_wav(p)
+
+
+def noise_frames(dtype, channels, n=301):
+    """n frames of full-scale noise in each of `channels` channels."""
+    x = np.random.default_rng(channels).uniform(-1, 1, size=(n, channels))
+    return (x * 32767).astype(dtype) if dtype == "<i2" else x.astype(dtype)
+
+
+def riff(*chunks, magic=b"RIFF"):
+    """A WAV file of (chunk id, body) chunks, an odd body followed by its pad byte."""
+    body = b"WAVE" + b"".join(cid + struct.pack("<I", len(b)) + b + b"\0" * (len(b) % 2)
+                              for cid, b in chunks)
+    return magic + struct.pack("<I", len(body)) + body
+
+
+def fmt_chunk(tag, channels, bits, container, extensible=False):
+    """A `fmt ` body; with extensible, tag goes into a WAVE_FORMAT_EXTENSIBLE
+    subformat GUID (RFC 2361)."""
+    block = channels * container
+    head = struct.pack("<HHIIHH", 0xFFFE if extensible else tag, channels, SR, SR * block,
+                       block, bits)
+    if not extensible:
+        return head
+    guid = struct.pack("<I", tag) + b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71"
+    return head + struct.pack("<HHI", 22, bits, 0) + guid
+
+
+def scipy_read(path):
+    """read_wav as it was on scipy.io.wavfile, which must read `path` without a
+    warning: the rate and the samples."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rate, data = wavfile.read(path)
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    else:
+        samples = data.astype(np.float64)
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return rate, samples
+
+
+@pytest.mark.parametrize("layout", ["scipy", "extensible", "odd_list_chunk"])
+@pytest.mark.parametrize("channels", [1, 2, 5])
+@pytest.mark.parametrize("dtype", ["<i2", "<f4"])
+def test_read_wav_matches_scipy(tmp_path, dtype, channels, layout):
+    x = noise_frames(dtype, channels)
+    p = tmp_path / "x.wav"
+    if layout == "scipy":
+        wavfile.write(p, SR, x[:, 0] if channels == 1 else x)
+    else:
+        tag, bits, container = (1, 16, 2) if dtype == "<i2" else (3, 32, 4)
+        fmt = fmt_chunk(tag, channels, bits, container, extensible=layout == "extensible")
+        extra = [(b"LIST", b"INFOa")] if layout == "odd_list_chunk" else []
+        p.write_bytes(riff((b"fmt ", fmt), *extra, (b"data", x.tobytes())))
+    rate, expected = scipy_read(p)
+    w = dsp.read_wav(p)
+    assert w.sample_rate == rate == SR
+    assert w.samples.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("encoding", ["uint8", "float64", "pcm24", "rifx", "rf64"])
+def test_read_wav_rejects_other_encodings(tmp_path, encoding):
+    p = tmp_path / "x.wav"
+    if encoding in ("uint8", "float64"):
+        wavfile.write(p, SR, np.zeros(100, dtype=encoding))
+    elif encoding == "pcm24":
+        p.write_bytes(riff((b"fmt ", fmt_chunk(1, 1, 24, 3)), (b"data", bytes(300))))
+    else:
+        # the magic alone decides: neither byte layout is read
+        p.write_bytes(riff((b"fmt ", fmt_chunk(1, 1, 16, 2)), (b"data", bytes(200)),
+                           magic=encoding.upper().encode()))
+    with pytest.raises(UnsupportedEncodingError):
+        dsp.read_wav(p)
+
+
+PCM16_FMT = fmt_chunk(1, 1, 16, 2)
+
+
+@pytest.mark.parametrize("blob", [
+    b"RIFF\x04\x00\x00\x00AVI ",
+    riff((b"fmt ", PCM16_FMT[:14]), (b"data", bytes(200))),
+    riff((b"data", bytes(200))),
+    riff((b"fmt ", PCM16_FMT), (b"LIST", b"INFO")),
+    riff((b"data", bytes(200)), (b"fmt ", PCM16_FMT)),
+    riff((b"fmt ", fmt_chunk(1, 0, 16, 2)), (b"data", bytes(200))),
+    riff((b"fmt ", fmt_chunk(1, 1, 16, 2, extensible=True)[:38]), (b"data", bytes(200))),
+    riff((b"fmt ", PCM16_FMT[:8] + b"\x01" + PCM16_FMT[9:]), (b"data", bytes(200))),
+    riff((b"fmt ", fmt_chunk(3, 2, 32, 4)), (b"data", bytes(12))),
+    riff((b"fmt ", PCM16_FMT), (b"data", b"")),
+], ids=["bad_magic", "short_fmt", "no_fmt", "no_data", "data_before_fmt", "no_channels",
+        "short_extensible_fmt", "bad_byte_rate", "partial_frame", "no_sample"])
+def test_read_wav_structural_fault_is_malformed(tmp_path, blob):
+    p = tmp_path / "x.wav"
+    p.write_bytes(blob)
+    with pytest.raises(MalformedFileError):
+        dsp.read_wav(p)
+
+
+@pytest.mark.parametrize("dtype", ["<i2", "<f4"])
+def test_read_wav_cut_short_is_malformed(tmp_path, dtype):
+    p = tmp_path / "x.wav"
+    wavfile.write(p, SR, noise_frames(dtype, 2))
+    blob = p.read_bytes()
+    header = blob.index(b"data") + 8
+    for cut in [*range(header), header, header + 1, header + 3,
+                (header + len(blob)) // 2, len(blob) - 1]:
+        p.write_bytes(blob[:cut])
+        with pytest.raises(MalformedFileError):
+            dsp.read_wav(p)
 
 
 def test_frame_energy_constant():
@@ -250,6 +364,31 @@ def test_estimate_f0_independent_of_block_size(monkeypatch):
     for k in (1, 7):
         monkeypatch.setattr(dsp, "F0_BLOCK", k)
         assert np.array_equal(dsp.estimate_f0(w, CFG).values, default)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy import fft
+
+    ns = range(1, 5001)
+    assert [dsp._next_fast_len(n) for n in ns] == [fft.next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+def test_estimate_f0_bits_match_scipy_fft(monkeypatch, sr):
+    from scipy import fft
+
+    # a noisy pitch glide, then a noise burst, so that some frames are unvoiced
+    t = np.arange(int(0.7 * sr)) / sr
+    noise = np.random.default_rng(sr).normal(size=len(t))
+    x = np.where(t < 0.5, 0.4 * np.sin(2 * np.pi * (110 * t + 40 * t**2)) + 0.05 * noise,
+                 0.3 * noise)
+    w = dsp.Waveform(x, sr)
+    f0 = dsp.estimate_f0(w, CFG).values
+    monkeypatch.setattr(np.fft, "rfft", fft.rfft)
+    monkeypatch.setattr(np.fft, "irfft", fft.irfft)
+    monkeypatch.setattr(dsp, "_next_fast_len", partial(fft.next_fast_len, real=True))
+    assert f0.tobytes() == dsp.estimate_f0(w, CFG).values.tobytes()
+    assert 0 < np.mean(f0 > 0) < 1
 
 
 @pytest.mark.parametrize("hops", [1, 2, 3, 5, 7])
