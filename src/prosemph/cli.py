@@ -3,21 +3,26 @@
 Subcommands: validate, label, train, predict, filter, evaluate, condition.
 Each opens one run record once its command line and config file are checked
 and before it reads any input file. Opening it creates --out and deletes the
-last run's manifest.json, failures.json and whole-run results; finishing it
-writes failures.json and a manifest.json recording the effective config hash,
-the seed, the input count, output paths, wall time and peak RSS. Usage errors
-(a bad config file or a missing input directory too) exit 2 and create
-nothing; data errors exit 1 with a per-item report.
+last run's manifest.json, failures.json, whole-run results and per-item
+outputs; finishing it writes failures.json and a manifest.json recording the
+effective config hash, the seed, the input count, output paths, wall time,
+peak RSS and the BLAS kernel. Usage errors (a bad config file or a missing
+input directory too) exit 2 and create nothing; so does a train or condition
+config too large for the machine's memory, though its run record is open by
+then. Data errors, and an item output that cannot be cleared or written,
+exit 1 with a per-item report.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
 import math
 import multiprocessing
+import os
 import resource
 import sys
 import time
@@ -32,7 +37,7 @@ import numpy as np
 from . import conditioning, corpus, metrics, model as model_mod, prominence
 from .codec import U32_LIMIT
 from .embeddings import EMPHASIS_DIM_DEFAULT, SemanticConfig
-from .errors import ProsemphError, describe
+from .errors import OutputWriteError, ProsemphError, describe
 from .graph import build_char_graph
 from .tagset import default_tagset, load_tagset
 
@@ -160,6 +165,76 @@ def _remove(out_dir: Path, names) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
+def _output_error(verb: str, name: str, exc: OSError) -> OutputWriteError:
+    return OutputWriteError(f"cannot {verb} {name}: {exc.strerror or exc}")
+
+
+def _write_item(out_dir: Path, files) -> list[str]:
+    """Write one item's files into out_dir, each (name, save, obj) by
+    save(obj, path); their names. An OSError deletes what the item wrote and
+    becomes its OutputWriteError."""
+    names = []
+    try:
+        for name, save, obj in files:
+            names.append(name)
+            save(obj, out_dir / name)
+    except OSError as exc:
+        for done in names:
+            with contextlib.suppress(OSError):
+                (out_dir / done).unlink(missing_ok=True)
+        raise _output_error("write", name, exc) from exc
+    return names
+
+
+def _check_memory(copies: int, shapes, dims) -> None:
+    """UsageError when `copies` float32 copies of the tensors shapes(**values)
+    need more bytes than the machine's physical memory; runs before anything
+    is drawn. dims maps each config key that sizes them to (argument, value).
+    The error names the key that costs the most: the one that, set to 1,
+    leaves the fewest elements."""
+    values = dict(dims.values())
+
+    def elements(**over):
+        return sum(math.prod(shape) for shape in shapes(**{**values, **over}))
+
+    need = copies * np.dtype(np.float32).itemsize * elements()
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        key = min(dims, key=lambda k: elements(**{dims[k][0]: 1}))
+        raise UsageError(f"config key {key}: the run would hold {copies * elements():,} "
+                         f"float32 values ({need:,} bytes), more than the machine's "
+                         f"{have:,} bytes of memory")
+
+
+def _semantic_key(cfg: RunConfig) -> str:
+    """The config key that sets the semantic dim."""
+    return "semantic.dim" if cfg.semantic.mode == "hash" else "semantic.path"
+
+
+def _blas_core() -> str | None:
+    """The core name of the OpenBLAS this process loaded, which names the
+    kernels its matmuls run; None when no OpenBLAS says."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as f:
+            libs = sorted({ln.split()[-1] for ln in f if "blas" in ln and ".so" in ln})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            dll = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+                    "openblas_get_corename"):
+            fn = getattr(dll, sym, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                return fn().decode("ascii", "replace")
+    return None
+
+
 def _peak_rss_mb() -> float:
     """Peak resident set size so far of this process or of its largest
     finished child (a `--jobs` worker), in MB."""
@@ -171,9 +246,12 @@ class _Run:
     """The record of one command's run. Opening it creates `out` (None: the
     run writes no files) and deletes the last run's manifest.json,
     failures.json and the whole-run `results`, so a run that fails as a whole
-    leaves none of them. An `out` it cannot create or clear is a UsageError."""
+    leaves none of them. An `out` it cannot create or clear is a UsageError.
+    It also deletes <id><suffix> for each of the `ids` and `suffixes`, the
+    items' outputs; an id with one it cannot delete fails with an
+    OutputWriteError, and `each` skips it."""
 
-    def __init__(self, command: str, out, results=()):
+    def __init__(self, command: str, out, results=(), ids=(), suffixes=()):
         self.command, self.out = command, Path(out) if out else None
         self.t0 = time.monotonic()
         self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
@@ -184,6 +262,12 @@ class _Run:
                 _remove(self.out, ["manifest.json", "failures.json", *results])
             except OSError as exc:
                 raise UsageError(f"--out {self.out}: cannot create or clear it ({exc})") from exc
+            for uid in ids:
+                for name in (uid + suffix for suffix in suffixes):
+                    try:
+                        (self.out / name).unlink(missing_ok=True)
+                    except OSError as exc:
+                        self.failures.setdefault(uid, describe(_output_error("clear", name, exc)))
 
     def each(self, ids, work, jobs=1):
         """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
@@ -191,12 +275,13 @@ class _Run:
         The failures are kept, and the warnings of each item are issued here,
         in id order, under this process's filters."""
         attempt = partial(_attempt, work)
+        todo = [uid for uid in ids if uid not in self.failures]
         if jobs > 1:
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
-                outcomes = list(pool.map(attempt, ids))
+                outcomes = list(pool.map(attempt, todo))
         else:
-            outcomes = map(attempt, ids)
+            outcomes = map(attempt, todo)
         results, registry = [], {}
         for uid, result, failure, caught in outcomes:
             for message, category, filename, lineno in caught:
@@ -231,6 +316,7 @@ class _Run:
                     "output_paths": sorted(outputs),
                     "wall_time_sec": time.monotonic() - self.t0,
                     "peak_rss_mb": _peak_rss_mb(),
+                    "blas_core": _blas_core(),
                 }
                 with open(self.out / "manifest.json", "w", encoding="utf-8") as f:
                     json.dump(manifest, f, indent=2)
@@ -278,29 +364,29 @@ def cmd_validate(args) -> int:
     return run.finish({"corpus": str(args.corpus)}, 0, ["validation.json"])
 
 
+def _save_scores(scores, path) -> None:
+    s = np.asarray(scores)
+    with open(path, "w", encoding="utf-8") as f:
+        for i, (raw, zi) in enumerate(zip(s, prominence.standardize(s))):
+            f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
+
+
 def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
     """Label one corpus item into out_dir; the names of the files written."""
-    _remove(out_dir, [f"{uid}.lab.tsv", f"{uid}.scores.tsv"])
     utt = corpus.load_item_utterance(corpus_dir, uid)
     result = prominence.label_utterance(Path(wav_dir) / f"{uid}.wav", utt, cfg)
-    lab_path = out_dir / f"{uid}.lab.tsv"
-    corpus.save_labels(result.labels, lab_path)
-    if not write_scores:
-        return [lab_path.name]
-    s = np.asarray(result.scores)
-    zs = prominence.standardize(s)
-    score_path = out_dir / f"{uid}.scores.tsv"
-    with open(score_path, "w", encoding="utf-8") as f:
-        for i, (raw, zi) in enumerate(zip(s, zs)):
-            f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
-    return [lab_path.name, score_path.name]
+    files = [(f"{uid}.lab.tsv", corpus.save_labels, result.labels)]
+    if write_scores:
+        files.append((f"{uid}.scores.tsv", _save_scores, result.scores))
+    return _write_item(out_dir, files)
 
 
 def cmd_label(args) -> int:
     cfg = _read_config(prominence.ProminenceConfig, args.config)
-    run = _Run("label", args.out)
+    ids = corpus.corpus_ids(args.corpus)
+    run = _Run("label", args.out, ids=ids, suffixes=(".lab.tsv", ".scores.tsv"))
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
-    written = run.each(corpus.corpus_ids(args.corpus), work, args.jobs)
+    written = run.each(ids, work, args.jobs)
     return run.finish(dataclasses.asdict(cfg), 0, [name for names in written for name in names])
 
 
@@ -308,6 +394,13 @@ def cmd_train(args) -> int:
     cfg, load = _model_inputs(args)
     run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
     tagset, provider = load()
+    model_cfg = dataclasses.replace(cfg.model, seed=cfg.seed, semantic_dim=provider.dim)
+    dims = {f"model.{f}": (f, getattr(model_cfg, f))
+            for f in ("hidden_dim", "head_hidden", "pos_dim")}
+    dims[_semantic_key(cfg)] = ("semantic_dim", provider.dim)
+    # the parameters, their gradients and Adam's two moments
+    _check_memory(4, lambda **values: model_mod.param_shapes(
+        dataclasses.replace(model_cfg, **values), tagset).values(), dims)
 
     def labeled(utt, ann):
         # an utterance without labels is left out, not failed
@@ -327,8 +420,7 @@ def cmd_train(args) -> int:
         print("no labeled utterances left to train on", file=sys.stderr)
         run.finish()
         return 1
-    model = model_mod.PredictorModel(tagset, provider, dataclasses.replace(
-        cfg.model, seed=cfg.seed, semantic_dim=provider.dim))
+    model = model_mod.PredictorModel(tagset, provider, model_cfg)
     model_mod.train(model, trn, cfg.train, val_dataset=val,
                     log_path=run.out / "train_log.ldjson")
     model.save(run.out / "model.pemo")
@@ -341,16 +433,17 @@ def cmd_predict(args) -> int:
     # predict deletes every corpus id's labels from --out, the corpus's own included
     if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
-    run = _Run("predict", args.out,
-               [f"{uid}.lab.tsv" for uid in corpus.corpus_ids(args.corpus)])
+    run = _Run("predict", args.out, ids=corpus.corpus_ids(args.corpus), suffixes=(".lab.tsv",))
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     outputs = []
     for lab in model.predict(run.items(args.corpus, tagset,
                                        partial(_example, tagset, provider))):
-        path = run.out / f"{lab.utterance_id}.lab.tsv"
-        corpus.save_labels(lab, path)
-        outputs.append(path.name)
+        uid = lab.utterance_id
+        try:
+            outputs += _write_item(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, lab)])
+        except OutputWriteError as exc:
+            run.failures[uid] = describe(exc)
     return run.finish(dataclasses.asdict(cfg), model.config.seed, outputs)
 
 
@@ -360,8 +453,7 @@ def cmd_filter(args) -> int:
     if Path(args.out).resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
         raise UsageError("filter --out must differ from --corpus and --predicted")
     pseudo_ids = corpus.corpus_ids(pseudo_dir, ".lab.tsv")
-    run = _Run("filter", args.out,
-               ["kept.json", *(f"{uid}.lab.tsv" for uid in pseudo_ids)])
+    run = _Run("filter", args.out, ["kept.json"], pseudo_ids, (".lab.tsv",))
     ids = [uid for uid in pseudo_ids if (pred_dir / f"{uid}.lab.tsv").exists()]
 
     def keep(uid):
@@ -369,7 +461,7 @@ def cmd_filter(args) -> int:
         pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
         if not metrics.filter_by_confidence(pseudo, pred, args.tau):
             return None
-        corpus.save_labels(pseudo, run.out / f"{uid}.lab.tsv")
+        _write_item(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, pseudo)])
         return uid
 
     kept = run.each(ids, keep)
@@ -404,9 +496,12 @@ def cmd_evaluate(args) -> int:
 
 def cmd_condition(args) -> int:
     cfg, load = _model_inputs(args)
-    run = _Run("condition", args.out,
-               [f"{uid}.cond.bin" for uid in corpus.corpus_ids(args.corpus)])
+    run = _Run("condition", args.out, ids=corpus.corpus_ids(args.corpus),
+               suffixes=(".cond.bin",))
     tagset, provider = load()
+    _check_memory(1, partial(conditioning.table_shapes, tagset), {
+        "cond_dim": ("cond_dim", cfg.cond_dim), "emph_dim": ("emph_dim", cfg.emph_dim),
+        _semantic_key(cfg): ("sem_dim", provider.dim)})
     tables = conditioning.draw_tables(tagset, provider.dim, cfg.cond_dim, cfg.emph_dim,
                                       cfg.seed)
 
@@ -421,12 +516,12 @@ def cmd_condition(args) -> int:
                 utt, ann, provider, tables, tagset).astype(np.float32),
             emphasis=conditioning.build_emphasis(lab, tables, utt),
         )
-        path = run.out / f"{utt.id}.cond.bin"
-        conditioning.export_bundle(bundle, path)
-        return path.name
+        return _write_item(run.out, [(f"{utt.id}.cond.bin", conditioning.export_bundle,
+                                      bundle)])
 
     outputs = run.items(args.corpus, tagset, export)
-    return run.finish(dataclasses.asdict(cfg), cfg.seed, outputs)
+    return run.finish(dataclasses.asdict(cfg), cfg.seed,
+                      [name for names in outputs for name in names])
 
 
 # ---------------------------------------------------------------------------

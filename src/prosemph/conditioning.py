@@ -69,15 +69,19 @@ class Tables:
             raise DimMismatchError("emphasis table must have exactly 2 rows")
 
 
+def table_shapes(tagset: Tagset, sem_dim: int, cond_dim: int, emph_dim: int):
+    """The shapes of the `Tables` fields, in their order."""
+    return ((tagset.num_relations, cond_dim), (tagset.num_pos, cond_dim),
+            (2, emph_dim), (sem_dim, cond_dim))
+
+
 def draw_tables(
     tagset: Tagset, sem_dim: int, cond_dim: int, emph_dim: int, seed: int
 ) -> Tables:
     """Each table uniform in [-0.1, 0.1] as float32, the k-th from seed + k."""
-    shapes = ((tagset.num_relations, cond_dim), (tagset.num_pos, cond_dim),
-              (2, emph_dim), (sem_dim, cond_dim))
     return Tables(*(
         np.random.default_rng(seed + k).uniform(-0.1, 0.1, shape).astype(np.float32)
-        for k, shape in enumerate(shapes)
+        for k, shape in enumerate(table_shapes(tagset, sem_dim, cond_dim, emph_dim))
     ))
 
 

@@ -70,3 +70,7 @@ class EmptyDatasetError(ProsemphError):
 
 class UtteranceSetMismatchError(ProsemphError):
     """Predicted and gold label sets cover different utterances."""
+
+
+class OutputWriteError(ProsemphError):
+    """One item's output file cannot be cleared or written."""

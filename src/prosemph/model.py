@@ -125,7 +125,7 @@ def _affine_backward(dy, x, W, gW, gb):
     return dy @ W
 
 
-def _param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]:
+def param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]:
     H, R, K = cfg.hidden_dim, tagset.num_relations, cfg.head_hidden
     shapes = {
         "proj_W": (H, cfg.semantic_dim + cfg.pos_dim), "proj_b": (H,),
@@ -165,10 +165,10 @@ class PredictorModel:
 
     def _init_params(self) -> dict[str, np.ndarray]:
         """Glorot weights, U(-0.1, 0.1) embeddings, zero biases. Drawn in
-        `_param_shapes` order, which the checkpoint bytes depend on."""
+        `param_shapes` order, which the checkpoint bytes depend on."""
         rng = np.random.default_rng(self.config.seed)
         p = {}
-        for name, shape in _param_shapes(self.config, self.tagset).items():
+        for name, shape in param_shapes(self.config, self.tagset).items():
             if name in ("bos", "eos", "pos_table"):
                 p[name] = _uniform(rng, 0.1, shape, self.dtype)
             elif "_b" in name:
@@ -434,7 +434,7 @@ class PredictorModel:
             (ndim,) = r.unpack("<I")
             params[name] = r.floats(r.unpack(f"<{ndim}I"))
         r.done()
-        if {k: v.shape for k, v in params.items()} != _param_shapes(config, tagset):
+        if {k: v.shape for k, v in params.items()} != param_shapes(config, tagset):
             raise r.error("tensor names or shapes do not match the model config")
         # bound to the read tensors without drawing an init to discard
         model = cls.__new__(cls)
@@ -453,15 +453,25 @@ class AdamOptimizer:
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
         self.t = 0
+        # np.zeros: the pages of a slice that step never writes are never mapped
         self.m = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
         self.v = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
+        # per tensor, whether step has updated each of its ADAM_BLOCK slices
+        self.started = {k: [False] * -(-v.size // ADAM_BLOCK) for k, v in params.items()}
 
     def step(self, params, grads):
         """One update, in place and in float32 where the tensors are. Each
         tensor runs the update's elementwise operations, in the same order,
         over ADAM_BLOCK-element slices, so the working set stays in cache
         and no whole-tensor temporary is made; the bits are those of the
-        whole-tensor update. Tensors must be C-contiguous."""
+        whole-tensor update. Tensors must be C-contiguous.
+
+        A slice that no step has updated yet is skipped while its gradient
+        is all zero (-0.0 included), such as a relation's msg_W slice before
+        any batch has an edge of it. That too keeps the bits, for a finite
+        learning rate: its m and v are still +0.0, so the update would leave
+        them +0.0 and subtract +0.0 from p, which keeps every p (-0.0 too).
+        Once updated, a slice is updated at every step, as its moments decay."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
@@ -470,11 +480,16 @@ class AdamOptimizer:
             g = grads[k].reshape(-1, copy=False)
             m = self.m[k].reshape(-1, copy=False)
             v = self.v[k].reshape(-1, copy=False)
+            started = self.started[k]
             n = min(len(p), ADAM_BLOCK)
             upd, den = np.empty(n, p.dtype), np.empty(n, p.dtype)
-            for a in range(0, len(p), ADAM_BLOCK):
+            for i, a in enumerate(range(0, len(p), ADAM_BLOCK)):
                 s = slice(a, a + ADAM_BLOCK)
                 gs, ms, vs = g[s], m[s], v[s]
+                if not started[i]:
+                    if not gs.any():
+                        continue
+                    started[i] = True
                 u, d = upd[: len(gs)], den[: len(gs)]
                 ms *= b1
                 np.multiply(gs, 1 - b1, out=u)

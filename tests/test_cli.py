@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosemph import cli, corpus
+from prosemph import cli, conditioning, corpus
 
 from synth import gen_learnable_corpus, short_audio, synth_utterance, write_wav
 
@@ -628,6 +629,113 @@ def test_out_that_cannot_be_created_or_cleared_is_usage_error(tmp_path, tagset, 
         assert sorted(p.name for p in out.iterdir()) == ["metrics.json"]
 
 
+def _files(d):
+    return {q.name: q.read_bytes() for q in sorted(d.iterdir()) if q.is_file()}
+
+
+@short_audio
+def test_label_item_output_fault_fails_alone(tmp_path, capsys, monkeypatch):
+    c, w, clean, out = tmp_path / "c", tmp_path / "wav", tmp_path / "clean", tmp_path / "out"
+    write_audio_corpus(c, w, count=3)
+    argv = ["label", "--corpus", str(c), "--wav", str(w), "--scores", "--out"]
+    assert cli.main([*argv, str(clean)]) == 0
+    expected = {name: data for name, data in _files(clean).items() if name.startswith("a")}
+    # a directory where a1's labels go cannot be cleared
+    (out / "a1.lab.tsv").mkdir(parents=True)
+    assert cli.main([*argv, str(out)]) == 1
+    assert json.loads((out / "failures.json").read_text()) == [
+        {"utterance_id": "a1", "error": "OutputWriteError: cannot clear a1.lab.tsv: "
+                                        "Is a directory"}]
+    assert "Traceback" not in capsys.readouterr().err
+    assert {n: d for n, d in _files(out).items() if n.startswith("a")} == {
+        n: d for n, d in expected.items() if not n.startswith("a1.")}
+    # a write that fails takes the item's files already written with it
+    (out / "a1.lab.tsv").rmdir()
+    real = cli._save_scores
+
+    def save_scores(scores, path):
+        if path.name.startswith("a1."):
+            raise OSError(28, "No space left on device")
+        real(scores, path)
+
+    monkeypatch.setattr(cli, "_save_scores", save_scores)
+    assert cli.main([*argv, str(out)]) == 1
+    assert json.loads((out / "failures.json").read_text()) == [
+        {"utterance_id": "a1", "error": "OutputWriteError: cannot write a1.scores.tsv: "
+                                        "No space left on device"}]
+    assert {n: d for n, d in _files(out).items() if n.startswith("a")} == {
+        n: d for n, d in expected.items() if not n.startswith("a1.")}
+
+
+@pytest.mark.parametrize("command, module, writer, suffix", [
+    ("predict", corpus, "save_labels", ".lab.tsv"),
+    ("filter", corpus, "save_labels", ".lab.tsv"),
+    ("condition", conditioning, "export_bundle", ".cond.bin"),
+], ids=["predict", "filter", "condition"])
+def test_item_output_that_cannot_be_written_fails_alone(tmp_path, tagset, capsys,
+                                                        monkeypatch, command, module,
+                                                        writer, suffix):
+    # the suite runs as root, which no file mode stops, so the writer raises
+    c, clean, out = tmp_path / "corpus", tmp_path / "clean", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    argv = [command, "--corpus", str(c)]
+    if command == "filter":
+        _predicted_copy(c, tmp_path / "pred")
+        argv += ["--predicted", str(tmp_path / "pred")]
+    else:
+        argv += ["--config", str(small_train_config(tmp_path / "cfg.json"))]
+    if command == "predict":
+        save_small_model(tagset, tmp_path / "m.pemo")
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    assert cli.main([*argv, "--out", str(clean)]) == 0
+    expected = {f"u000{i}{suffix}": (clean / f"u000{i}{suffix}").read_bytes()
+                for i in (0, 2)}
+    real = getattr(module, writer)
+
+    def fails_for_u0001(obj, path):
+        real(obj, path)
+        if path.name.startswith("u0001."):  # after writing part of the file
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(module, writer, fails_for_u0001)
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    assert json.loads((out / "failures.json").read_text()) == [
+        {"utterance_id": "u0001",
+         "error": f"OutputWriteError: cannot write u0001{suffix}: No space left on device"}]
+    assert "Traceback" not in capsys.readouterr().err
+    assert {q.name: q.read_bytes() for q in sorted(out.glob(f"*{suffix}"))} == expected
+
+
+@pytest.mark.parametrize("command, bad, key", [
+    # the README default model: 4 float32 copies of 11.18M parameters
+    ("train", {}, "model.hidden_dim"),
+    ("train", {"semantic": {"dim": 2**24}}, "semantic.dim"),
+    ("condition", {"cond_dim": 2**20}, "cond_dim"),
+    ("condition", {"semantic": {"dim": 2**26}}, "semantic.dim"),
+])
+def test_config_too_large_for_the_memory_is_usage_error(tmp_path, tagset, capsys,
+                                                        monkeypatch, command, bad, key):
+    c, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+    write_labeled_corpus(c, tagset, count=2)
+    cfg.write_text(json.dumps(bad))
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**14}  # 64 MiB
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+
+    def allocates(*args, **kwargs):
+        raise AssertionError("numpy allocated before the size check")
+
+    for name in ("empty", "zeros", "ones"):
+        monkeypatch.setattr(np, name, allocates)
+    monkeypatch.setattr(np.random, "default_rng", allocates)
+    assert cli.main([command, "--corpus", str(c), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    line = _usage_error_line(capsys)
+    assert line.startswith(f"error: config key {key}: the run would hold ")
+    assert line.endswith("more than the machine's 67,108,864 bytes of memory")
+    # the run record was open: --out exists, with no manifest.json or failures.json
+    assert list(out.iterdir()) == []
+
+
 def test_repaired_rerun_clears_failures(tmp_path, tagset):
     c, out = tmp_path / "corpus", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
@@ -829,6 +937,77 @@ def test_train_golden_bytes(tmp_path, tagset):
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                for name in TRAIN_GOLDEN}
     assert digests == TRAIN_GOLDEN
+
+
+def _dense_adam_step(self, params, grads):
+    """AdamOptimizer.step as it was before it skipped untouched slices."""
+    from prosemph.model import ADAM_BLOCK
+
+    self.t += 1
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    c1, c2 = 1 - b1**self.t, 1 - b2**self.t
+    for k in params:
+        p = params[k].reshape(-1, copy=False)
+        g = grads[k].reshape(-1, copy=False)
+        m = self.m[k].reshape(-1, copy=False)
+        v = self.v[k].reshape(-1, copy=False)
+        n = min(len(p), ADAM_BLOCK)
+        upd, den = np.empty(n, p.dtype), np.empty(n, p.dtype)
+        for a in range(0, len(p), ADAM_BLOCK):
+            s = slice(a, a + ADAM_BLOCK)
+            gs, ms, vs = g[s], m[s], v[s]
+            u, d = upd[: len(gs)], den[: len(gs)]
+            ms *= b1
+            np.multiply(gs, 1 - b1, out=u)
+            ms += u
+            np.multiply(gs, 1 - b2, out=d)
+            d *= gs
+            vs *= b2
+            vs += d
+            np.divide(ms, c1, out=u)
+            u *= self.lr
+            np.divide(vs, c2, out=d)
+            np.sqrt(d, out=d)
+            d += eps
+            u /= d
+            p[s] -= u
+
+
+def test_train_skipping_untouched_slices_writes_the_dense_bytes(tmp_path, tagset,
+                                                                monkeypatch):
+    """At hidden_dim 128 each msg_W slice of ADAM_BLOCK elements holds two
+    relations in both directions, so IOB/FOB, LAD/RAD and IS/WP fill slices
+    that no item of write_labeled_corpus has an edge of. Adam skips them, and
+    the checkpoint and log are those of the dense update, byte for byte: both
+    runs use the same BLAS kernels, so this holds on any of them."""
+    from prosemph import model as M
+
+    c = tmp_path / "c"
+    write_labeled_corpus(c, tagset, count=16)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "val_fraction": 0.25,
+        "model": {"hidden_dim": 128, "num_iterations": 2, "head_hidden": 8},
+        "train": {"epochs": 2, "learning_rate": 1e-3, "batch_size": 4, "seed": 1},
+        "semantic": {"mode": "hash", "dim": 16, "seed": 2},
+    }))
+    skipped, step = [], M.AdamOptimizer.step
+
+    def counting_step(self, params, grads):
+        step(self, params, grads)
+        skipped.append([i for i, done in enumerate(self.started["msg_W"]) if not done])
+
+    written = {}
+    for name, fn in (("skip", counting_step), ("dense", _dense_adam_step)):
+        monkeypatch.setattr(M.AdamOptimizer, "step", fn)
+        assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        written[name] = {f: (tmp_path / name / f).read_bytes()
+                         for f in ("model.pemo", "train_log.ldjson")}
+    assert M.ADAM_BLOCK == 4 * 128 * 128
+    # at every step: the slices of IOB/FOB, LAD/RAD and IS/WP
+    assert skipped and all(ids == [1, 5, 6] for ids in skipped)
+    assert written["skip"] == written["dense"]
 
 
 # sha256 of every <id>.lab.tsv `predict` writes for the run below, recorded
@@ -1256,10 +1435,14 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
         assert cli.main(line.split()) == 0, line
         manifest = json.loads((tmp_path / line.split()[-1] / "manifest.json").read_text())
         assert set(manifest) == {"command", "config_hash", "seed", "input_count",
-                                 "output_paths", "wall_time_sec", "peak_rss_mb"}
+                                 "output_paths", "wall_time_sec", "peak_rss_mb",
+                                 "blas_core"}
         assert manifest["peak_rss_mb"] > 0
-        recorded[command] = manifest["command"], manifest["input_count"]
-    assert recorded == {command: (command, 4) for command in chain}
+        # the OpenBLAS core name, such as "SkylakeX", or null without OpenBLAS
+        assert manifest["blas_core"] is None or manifest["blas_core"].isprintable()
+        recorded[command] = manifest["command"], manifest["input_count"], manifest["blas_core"]
+    core = recorded["validate"][2]
+    assert recorded == {command: (command, 4, core) for command in chain}
 
 
 def test_validate_out_follows_the_run_rule(tmp_path, tagset, capsys):

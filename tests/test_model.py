@@ -340,7 +340,7 @@ def test_load_draws_no_init(tagset, tmp_path, monkeypatch):
 def test_init_params_match_whole_tensor_draws(tagset):
     """The blocked draws give the whole-tensor rng.uniform(...).astype bits."""
     cfg = M.ModelConfig(hidden_dim=64, head_hidden=8, semantic_dim=8, seed=5)
-    shapes = M._param_shapes(cfg, tagset)
+    shapes = M.param_shapes(cfg, tagset)
     assert any(math.prod(s) > M.INIT_BLOCK and math.prod(s) % M.INIT_BLOCK
                for s in shapes.values())
     params = M.PredictorModel(tagset, embeddings.hash_provider(dim=8), cfg).params
@@ -477,13 +477,20 @@ def test_prebuilt_graph_is_the_graph_built_on_demand(tagset):
 
 
 def test_adam_in_place_step_is_bit_identical():
-    """Three steps of the in-place update against the plain formula."""
+    """Three steps of the in-place update against the plain formula, bit for
+    bit (-0.0 too). "e" has four ADAM_BLOCK slices: the first gets a
+    gradient at every step, the second none at step 1, the third none at any
+    step, with -0.0 among its zeros and its parameters, and the fourth one
+    at step 1 only. step skips a slice until it gets a gradient, which must
+    not change a bit, and never skips it again."""
     rng = np.random.default_rng(4)
     # "d" spans more than one ADAM_BLOCK and ends in a partial block
-    shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4), "d": (3, M.ADAM_BLOCK // 2 + 7)}
+    shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4), "d": (3, M.ADAM_BLOCK // 2 + 7),
+              "e": (4, M.ADAM_BLOCK)}
     assert math.prod(shapes["d"]) > M.ADAM_BLOCK
     assert math.prod(shapes["d"]) % M.ADAM_BLOCK
     params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+    params["e"][2, ::5] = -0.0
     ref = {k: v.copy() for k, v in params.items()}
     ref_m = {k: np.zeros_like(v) for k, v in params.items()}
     ref_v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -491,14 +498,22 @@ def test_adam_in_place_step_is_bit_identical():
     b1, b2, lr, eps = 0.9, 0.999, 1e-2, 1e-8
     for t in range(1, 4):
         grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+        if t == 1:
+            grads["e"][1] = 0.0
+        grads["e"][2] = 0.0
+        grads["e"][2, ::3] = -0.0
+        if t > 1:
+            grads["e"][3] = 0.0
         opt.step(params, grads)
+        assert opt.started["e"] == [True, t > 1, False, True]
         for k, g in grads.items():
             ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
             ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
             mhat = ref_m[k] / (1 - b1**t)
             vhat = ref_v[k] / (1 - b2**t)
             ref[k] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(ref[k].dtype)
+    assert np.signbit(params["e"][2, ::5]).all()
     for k in shapes:
-        assert np.array_equal(params[k], ref[k])
-        assert np.array_equal(opt.m[k], ref_m[k])
-        assert np.array_equal(opt.v[k], ref_v[k])
+        assert params[k].tobytes() == ref[k].tobytes()
+        assert opt.m[k].tobytes() == ref_m[k].tobytes()
+        assert opt.v[k].tobytes() == ref_v[k].tobytes()
