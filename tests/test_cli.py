@@ -649,6 +649,8 @@ def test_label_item_output_fault_fails_alone(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in capsys.readouterr().err
     assert {n: d for n, d in _files(out).items() if n.startswith("a")} == {
         n: d for n, d in expected.items() if not n.startswith("a1.")}
+    assert json.loads((out / "manifest.json").read_text())["output_paths"] == sorted(
+        n for n in expected if not n.startswith("a1."))
     # a write that fails takes the item's files already written with it
     (out / "a1.lab.tsv").rmdir()
     real = cli._save_scores
@@ -665,6 +667,8 @@ def test_label_item_output_fault_fails_alone(tmp_path, capsys, monkeypatch):
                                         "No space left on device"}]
     assert {n: d for n, d in _files(out).items() if n.startswith("a")} == {
         n: d for n, d in expected.items() if not n.startswith("a1.")}
+    assert json.loads((out / "manifest.json").read_text())["output_paths"] == sorted(
+        n for n in expected if not n.startswith("a1."))
 
 
 @pytest.mark.parametrize("command, module, writer, suffix", [
@@ -1441,6 +1445,10 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
         # the OpenBLAS core name, such as "SkylakeX", or null without OpenBLAS
         assert manifest["blas_core"] is None or manifest["blas_core"].isprintable()
         recorded[command] = manifest["command"], manifest["input_count"], manifest["blas_core"]
+        # every file the run wrote, but for the two that record the run itself
+        out = tmp_path / line.split()[-1]
+        assert manifest["output_paths"] == sorted(
+            p.name for p in out.iterdir() if p.name not in ("manifest.json", "failures.json"))
     core = recorded["validate"][2]
     assert recorded == {command: (command, 4, core) for command in chain}
 
@@ -1461,3 +1469,7 @@ def test_validate_out_follows_the_run_rule(tmp_path, tagset, capsys):
         "failures.json", "manifest.json", "validation.json"]
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["u0001"]
+    assert json.loads((out / "validation.json").read_text()) == [
+        {"utterance_id": uid, "ok": uid != "u0001",
+         "failure": failures[0]["error"] if uid == "u0001" else None}
+        for uid in ("u0000", "u0001", "u0002")]
