@@ -4,13 +4,14 @@ Subcommands: validate, label, train, predict, filter, evaluate, condition.
 Each opens one run record once its command line and config file are checked
 and before it reads any input file. Opening it creates --out and deletes the
 last run's manifest.json, failures.json, whole-run results and per-item
-outputs; finishing it writes failures.json and a manifest.json recording the
-effective config hash, the seed, the input count, output paths, wall time,
-peak RSS and the BLAS kernel. Usage errors (a bad config file or a missing
-input directory too) exit 2 and create nothing; so does a train or condition
-config too large for the machine's memory, though its run record is open by
-then. Data errors, and an item output that cannot be cleared or written,
-exit 1 with a per-item report.
+outputs; finishing it writes failures.json, then a manifest.json recording the
+effective config hash, the seed, the input count, the files the run wrote,
+wall time, peak RSS and the BLAS kernel. Usage errors (a bad config file or a
+missing input directory too) exit 2 and create nothing; so does a train or
+condition config too large for the machine's memory, though its run record is
+open by then. Data errors, and an item output that cannot be cleared or
+written, exit 1 with a per-item report; a whole-run file that cannot be
+written exits 1 with one error line, and the run writes no manifest.json.
 """
 
 from __future__ import annotations
@@ -157,22 +158,13 @@ def _attempt(work, uid):
     return uid, *outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]
 
 
-def _remove(out_dir: Path, names) -> None:
-    """Delete the named files from out_dir, so that a run leaves none of an
-    earlier run's outputs that it does not write again. Never a glob:
-    out_dir may be a corpus directory."""
-    for name in names:
-        (out_dir / name).unlink(missing_ok=True)
-
-
 def _output_error(verb: str, name: str, exc: OSError) -> OutputWriteError:
     return OutputWriteError(f"cannot {verb} {name}: {exc.strerror or exc}")
 
 
-def _write_item(out_dir: Path, files) -> list[str]:
-    """Write one item's files into out_dir, each (name, save, obj) by
-    save(obj, path); their names. An OSError deletes what the item wrote and
-    becomes its OutputWriteError."""
+def _write_files(out_dir: Path, files) -> None:
+    """Write files into out_dir, each (name, save, obj) by save(obj, path). An
+    OSError deletes what this call wrote and becomes an OutputWriteError."""
     names = []
     try:
         for name, save, obj in files:
@@ -183,7 +175,13 @@ def _write_item(out_dir: Path, files) -> list[str]:
             with contextlib.suppress(OSError):
                 (out_dir / done).unlink(missing_ok=True)
         raise _output_error("write", name, exc) from exc
-    return names
+
+
+def _save_json(obj, path) -> None:
+    """The one format of every JSON file a run writes: indent 2, ASCII, no
+    final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2)
 
 
 def _check_memory(copies: int, shapes, dims) -> None:
@@ -242,6 +240,9 @@ def _peak_rss_mb() -> float:
                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)) / 1024
 
 
+_RECORDS = ("manifest.json", "failures.json")  # the files that record a run itself
+
+
 class _Run:
     """The record of one command's run. Opening it creates `out` (None: the
     run writes no files) and deletes the last run's manifest.json,
@@ -249,25 +250,29 @@ class _Run:
     leaves none of them. An `out` it cannot create or clear is a UsageError.
     It also deletes <id><suffix> for each of the `ids` and `suffixes`, the
     items' outputs; an id with one it cannot delete fails with an
-    OutputWriteError, and `each` skips it."""
+    OutputWriteError, and `each` skips it. Never a glob: `out` may be a
+    corpus directory."""
 
     def __init__(self, command: str, out, results=(), ids=(), suffixes=()):
         self.command, self.out = command, Path(out) if out else None
         self.t0 = time.monotonic()
         self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
         self.input_count = 0
+        # each file the run may write: {name: the id it belongs to, None for the run}
+        self.outputs = {**dict.fromkeys(results),
+                        **{uid + suffix: uid for uid in ids for suffix in suffixes}}
         if self.out:
             try:
                 self.out.mkdir(parents=True, exist_ok=True)
-                _remove(self.out, ["manifest.json", "failures.json", *results])
-            except OSError as exc:
-                raise UsageError(f"--out {self.out}: cannot create or clear it ({exc})") from exc
-            for uid in ids:
-                for name in (uid + suffix for suffix in suffixes):
+                for name, uid in {**dict.fromkeys(_RECORDS), **self.outputs}.items():
                     try:
                         (self.out / name).unlink(missing_ok=True)
                     except OSError as exc:
+                        if uid is None:
+                            raise
                         self.failures.setdefault(uid, describe(_output_error("clear", name, exc)))
+            except OSError as exc:
+                raise UsageError(f"--out {self.out}: cannot create or clear it ({exc})") from exc
 
     def each(self, ids, work, jobs=1):
         """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
@@ -298,31 +303,31 @@ class _Run:
         return self.each(corpus.corpus_ids(corpus_dir),
                          lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
-    def finish(self, config=None, seed=0, outputs=()) -> int:
+    def finish(self, config=None, seed=0) -> int:
         """Print the failed items and write them ([] if none) to failures.json,
-        and, given the run's effective config, manifest.json; the exit code."""
+        then, given the run's effective config, manifest.json; the exit code.
+        The manifest lists each file the run cleared at opening that exists
+        now and belongs to no failed item: a failed item's write is undone."""
         report = [{"utterance_id": uid, "error": self.failures[uid]}
                   for uid in sorted(self.failures)]
         for item in report:
             print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
         if self.out:
+            _write_files(self.out, [("failures.json", _save_json, report)])
             if config is not None:
                 blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
-                manifest = {
+                _write_files(self.out, [("manifest.json", _save_json, {
                     "command": self.command,
                     "config_hash": hashlib.sha256(blob).hexdigest(),
                     "seed": seed,
                     "input_count": self.input_count,
-                    "output_paths": sorted(outputs),
+                    "output_paths": sorted(
+                        name for name, uid in self.outputs.items()
+                        if uid not in self.failures and (self.out / name).exists()),
                     "wall_time_sec": time.monotonic() - self.t0,
                     "peak_rss_mb": _peak_rss_mb(),
                     "blas_core": _blas_core(),
-                }
-                with open(self.out / "manifest.json", "w", encoding="utf-8") as f:
-                    json.dump(manifest, f, indent=2)
-                    f.write("\n")
-            with open(self.out / "failures.json", "w", encoding="utf-8") as f:
-                json.dump(report, f, indent=2)
+                })])
         return 1 if report else 0
 
 
@@ -357,11 +362,10 @@ def cmd_validate(args) -> int:
         print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
     print(f"{len(passed)} pass, {len(failures)} fail")
     if run.out:
-        entries = [{"utterance_id": uid, "ok": uid not in failures,
-                    "failure": failures.get(uid)} for uid in ids]
-        with open(run.out / "validation.json", "w", encoding="utf-8") as f:
-            json.dump(entries, f, ensure_ascii=False, indent=2)
-    return run.finish({"corpus": str(args.corpus)}, 0, ["validation.json"])
+        _write_files(run.out, [("validation.json", _save_json, [
+            {"utterance_id": uid, "ok": uid not in failures, "failure": failures.get(uid)}
+            for uid in ids])])
+    return run.finish({"corpus": str(args.corpus)}, 0)
 
 
 def _save_scores(scores, path) -> None:
@@ -371,14 +375,14 @@ def _save_scores(scores, path) -> None:
             f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
 
 
-def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid):
-    """Label one corpus item into out_dir; the names of the files written."""
+def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid) -> None:
+    """Label one corpus item into out_dir."""
     utt = corpus.load_item_utterance(corpus_dir, uid)
     result = prominence.label_utterance(Path(wav_dir) / f"{uid}.wav", utt, cfg)
     files = [(f"{uid}.lab.tsv", corpus.save_labels, result.labels)]
     if write_scores:
         files.append((f"{uid}.scores.tsv", _save_scores, result.scores))
-    return _write_item(out_dir, files)
+    _write_files(out_dir, files)
 
 
 def cmd_label(args) -> int:
@@ -386,8 +390,8 @@ def cmd_label(args) -> int:
     ids = corpus.corpus_ids(args.corpus)
     run = _Run("label", args.out, ids=ids, suffixes=(".lab.tsv", ".scores.tsv"))
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
-    written = run.each(ids, work, args.jobs)
-    return run.finish(dataclasses.asdict(cfg), 0, [name for names in written for name in names])
+    run.each(ids, work, args.jobs)
+    return run.finish(dataclasses.asdict(cfg), 0)
 
 
 def cmd_train(args) -> int:
@@ -421,11 +425,12 @@ def cmd_train(args) -> int:
         run.finish()
         return 1
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    model_mod.train(model, trn, cfg.train, val_dataset=val,
-                    log_path=run.out / "train_log.ldjson")
-    model.save(run.out / "model.pemo")
-    return run.finish(dataclasses.asdict(cfg), cfg.train.seed,
-                      ["model.pemo", "train_log.ldjson"])
+    # train writes its log as it goes, one record per epoch
+    _write_files(run.out, [
+        ("train_log.ldjson", lambda m, path: model_mod.train(
+            m, trn, cfg.train, val_dataset=val, log_path=path), model),
+        ("model.pemo", model_mod.PredictorModel.save, model)])
+    return run.finish(dataclasses.asdict(cfg), cfg.train.seed)
 
 
 def cmd_predict(args) -> int:
@@ -436,15 +441,14 @@ def cmd_predict(args) -> int:
     run = _Run("predict", args.out, ids=corpus.corpus_ids(args.corpus), suffixes=(".lab.tsv",))
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
-    outputs = []
     for lab in model.predict(run.items(args.corpus, tagset,
                                        partial(_example, tagset, provider))):
         uid = lab.utterance_id
         try:
-            outputs += _write_item(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, lab)])
+            _write_files(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, lab)])
         except OutputWriteError as exc:
             run.failures[uid] = describe(exc)
-    return run.finish(dataclasses.asdict(cfg), model.config.seed, outputs)
+    return run.finish(dataclasses.asdict(cfg), model.config.seed)
 
 
 def cmd_filter(args) -> int:
@@ -461,15 +465,13 @@ def cmd_filter(args) -> int:
         pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
         if not metrics.filter_by_confidence(pseudo, pred, args.tau):
             return None
-        _write_item(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, pseudo)])
+        _write_files(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, pseudo)])
         return uid
 
     kept = run.each(ids, keep)
-    with open(run.out / "kept.json", "w", encoding="utf-8") as f:
-        json.dump(kept, f, indent=2)
+    _write_files(run.out, [("kept.json", _save_json, kept)])
     print(f"kept {len(kept)} of {len(ids)}")
-    return run.finish({"tau": args.tau}, 0,
-                      ["kept.json"] + [f"{uid}.lab.tsv" for uid in kept])
+    return run.finish({"tau": args.tau}, 0)
 
 
 def cmd_evaluate(args) -> int:
@@ -487,11 +489,9 @@ def cmd_evaluate(args) -> int:
     pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
     m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                                             {uid: g for uid, g, _ in pairs}))
-    with open(run.out / "metrics.json", "w", encoding="utf-8") as f:
-        json.dump(m, f, indent=2)
-        f.write("\n")
+    _write_files(run.out, [("metrics.json", _save_json, m)])
     print(json.dumps(m))
-    return run.finish({}, 0, ["metrics.json"])
+    return run.finish({}, 0)
 
 
 def cmd_condition(args) -> int:
@@ -509,19 +509,17 @@ def cmd_condition(args) -> int:
         # an utterance without labels is left out, not failed
         lab = _item_labels(args.labels or args.corpus, utt)
         if lab is None:
-            return None
+            return
         bundle = conditioning.ConditioningBundle(
             utterance_id=utt.id,
             linguistic=conditioning.build_linguistic(
                 utt, ann, provider, tables, tagset).astype(np.float32),
             emphasis=conditioning.build_emphasis(lab, tables, utt),
         )
-        return _write_item(run.out, [(f"{utt.id}.cond.bin", conditioning.export_bundle,
-                                      bundle)])
+        _write_files(run.out, [(f"{utt.id}.cond.bin", conditioning.export_bundle, bundle)])
 
-    outputs = run.items(args.corpus, tagset, export)
-    return run.finish(dataclasses.asdict(cfg), cfg.seed,
-                      [name for names in outputs for name in names])
+    run.items(args.corpus, tagset, export)
+    return run.finish(dataclasses.asdict(cfg), cfg.seed)
 
 
 # ---------------------------------------------------------------------------

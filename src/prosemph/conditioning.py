@@ -59,15 +59,6 @@ class Tables:
     emph: np.ndarray  # [2 x emph_dim]
     projection: np.ndarray  # [sem_dim x cond_dim]
 
-    def __post_init__(self):
-        if not self.rel.shape[1] == self.pos.shape[1] == self.projection.shape[1]:
-            raise DimMismatchError(
-                f"relation, POS and projection widths {self.rel.shape[1]}, "
-                f"{self.pos.shape[1]}, {self.projection.shape[1]} differ"
-            )
-        if self.emph.shape[0] != 2:
-            raise DimMismatchError("emphasis table must have exactly 2 rows")
-
 
 def table_shapes(tagset: Tagset, sem_dim: int, cond_dim: int, emph_dim: int):
     """The shapes of the `Tables` fields, in their order."""

@@ -73,4 +73,5 @@ class UtteranceSetMismatchError(ProsemphError):
 
 
 class OutputWriteError(ProsemphError):
-    """One item's output file cannot be cleared or written."""
+    """An output file cannot be cleared or written: an item's fails that item,
+    a whole-run file (a result, failures.json, manifest.json) the run."""

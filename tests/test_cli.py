@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -710,6 +712,47 @@ def test_item_output_that_cannot_be_written_fails_alone(tmp_path, tagset, capsys
     assert {q.name: q.read_bytes() for q in sorted(out.glob(f"*{suffix}"))} == expected
 
 
+@pytest.mark.parametrize("command, name, left", [
+    ("train", "train_log.ldjson", []),
+    ("train", "model.pemo", []),  # the log goes with the checkpoint
+    ("validate", "validation.json", []),
+    ("filter", "kept.json", ["u0000.lab.tsv", "u0001.lab.tsv", "u0002.lab.tsv"]),
+    ("evaluate", "metrics.json", []),
+    ("evaluate", "failures.json", ["metrics.json"]),
+    ("evaluate", "manifest.json", ["failures.json", "metrics.json"]),
+])
+def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset, capsys,
+                                                               monkeypatch, command, name,
+                                                               left):
+    # the suite runs as root, which no file mode stops, so open raises once the
+    # file has begun: a full disk
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    argv = {
+        "train": ["--corpus", str(c), "--config", str(small_train_config(tmp_path / "c.json"))],
+        "validate": ["--corpus", str(c)],
+        "filter": ["--corpus", str(c), "--predicted", str(pred)],
+        "evaluate": ["--predicted", str(pred), "--gold", str(c)],
+    }[command]
+    real_open = open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        if "w" in mode and Path(file).name == name:
+            with real_open(file, mode, *args, **kwargs) as f:
+                f.write(b"P" if "b" in mode else "{")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", full_disk_open)
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    monkeypatch.undo()
+    assert _usage_error_line(capsys) == (
+        f"error: OutputWriteError: cannot write {name}: No space left on device")
+    # neither a partial file nor a manifest.json
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
 @pytest.mark.parametrize("command, bad, key", [
     # the README default model: 4 float32 copies of 11.18M parameters
     ("train", {}, "model.hidden_dim"),
@@ -905,27 +948,44 @@ def test_condition_golden_bytes(tmp_path, tagset):
     assert digests == COND_GOLDEN
 
 
-# sha256 of model.pemo and train_log.ldjson `train` writes for the run below,
-# recorded before the GGNN backward was folded into one routine per operation
+# sha256 of model.pemo and train_log.ldjson `train` writes for the run below, by
+# the OpenBLAS core name (cli._blas_core) of the kernels that ran it: each family
+# sums its float32 matmuls in its own order. SkylakeX was recorded before the
+# GGNN backward was folded into one routine per operation, the others with
+# OpenBLAS 0.3.31 forced by OPENBLAS_CORETYPE (Zen reports Haswell, Prescott Katmai).
 TRAIN_GOLDEN = {
-    "model.pemo": "72ba999a04512885689fdc1fb92f2ace52a726dbb08c9cc71465228aa5dcfdac",
-    "train_log.ldjson": "b89525f831056592ed95a309246fd1b5955185a1732ebd7d89bfb6fce7bcc5c1",
+    "SkylakeX": {
+        "model.pemo": "72ba999a04512885689fdc1fb92f2ace52a726dbb08c9cc71465228aa5dcfdac",
+        "train_log.ldjson": "b89525f831056592ed95a309246fd1b5955185a1732ebd7d89bfb6fce7bcc5c1",
+    },
+    "Haswell": {
+        "model.pemo": "556e880aa7a2328a3d34c3052a67fcb691256fd30e1205d870320b5ea2c6e9e7",
+        "train_log.ldjson": "ffc6811ca4bd214ad06fd7e59ac398b703abb3cb2982ca6aab4ae54d717f0d4d",
+    },
+    "Sandybridge": {
+        "model.pemo": "2c0fe89a49bc3aaf4600e73c3c7470a8d739a6fd74ccd97e14579ec398bbe1c0",
+        "train_log.ldjson": "9a5ede335ffb10de0e6691d579f5bbad71d5c1b683d9f7b743ff4405de0122cc",
+    },
+    "Nehalem": {
+        "model.pemo": "30ef234251f4b30bd9020331547587562d35062541ba811163fd060eee2a380d",
+        "train_log.ldjson": "94df7668acbc40bd68d1c12eff31b52c77aed0e64795ba3f5ca824b1cfbb4090",
+    },
+    "Katmai": {
+        "model.pemo": "35cfe85b895a5e0edb11c7621befe992dadfa64c4e9cfc6356b3123f62999b66",
+        "train_log.ldjson": "eed090d7c9cc3fa34bc4b1c8908a5a9ab5035d66b030cc88750e76299ab70ad4",
+    },
 }
+# its epoch losses and validation F-scores, on any kernel: the losses of the five
+# families above spread by under 2e-7 of their value
+TRAIN_LOSSES = [0.9909037485365207, 0.8483551810951978, 0.73971383008612]
+TRAIN_LOSS_RTOL = 1e-5
+TRAIN_VAL_F = [0.32876712328767127, 0.34374999999999994, 0.4067796610169491]
 
 
-def test_train_golden_bytes(tmp_path, tagset):
-    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
-    msg_W has 147,456 elements, three ADAM_BLOCK slices, and val_fraction
-    puts the validation metrics in the log. Like the other golden tests, the
-    digests depend on the BLAS kernels numpy runs: OpenBLAS picks its matmul
-    kernels by size and CPU, so another BLAS or CPU may give other bytes."""
-    import hashlib
-
-    from prosemph import embeddings, model as M
-
-    c, out = tmp_path / "c", tmp_path / "out"
+def _train_golden_run(d, tagset) -> Path:
+    """The train run of test_train_golden_bytes, in d; its --out."""
+    c, out, cfg = d / "c", d / "out", d / "cfg.json"
     write_labeled_corpus(c, tagset, count=40)
-    cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "val_fraction": 0.25, "seed": 3,
         "model": {"hidden_dim": 64, "num_iterations": 3, "head_hidden": 16},
@@ -934,13 +994,34 @@ def test_train_golden_bytes(tmp_path, tagset):
     }))
     assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
                      "--out", str(out)]) == 0
+    return out
+
+
+def _digests(paths) -> dict:
+    import hashlib
+
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+def test_train_golden_bytes(tmp_path, tagset):
+    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
+    msg_W has 147,456 elements, three ADAM_BLOCK slices, and val_fraction
+    puts the validation metrics in the log. The digests hold for one OpenBLAS
+    core family; on any kernel the epoch losses stay within TRAIN_LOSS_RTOL."""
+    from prosemph import embeddings, model as M
+
+    out = _train_golden_run(tmp_path, tagset)
     msg_W = M.PredictorModel.load(out / "model.pemo", tagset,
                                   embeddings.hash_provider(dim=16, seed=2)).params["msg_W"]
     assert 2 * M.ADAM_BLOCK < msg_W.size <= 3 * M.ADAM_BLOCK
-    assert "val_f" in json.loads((out / "train_log.ldjson").read_text().splitlines()[-1])
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in TRAIN_GOLDEN}
-    assert digests == TRAIN_GOLDEN
+    log = [json.loads(line) for line in (out / "train_log.ldjson").read_text().splitlines()]
+    assert [rec["loss"] for rec in log] == pytest.approx(TRAIN_LOSSES, rel=TRAIN_LOSS_RTOL)
+    assert [rec["val_f"] for rec in log] == TRAIN_VAL_F
+    core = cli._blas_core()
+    if core not in TRAIN_GOLDEN:
+        pytest.skip(f"no train digests recorded for BLAS core {core}")
+    assert _digests(out / name for name in ("model.pemo", "train_log.ldjson")) == (
+        TRAIN_GOLDEN[core])
 
 
 def _dense_adam_step(self, params, grads):
@@ -1014,9 +1095,11 @@ def test_train_skipping_untouched_slices_writes_the_dense_bytes(tmp_path, tagset
     assert written["skip"] == written["dense"]
 
 
-# sha256 of every <id>.lab.tsv `predict` writes for the run below, recorded
-# before hash-mode semantic rows were memoized per character
-PREDICT_GOLDEN = {
+# sha256 of every <id>.lab.tsv `predict` writes for the run below, by OpenBLAS
+# core name as TRAIN_GOLDEN. SkylakeX was recorded before hash-mode semantic
+# rows were memoized per character; on the other families u0002's row 7
+# confidence reads 0.510306, not 0.510307.
+_PREDICT_SKYLAKEX = {
     "u0000.lab.tsv": "2b2b00945cb8eadb95da350a724bc9092f5a31382bee467497e4eb8e27134413",
     "u0001.lab.tsv": "05224e2bab92169e96a4b362e4ac6da3fd148205004dce18c240c9f4e688c1cd",
     "u0002.lab.tsv": "97358f92e168057cfe21ae962d541596cd80c481ae5e59b355c91f3f11792a44",
@@ -1024,21 +1107,31 @@ PREDICT_GOLDEN = {
     "u0004.lab.tsv": "43354bf67b1e3a32f60a0e83d3c35c2ae7c47591d02562c4e36214c891291600",
     "u0005.lab.tsv": "c358946e996c41b2a652959574d4caad1e07f4a85a06617bbe5133485ce60871",
 }
+PREDICT_GOLDEN = {"SkylakeX": _PREDICT_SKYLAKEX} | {
+    core: _PREDICT_SKYLAKEX
+    | {"u0002.lab.tsv": "a0f21bd5470662c49ec0f7deb57b497b6701f27d00b4d6fcd618854157b25e02"}
+    for core in ("Haswell", "Sandybridge", "Nehalem", "Katmai")}
+# its labels, on any kernel
+PREDICT_LABELS = {
+    "u0000": "0000011100",
+    "u0001": "001000",
+    "u0002": "0000110000",
+    "u0003": "00010",
+    "u0004": "1001",
+    "u0005": "0101001",
+}
 
 
-def test_predict_golden_bytes(tmp_path, tagset):
-    """Predicted labels, byte for byte, in semantic mode hash. The items draw
-    their chars from an alphabet of six, ASCII, CJK and an astral char, so
-    chars repeat within an item and across items. Like the other golden
-    tests, the digests depend on the BLAS kernels numpy runs: OpenBLAS picks
-    its matmul kernels by size and CPU, so another BLAS or CPU may give other
-    bytes."""
+def _predict_golden_argv(d, tagset) -> list[str]:
+    """The corpus, checkpoint and config of test_predict_golden_bytes, in d;
+    the predict command line but for --out. The items draw their chars from an
+    alphabet of six, ASCII, CJK and an astral char, so chars repeat within an
+    item and across items."""
     import dataclasses
-    import hashlib
 
     from prosemph import embeddings, model as M
 
-    c, out = tmp_path / "c", tmp_path / "out"
+    c = d / "c"
     c.mkdir()
     rng = np.random.default_rng(5)
     utts = []
@@ -1052,14 +1145,52 @@ def test_predict_golden_bytes(tmp_path, tagset):
     assert set(utts[0].chars) & set(utts[1].chars)
     M.PredictorModel(tagset, embeddings.hash_provider(dim=5, seed=3), M.ModelConfig(
         hidden_dim=16, num_iterations=2, head_hidden=8, semantic_dim=5, seed=4,
-    )).save(tmp_path / "m.pemo")
-    cfg = tmp_path / "cfg.json"
+    )).save(d / "m.pemo")
+    cfg = d / "cfg.json"
     cfg.write_text(json.dumps({"semantic": {"mode": "hash", "dim": 5, "seed": 3}}))
-    assert cli.main(["predict", "--corpus", str(c), "--config", str(cfg),
-                     "--checkpoint", str(tmp_path / "m.pemo"), "--out", str(out)]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.glob("*.lab.tsv"))}
-    assert digests == PREDICT_GOLDEN
+    return ["predict", "--corpus", str(c), "--config", str(cfg),
+            "--checkpoint", str(d / "m.pemo")]
+
+
+def _labels(out) -> dict:
+    """{id: its labels as a string of 0s and 1s} of each <id>.lab.tsv in out."""
+    uids = sorted(p.name.removesuffix(".lab.tsv") for p in out.glob("*.lab.tsv"))
+    return {uid: "".join(map(str, corpus.load_labels(out / f"{uid}.lab.tsv", uid).labels))
+            for uid in uids}
+
+
+def test_predict_golden_bytes(tmp_path, tagset):
+    """Predicted labels, byte for byte, in semantic mode hash. The digests hold
+    for one OpenBLAS core family; the labels on any kernel."""
+    out = tmp_path / "out"
+    assert cli.main([*_predict_golden_argv(tmp_path, tagset), "--out", str(out)]) == 0
+    assert _labels(out) == PREDICT_LABELS
+    core = cli._blas_core()
+    if core not in PREDICT_GOLDEN:
+        pytest.skip(f"no predict digests recorded for BLAS core {core}")
+    assert _digests(sorted(out.glob("*.lab.tsv"))) == PREDICT_GOLDEN[core]
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or cli._blas_core() is None,
+                    reason="forces an x86-64 OpenBLAS kernel")
+def test_predict_labels_agree_across_blas_kernels(tmp_path, tagset):
+    """The predict golden run on this process's kernel and on OpenBLAS's
+    Prescott (SSE3) kernel, which any x86-64 runs, forced in a subprocess, gives
+    the same labels. OpenBLAS 0.3.31 reports that kernel as Katmai; against
+    SkylakeX, u0002.lab.tsv differs in the last digit of one confidence."""
+    argv = _predict_golden_argv(tmp_path, tagset)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "prosemph.cli", *argv,
+                           "--out", str(tmp_path / "forced")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    forced = json.loads((tmp_path / "forced" / "manifest.json").read_text())
+    # Katmai in an OpenBLAS built without its older cores
+    assert forced["blas_core"] in ("Prescott", "Katmai")
+    assert cli.main([*argv, "--out", str(tmp_path / "own")]) == 0
+    assert _labels(tmp_path / "own") == _labels(tmp_path / "forced") == PREDICT_LABELS
 
 
 # -- a rerun into the same --out -------------------------------------------------

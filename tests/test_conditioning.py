@@ -100,14 +100,6 @@ def test_build_linguistic_pos_locality(tagset):
     assert not np.array_equal(a[3:], b[3:])
 
 
-def test_build_linguistic_dim_mismatch(tagset):
-    t, _ = tables(tagset)
-    with pytest.raises(DimMismatchError):
-        replace(t, pos=np.zeros((tagset.num_pos, 6), dtype=np.float32))
-    with pytest.raises(DimMismatchError):
-        replace(t, projection=np.zeros((4, 6), dtype=np.float32))
-
-
 def test_build_emphasis_selects_rows(tagset):
     utt, _ = two_word_case(tagset)
     t, _ = tables(tagset)
@@ -115,12 +107,6 @@ def test_build_emphasis_selects_rows(tagset):
     out = conditioning.build_emphasis(lab, replace(t, emph=np.eye(2)), utt)
     # phones per char: 2,1,3
     assert out.tolist() == [[1, 0], [1, 0], [0, 1], [1, 0], [1, 0], [1, 0]]
-
-
-def test_build_emphasis_rejects_non_binary_table(tagset):
-    t, _ = tables(tagset)
-    with pytest.raises(DimMismatchError):
-        replace(t, emph=np.zeros((3, 2), dtype=np.float32))
 
 
 def test_build_emphasis_length_mismatch(tagset):
