@@ -729,8 +729,9 @@ def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset,
     c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     _predicted_copy(c, pred)
+    cfg = small_train_config(tmp_path / "cfg.json")
     argv = {
-        "train": ["--corpus", str(c), "--config", str(small_train_config(tmp_path / "c.json"))],
+        "train": ["--corpus", str(c), "--config", str(cfg)],
         "validate": ["--corpus", str(c)],
         "filter": ["--corpus", str(c), "--predicted", str(pred)],
         "evaluate": ["--predicted", str(pred), "--gold", str(c)],
@@ -1174,20 +1175,19 @@ def test_predict_golden_bytes(tmp_path, tagset):
 @pytest.mark.skipif(platform.machine() != "x86_64" or cli._blas_core() is None,
                     reason="forces an x86-64 OpenBLAS kernel")
 def test_predict_labels_agree_across_blas_kernels(tmp_path, tagset):
-    """The predict golden run on this process's kernel and on OpenBLAS's
-    Prescott (SSE3) kernel, which any x86-64 runs, forced in a subprocess, gives
-    the same labels. OpenBLAS 0.3.31 reports that kernel as Katmai; against
-    SkylakeX, u0002.lab.tsv differs in the last digit of one confidence."""
+    """The predict golden run gives the same labels on this process's kernel
+    and, in a subprocess, on the one OPENBLAS_CORETYPE=Prescott forces, which
+    any x86-64 CPU runs. Against SkylakeX, u0002.lab.tsv differs there in the
+    last digit of one confidence."""
     argv = _predict_golden_argv(tmp_path, tagset)
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-m", "prosemph.cli", *argv,
                            "--out", str(tmp_path / "forced")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     forced = json.loads((tmp_path / "forced" / "manifest.json").read_text())
-    # Katmai in an OpenBLAS built without its older cores
+    # OpenBLAS 0.3.31 names the kernel it forces for Prescott Katmai
     assert forced["blas_core"] in ("Prescott", "Katmai")
     assert cli.main([*argv, "--out", str(tmp_path / "own")]) == 0
     assert _labels(tmp_path / "own") == _labels(tmp_path / "forced") == PREDICT_LABELS
