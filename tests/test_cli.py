@@ -983,21 +983,6 @@ TRAIN_LOSS_RTOL = 1e-5
 TRAIN_VAL_F = [0.32876712328767127, 0.34374999999999994, 0.4067796610169491]
 
 
-def _train_golden_run(d, tagset) -> Path:
-    """The train run of test_train_golden_bytes, in d; its --out."""
-    c, out, cfg = d / "c", d / "out", d / "cfg.json"
-    write_labeled_corpus(c, tagset, count=40)
-    cfg.write_text(json.dumps({
-        "val_fraction": 0.25, "seed": 3,
-        "model": {"hidden_dim": 64, "num_iterations": 3, "head_hidden": 16},
-        "train": {"epochs": 3, "learning_rate": 1e-3, "batch_size": 8, "seed": 1},
-        "semantic": {"mode": "hash", "dim": 16, "seed": 2},
-    }))
-    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
-                     "--out", str(out)]) == 0
-    return out
-
-
 def _digests(paths) -> dict:
     import hashlib
 
@@ -1011,7 +996,17 @@ def test_train_golden_bytes(tmp_path, tagset):
     core family; on any kernel the epoch losses stay within TRAIN_LOSS_RTOL."""
     from prosemph import embeddings, model as M
 
-    out = _train_golden_run(tmp_path, tagset)
+    c, out = tmp_path / "c", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=40)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "val_fraction": 0.25, "seed": 3,
+        "model": {"hidden_dim": 64, "num_iterations": 3, "head_hidden": 16},
+        "train": {"epochs": 3, "learning_rate": 1e-3, "batch_size": 8, "seed": 1},
+        "semantic": {"mode": "hash", "dim": 16, "seed": 2},
+    }))
+    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                     "--out", str(out)]) == 0
     msg_W = M.PredictorModel.load(out / "model.pemo", tagset,
                                   embeddings.hash_provider(dim=16, seed=2)).params["msg_W"]
     assert 2 * M.ADAM_BLOCK < msg_W.size <= 3 * M.ADAM_BLOCK
