@@ -4,14 +4,15 @@ Subcommands: validate, label, train, predict, filter, evaluate, condition.
 Each opens one run record once its command line and config file are checked
 and before it reads any input file. Opening it creates --out and deletes the
 last run's manifest.json, failures.json, whole-run results and per-item
-outputs; finishing it writes failures.json, then a manifest.json recording the
-effective config hash, the seed, the input count, the files the run wrote,
-wall time, peak RSS and the BLAS kernel. Usage errors (a bad config file or a
-missing input directory too) exit 2 and create nothing; so does a train or
-condition config too large for the machine's memory, though its run record is
-open by then. Data errors, and an item output that cannot be cleared or
-written, exit 1 with a per-item report; a whole-run file that cannot be
-written exits 1 with one error line, and the run writes no manifest.json.
+outputs; finishing it writes failures.json, the results, then a manifest.json
+recording the effective config hash, the seed, the input count, the files the
+run wrote, wall time, peak RSS and the BLAS kernel. Usage errors (a bad config
+file or a missing input directory too) exit 2 and create nothing; so does a
+train or condition config too large for the machine's memory, though its run
+record is open by then. Data errors, and an item output that cannot be cleared
+or written, exit 1 with a per-item report; a whole-run error after it (a result
+that cannot be written, nothing to train on, a training loss that diverges)
+exits 1 with one error line and no manifest.json.
 """
 
 from __future__ import annotations
@@ -163,18 +164,20 @@ def _output_error(verb: str, name: str, exc: OSError) -> OutputWriteError:
 
 
 def _write_files(out_dir: Path, files) -> None:
-    """Write files into out_dir, each (name, save, obj) by save(obj, path). An
-    OSError deletes what this call wrote and becomes an OutputWriteError."""
+    """Write files into out_dir, each (name, save, obj) by save(obj, path). Any
+    error deletes what this call wrote; an OSError becomes an OutputWriteError."""
     names = []
     try:
         for name, save, obj in files:
             names.append(name)
             save(obj, out_dir / name)
-    except OSError as exc:
+    except Exception as exc:
         for done in names:
             with contextlib.suppress(OSError):
                 (out_dir / done).unlink(missing_ok=True)
-        raise _output_error("write", name, exc) from exc
+        if isinstance(exc, OSError):
+            raise _output_error("write", name, exc) from exc
+        raise
 
 
 def _save_json(obj, path) -> None:
@@ -298,36 +301,38 @@ class _Run:
         self.input_count += len(ids)
         return results
 
-    def items(self, corpus_dir, tagset, prepare):
-        """each over the corpus items, with prepare(utt, ann) as the work."""
-        return self.each(corpus.corpus_ids(corpus_dir),
-                         lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
+    def items(self, ids, corpus_dir, tagset, prepare):
+        """each over the corpus items `ids`, with prepare(utt, ann) as the work."""
+        return self.each(ids, lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
-    def finish(self, config=None, seed=0) -> int:
-        """Print the failed items and write them ([] if none) to failures.json,
-        then, given the run's effective config, manifest.json; the exit code.
-        The manifest lists each file the run cleared at opening that exists
-        now and belongs to no failed item: a failed item's write is undone."""
+    def finish(self, config, seed, results=()) -> int:
+        """Print the failed items, then write, in this order, failures.json
+        (them, or []), the whole-run `results` (each (name, save, obj) for
+        _write_files) and manifest.json, given the run's effective config;
+        the exit code. A result that fails ends the run after its report and
+        before manifest.json. The manifest lists each file the run cleared at
+        opening that exists now and belongs to no failed item: a failed
+        item's write is undone."""
         report = [{"utterance_id": uid, "error": self.failures[uid]}
                   for uid in sorted(self.failures)]
         for item in report:
             print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
         if self.out:
             _write_files(self.out, [("failures.json", _save_json, report)])
-            if config is not None:
-                blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
-                _write_files(self.out, [("manifest.json", _save_json, {
-                    "command": self.command,
-                    "config_hash": hashlib.sha256(blob).hexdigest(),
-                    "seed": seed,
-                    "input_count": self.input_count,
-                    "output_paths": sorted(
-                        name for name, uid in self.outputs.items()
-                        if uid not in self.failures and (self.out / name).exists()),
-                    "wall_time_sec": time.monotonic() - self.t0,
-                    "peak_rss_mb": _peak_rss_mb(),
-                    "blas_core": _blas_core(),
-                })])
+            _write_files(self.out, results)
+            blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+            _write_files(self.out, [("manifest.json", _save_json, {
+                "command": self.command,
+                "config_hash": hashlib.sha256(blob).hexdigest(),
+                "seed": seed,
+                "input_count": self.input_count,
+                "output_paths": sorted(
+                    name for name, uid in self.outputs.items()
+                    if uid not in self.failures and (self.out / name).exists()),
+                "wall_time_sec": time.monotonic() - self.t0,
+                "peak_rss_mb": _peak_rss_mb(),
+                "blas_core": _blas_core(),
+            })])
         return 1 if report else 0
 
 
@@ -356,16 +361,14 @@ def cmd_validate(args) -> int:
         _item_labels(args.corpus, utt)
         return utt.id
 
-    passed, failures = run.items(args.corpus, _tagset(args), check), run.failures
-    ids = sorted([*passed, *failures])
+    ids = corpus.corpus_ids(args.corpus)
+    passed, failures = run.items(ids, args.corpus, _tagset(args), check), run.failures
     for uid in ids:
         print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
     print(f"{len(passed)} pass, {len(failures)} fail")
-    if run.out:
-        _write_files(run.out, [("validation.json", _save_json, [
-            {"utterance_id": uid, "ok": uid not in failures, "failure": failures.get(uid)}
-            for uid in ids])])
-    return run.finish({"corpus": str(args.corpus)}, 0)
+    return run.finish({"corpus": str(args.corpus)}, 0, [("validation.json", _save_json, [
+        {"utterance_id": uid, "ok": uid not in failures, "failure": failures.get(uid)}
+        for uid in ids])])
 
 
 def _save_scores(scores, path) -> None:
@@ -411,7 +414,7 @@ def cmd_train(args) -> int:
         labels = _item_labels(args.labels or args.corpus, utt)
         return None if labels is None else _example(tagset, provider, utt, ann, labels)
 
-    dataset = run.items(args.corpus, tagset, labeled)
+    dataset = run.items(corpus.corpus_ids(args.corpus), args.corpus, tagset, labeled)
     if cfg.val_fraction > 0:
         rng = np.random.default_rng(cfg.train.seed)
         order = rng.permutation(len(dataset))
@@ -420,17 +423,13 @@ def cmd_train(args) -> int:
         trn = [dataset[i] for i in order[n_val:]]
     else:
         val, trn = None, dataset
-    if not trn:
-        print("no labeled utterances left to train on", file=sys.stderr)
-        run.finish()
-        return 1
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
-    # train writes its log as it goes, one record per epoch
-    _write_files(run.out, [
+    # train writes its log as it goes, one record per epoch; with nothing to
+    # train on it raises EmptyDatasetError
+    return run.finish(dataclasses.asdict(cfg), cfg.train.seed, [
         ("train_log.ldjson", lambda m, path: model_mod.train(
             m, trn, cfg.train, val_dataset=val, log_path=path), model),
         ("model.pemo", model_mod.PredictorModel.save, model)])
-    return run.finish(dataclasses.asdict(cfg), cfg.train.seed)
 
 
 def cmd_predict(args) -> int:
@@ -438,10 +437,11 @@ def cmd_predict(args) -> int:
     # predict deletes every corpus id's labels from --out, the corpus's own included
     if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
-    run = _Run("predict", args.out, ids=corpus.corpus_ids(args.corpus), suffixes=(".lab.tsv",))
+    ids = corpus.corpus_ids(args.corpus)
+    run = _Run("predict", args.out, ids=ids, suffixes=(".lab.tsv",))
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
-    for lab in model.predict(run.items(args.corpus, tagset,
+    for lab in model.predict(run.items(ids, args.corpus, tagset,
                                        partial(_example, tagset, provider))):
         uid = lab.utterance_id
         try:
@@ -469,9 +469,8 @@ def cmd_filter(args) -> int:
         return uid
 
     kept = run.each(ids, keep)
-    _write_files(run.out, [("kept.json", _save_json, kept)])
     print(f"kept {len(kept)} of {len(ids)}")
-    return run.finish({"tau": args.tau}, 0)
+    return run.finish({"tau": args.tau}, 0, [("kept.json", _save_json, kept)])
 
 
 def cmd_evaluate(args) -> int:
@@ -489,15 +488,14 @@ def cmd_evaluate(args) -> int:
     pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
     m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                                             {uid: g for uid, g, _ in pairs}))
-    _write_files(run.out, [("metrics.json", _save_json, m)])
     print(json.dumps(m))
-    return run.finish({}, 0)
+    return run.finish({}, 0, [("metrics.json", _save_json, m)])
 
 
 def cmd_condition(args) -> int:
     cfg, load = _model_inputs(args)
-    run = _Run("condition", args.out, ids=corpus.corpus_ids(args.corpus),
-               suffixes=(".cond.bin",))
+    ids = corpus.corpus_ids(args.corpus)
+    run = _Run("condition", args.out, ids=ids, suffixes=(".cond.bin",))
     tagset, provider = load()
     _check_memory(1, partial(conditioning.table_shapes, tagset), {
         "cond_dim": ("cond_dim", cfg.cond_dim), "emph_dim": ("emph_dim", cfg.emph_dim),
@@ -518,7 +516,7 @@ def cmd_condition(args) -> int:
         )
         _write_files(run.out, [(f"{utt.id}.cond.bin", conditioning.export_bundle, bundle)])
 
-    run.items(args.corpus, tagset, export)
+    run.items(ids, args.corpus, tagset, export)
     return run.finish(dataclasses.asdict(cfg), cfg.seed)
 
 

@@ -191,7 +191,7 @@ def load_utterance(path) -> Utterance:
     obj = _read_json(path)
     try:
         utt = Utterance(
-            id=str(obj["id"]),
+            id=_exact((obj["id"],), "id", (str,))[0],
             chars=_exact(obj["chars"], "chars", (str,)),
             word_spans=tuple(_exact(span, "word_spans") for span in obj["word_spans"]),
             phones_per_char=_exact(obj["phones_per_char"], "phones_per_char"),
@@ -221,10 +221,10 @@ def load_annotation(path, utt: Utterance, tagset: Tagset) -> DepAnnotation:
     obj = _read_json(path)
     try:
         ann = DepAnnotation(
-            utterance_id=str(obj["utterance_id"]),
-            pos_tags=tuple(tagset.pos_ids([str(t) for t in obj["pos"]])),
+            utterance_id=_exact((obj["utterance_id"],), "utterance_id", (str,))[0],
+            pos_tags=tuple(tagset.pos_ids(_exact(obj["pos"], "pos", (str,)))),
             heads=_exact(obj["heads"], "heads", (int, type(None))),
-            relations=tuple(tagset.rel_ids([str(r) for r in obj["rels"]])),
+            relations=tuple(tagset.rel_ids(_exact(obj["rels"], "rels", (str,)))),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedFileError(f"{path}: bad annotation schema ({exc})") from exc

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .codec import U32_LIMIT, Reader, Writer
-from .errors import DimMismatchError, UnknownUtteranceError
+from .errors import DimMismatchError, MalformedFileError, UnknownUtteranceError
 
 PEMB_MAGIC = b"PEMB"
 PEMB_VERSION = 1
@@ -92,6 +92,9 @@ class SemanticProvider:
             raise DimMismatchError(
                 f"{utterance_id}: {m.shape[0]} stored rows for {len(chars)} chars"
             )
+        if not np.isfinite(m).all():
+            raise MalformedFileError(f"{utterance_id}: stored semantic rows hold a "
+                                     "non-finite value")
 
 
 def hash_provider(dim: int = SEMANTIC_DIM_DEFAULT, seed: int = 0) -> SemanticProvider:

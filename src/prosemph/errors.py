@@ -68,6 +68,11 @@ class EmptyDatasetError(ProsemphError):
     """Training requested on an empty dataset."""
 
 
+class NonFiniteLossError(ProsemphError):
+    """Training diverged: an epoch's mean loss is NaN or infinite (a learning
+    rate too large, say). Training stops before logging that epoch."""
+
+
 class UtteranceSetMismatchError(ProsemphError):
     """Predicted and gold label sets cover different utterances."""
 

@@ -24,7 +24,7 @@ from .embeddings import (
     SEMANTIC_DIM_DEFAULT,
     SemanticProvider,
 )
-from .errors import DimMismatchError, EmptyDatasetError, LengthMismatchError
+from .errors import DimMismatchError, EmptyDatasetError, LengthMismatchError, NonFiniteLossError
 from .graph import CharGraph, build_char_graph, disjoint_union, expand_word_to_char
 from .metrics import evaluate
 from .tagset import Tagset
@@ -432,7 +432,10 @@ class PredictorModel:
         for _ in range(count):
             name = r.text()
             (ndim,) = r.unpack("<I")
-            params[name] = r.floats(r.unpack(f"<{ndim}I"))
+            t = params[name] = r.floats(r.unpack(f"<{ndim}I"))
+            # min and max carry any NaN or infinity, and allocate no array as large as t
+            if not np.isfinite([t.min(initial=0), t.max(initial=0)]).all():
+                raise r.error(f"tensor {name} holds a non-finite value")
         r.done()
         if {k: v.shape for k, v in params.items()} != param_shapes(config, tagset):
             raise r.error("tensor names or shapes do not match the model config")
@@ -522,6 +525,8 @@ def train(
 
     Returns the per-epoch log records; optionally writes them to an
     LDJSON file. An Example without a graph has it built at every step.
+    An epoch whose mean loss is not finite raises NonFiniteLossError before
+    its record is logged.
     """
     if not dataset:
         raise EmptyDatasetError("training dataset is empty")
@@ -544,6 +549,8 @@ def train(
                 epoch_loss += loss
                 num_batches += 1
             rec = {"epoch": epoch, "loss": epoch_loss / max(num_batches, 1)}
+            if not np.isfinite(rec["loss"]):
+                raise NonFiniteLossError(f"epoch {epoch}: loss {rec['loss']}")
             if val_dataset:
                 labs = model.predict(val_dataset)
                 preds = {lab.utterance_id: lab for lab in labs}

@@ -287,7 +287,7 @@ def test_predict_missing_semantic_rows_fail_per_item(tmp_path, tagset):
             assert got.read_bytes() == (tmp_path / "lean_out" / f"{uid}.lab.tsv").read_bytes()
 
 
-@pytest.mark.parametrize("fault", ["missing", "short"])
+@pytest.mark.parametrize("fault", ["missing", "short", "non_finite"])
 def test_train_missing_semantic_rows_fail_per_item(tmp_path, tagset, fault):
     from prosemph import embeddings
 
@@ -305,8 +305,10 @@ def test_train_missing_semantic_rows_fail_per_item(tmp_path, tagset, fault):
     ).astype(np.float32) for uid in ids}
     if fault == "missing":
         del store[bad]
-    else:  # one row fewer than the item has chars
+    elif fault == "short":  # one row fewer than the item has chars
         store[bad] = store[bad][:-1]
+    else:
+        store[bad][0, 0] = np.nan
     embeddings.save_semantic(store, 16, tmp_path / "sem.pemb")
     cfg = json.loads(small_train_config(tmp_path / "cfg.json").read_text())
     cfg["semantic"] = {"mode": "file_backed", "path": str(tmp_path / "sem.pemb")}
@@ -318,7 +320,8 @@ def test_train_missing_semantic_rows_fail_per_item(tmp_path, tagset, fault):
 
     assert train(c, tmp_path / "full") == 1
     failures = json.loads((tmp_path / "full" / "failures.json").read_text())
-    error = "UnknownUtteranceError" if fault == "missing" else "DimMismatchError"
+    error = {"missing": "UnknownUtteranceError", "short": "DimMismatchError",
+             "non_finite": "MalformedFileError"}[fault]
     assert [f["utterance_id"] for f in failures] == [bad]
     assert failures[0]["error"].startswith(f"{error}: ")
     assert train(lean, tmp_path / "lean_out") == 0
@@ -481,7 +484,7 @@ def test_bad_item_fails_alone(tmp_path, tagset, command, outputs, fault):
     assert not list(out.glob("u0001.*")) and not list(out.glob("zz.*"))
 
 
-def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
+def test_train_with_no_item_left_writes_failures(tmp_path, tagset, capsys):
     c, out = tmp_path / "corpus", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=1)
     _break_item(c, "u0000", "ann_not_json")
@@ -489,6 +492,23 @@ def test_train_with_no_item_left_writes_failures(tmp_path, tagset):
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["u0000"]
     assert not (out / "model.pemo").exists()
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "error: EmptyDatasetError: training dataset is empty")
+
+
+def test_train_that_diverges_fails_the_run_and_leaves_no_log(tmp_path, tagset, capsys):
+    c, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+    write_labeled_corpus(c, tagset, count=6)
+    # one batch an epoch: epoch 0 is logged, its update overflows epoch 1's loss
+    cfg.write_text(json.dumps({
+        "model": {"hidden_dim": 8, "head_hidden": 4},
+        "train": {"epochs": 3, "learning_rate": 1e30, "batch_size": 32},
+        "semantic": {"mode": "hash", "dim": 8}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                         "--out", str(out)]) == 1
+    assert _usage_error_line(capsys) == "error: NonFiniteLossError: epoch 1: loss nan"
+    assert sorted(p.name for p in out.iterdir()) == ["failures.json"]
 
 
 def test_train_with_no_item_left_after_the_split_writes_failures(tmp_path, tagset,
@@ -503,7 +523,9 @@ def test_train_with_no_item_left_after_the_split_writes_failures(tmp_path, tagse
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["u0001"]
     assert not (out / "model.pemo").exists()
-    assert "u0001\tfail\tMalformedFileError: " in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "u0001\tfail\tMalformedFileError: " in err
+    assert err.splitlines()[-1] == "error: EmptyDatasetError: training dataset is empty"
 
 
 @short_audio
@@ -712,30 +734,9 @@ def test_item_output_that_cannot_be_written_fails_alone(tmp_path, tagset, capsys
     assert {q.name: q.read_bytes() for q in sorted(out.glob(f"*{suffix}"))} == expected
 
 
-@pytest.mark.parametrize("command, name, left", [
-    ("train", "train_log.ldjson", []),
-    ("train", "model.pemo", []),  # the log goes with the checkpoint
-    ("validate", "validation.json", []),
-    ("filter", "kept.json", ["u0000.lab.tsv", "u0001.lab.tsv", "u0002.lab.tsv"]),
-    ("evaluate", "metrics.json", []),
-    ("evaluate", "failures.json", ["metrics.json"]),
-    ("evaluate", "manifest.json", ["failures.json", "metrics.json"]),
-])
-def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset, capsys,
-                                                               monkeypatch, command, name,
-                                                               left):
-    # the suite runs as root, which no file mode stops, so open raises once the
-    # file has begun: a full disk
-    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
-    write_labeled_corpus(c, tagset, count=3)
-    _predicted_copy(c, pred)
-    cfg = small_train_config(tmp_path / "cfg.json")
-    argv = {
-        "train": ["--corpus", str(c), "--config", str(cfg)],
-        "validate": ["--corpus", str(c)],
-        "filter": ["--corpus", str(c), "--predicted", str(pred)],
-        "evaluate": ["--predicted", str(pred), "--gold", str(c)],
-    }[command]
+def _full_disk_on(monkeypatch, name):
+    """Make open raise ENOSPC once it has begun writing a file called name: the
+    suite runs as root, which no file mode stops."""
     real_open = open
 
     def full_disk_open(file, mode="r", *args, **kwargs):
@@ -746,12 +747,93 @@ def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset,
         return real_open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", full_disk_open)
+
+
+@pytest.mark.parametrize("command, name, left", [
+    # failures.json comes first, then the results, then manifest.json
+    ("train", "train_log.ldjson", ["failures.json"]),
+    ("train", "model.pemo", ["failures.json"]),  # the log goes with the checkpoint
+    ("validate", "validation.json", ["failures.json"]),
+    ("filter", "kept.json", ["failures.json", "u0000.lab.tsv", "u0001.lab.tsv",
+                             "u0002.lab.tsv"]),
+    ("evaluate", "metrics.json", ["failures.json"]),
+    ("evaluate", "failures.json", []),
+    ("evaluate", "manifest.json", ["failures.json", "metrics.json"]),
+])
+def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset, capsys,
+                                                               monkeypatch, command, name,
+                                                               left):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    _predicted_copy(c, pred)
+    cfg = small_train_config(tmp_path / "cfg.json")
+    argv = {
+        "train": ["--corpus", str(c), "--config", str(cfg)],
+        "validate": ["--corpus", str(c)],
+        "filter": ["--corpus", str(c), "--predicted", str(pred)],
+        "evaluate": ["--predicted", str(pred), "--gold", str(c)],
+    }[command]
+    _full_disk_on(monkeypatch, name)
     assert cli.main([command, *argv, "--out", str(out)]) == 1
     monkeypatch.undo()
     assert _usage_error_line(capsys) == (
         f"error: OutputWriteError: cannot write {name}: No space left on device")
     # neither a partial file nor a manifest.json
     assert sorted(p.name for p in out.iterdir()) == left
+
+
+@pytest.mark.parametrize("command, name, error", [
+    ("filter", "kept.json", "LengthMismatchError"),
+    ("train", "model.pemo", "MalformedFileError"),
+])
+def test_whole_run_write_fault_comes_after_the_failed_items(tmp_path, tagset, capsys,
+                                                            monkeypatch, command, name,
+                                                            error):
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    if command == "filter":
+        _predicted_copy(c, pred)
+        (pred / "u0001.lab.tsv").write_bytes(b"#source=predicted\n0\t1\t1.0\n")
+        argv = ["--corpus", str(c), "--predicted", str(pred)]
+    else:
+        _break_item(c, "u0001", "ann_not_json")
+        argv = ["--corpus", str(c), "--config", str(small_train_config(tmp_path / "c.json"))]
+    _full_disk_on(monkeypatch, name)
+    assert cli.main([command, *argv, "--out", str(out)]) == 1
+    monkeypatch.undo()
+    failures = json.loads((out / "failures.json").read_text())
+    assert [f["utterance_id"] for f in failures] == ["u0001"]
+    assert failures[0]["error"].startswith(f"{error}: ")
+    assert capsys.readouterr().err.splitlines() == [
+        f"u0001\tfail\t{failures[0]['error']}",
+        f"error: OutputWriteError: cannot write {name}: No space left on device"]
+    assert not (out / "manifest.json").exists() and not (out / name).exists()
+
+
+@pytest.mark.parametrize("command, suffix", [("predict", ".lab.tsv"),
+                                             ("condition", ".cond.bin")])
+def test_run_goes_over_the_ids_it_opened_with(tmp_path, tagset, monkeypatch, command,
+                                              suffix):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=3)
+    argv = [command, "--corpus", str(c), "--out", str(out),
+            "--config", str(small_train_config(tmp_path / "cfg.json"))]
+    if command == "predict":
+        save_small_model(tagset, tmp_path / "m.pemo")
+        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    real, calls = corpus.corpus_ids, []
+
+    def grows(*args):  # u0002 appears after the first listing
+        calls.append(args)
+        return real(*args)[:2] if len(calls) == 1 else real(*args)
+
+    monkeypatch.setattr(corpus, "corpus_ids", grows)
+    assert cli.main(argv) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["input_count"], manifest["output_paths"]) == (
+        2, [f"u0000{suffix}", f"u0001{suffix}"])
+    assert sorted(p.name for p in out.iterdir()) == [
+        "failures.json", "manifest.json", f"u0000{suffix}", f"u0001{suffix}"]
 
 
 @pytest.mark.parametrize("command, bad, key", [

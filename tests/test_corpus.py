@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -106,6 +107,30 @@ def test_corpus_entries_must_be_exact_json_types(tmp_path, tagset, field, value)
     kind = "str" if field == "chars" else "int"
     with pytest.raises(MalformedFileError, match=f"{field}: expected {kind}"):
         corpus.load_utterance(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("id", 7),
+    ("utterance_id", 7),
+    ("pos", [None, "v", "n"]),
+    ("rels", ["SBV", "ROOT", 2]),
+])
+def test_corpus_strings_must_be_json_strings(tmp_path, tagset, field, value):
+    # str() would read 7 as "7", so 7.utt.json declaring the id 7 would load,
+    # and None as "None", an unknown POS tag
+    if field == "id":
+        path = tmp_path / "7.utt.json"
+        write_json(path, dict(VALID_UTT, id=value))
+        with pytest.raises(MalformedFileError, match="id: expected str, got 7"):
+            corpus.load_item_utterance(tmp_path, "7")
+        return
+    path = tmp_path / "7.ann.json"
+    ann = {"utterance_id": "7", "pos": ["n", "v", "n"], "heads": [1, None, 1],
+           "rels": ["SBV", "ROOT", "VOB"]}
+    write_json(path, dict(ann, **{field: value}))
+    utt = dataclasses.replace(three_word_utt(), id="7")
+    with pytest.raises(MalformedFileError, match=f"{field}: expected str"):
+        corpus.load_annotation(path, utt, tagset)
 
 
 @pytest.mark.parametrize("span", [[0, 1, 2], [0], 2])

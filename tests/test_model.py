@@ -368,6 +368,16 @@ def test_checkpoint_rejects_wrong_magic(tagset, tmp_path):
         M.PredictorModel.load(p, tagset, prov)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_checkpoint_rejects_a_non_finite_tensor(tagset, tmp_path, value):
+    prov = embeddings.hash_provider(dim=16, seed=0)
+    m = M.PredictorModel(tagset, prov, M.ModelConfig(hidden_dim=16, semantic_dim=16))
+    m.params["head_W2"][0, -1] = value
+    m.save(tmp_path / "m.pemo")
+    with pytest.raises(MalformedFileError, match="tensor head_W2 holds a non-finite value"):
+        M.PredictorModel.load(tmp_path / "m.pemo", tagset, prov)
+
+
 def test_checkpoint_rejects_a_bool_in_its_config(tagset, tmp_path):
     # json reads true as a bool, an int subclass: it must not load as 1
     prov = embeddings.hash_provider(dim=16, seed=0)
