@@ -65,7 +65,8 @@ def main():
           f"{energy.frame_rate:.0f} Hz, range "
           f"[{energy.values.min():.1f}, {energy.values.max():.1f}] dB")
 
-    f0 = dsp.interpolate_unvoiced(dsp.estimate_f0(w, frame_cfg))
+    # label estimates F0 on a low-passed copy decimated to 8 kHz
+    f0 = dsp.interpolate_unvoiced(dsp.decimated_f0(w, frame_cfg))
     print(f"F0 track: median {np.median(f0.values):.1f} Hz, "
           f"max {f0.values.max():.1f} Hz (emphasized char is +4 semitones)")
 

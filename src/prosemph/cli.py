@@ -6,13 +6,14 @@ and before it reads any input file. Opening it creates --out and deletes the
 last run's manifest.json, failures.json, whole-run results and per-item
 outputs; finishing it writes failures.json, the results, then a manifest.json
 recording the effective config hash, the seed, the input count, the files the
-run wrote, wall time, peak RSS and the BLAS kernel. Usage errors (a bad config
-file or a missing input directory too) exit 2 and create nothing; so does a
-train or condition config too large for the machine's memory, though its run
-record is open by then. Data errors, and an item output that cannot be cleared
-or written, exit 1 with a per-item report; a whole-run error after it (a result
-that cannot be written, nothing to train on, a training loss that diverges)
-exits 1 with one error line and no manifest.json.
+run wrote, wall time, peak RSS, the BLAS kernel and label's label_version.
+Usage errors (a bad config file or a missing input directory too) exit 2 and
+create nothing; so does a train or condition config too large for the
+machine's memory, though its run record is open by then. Data errors, and an
+item output that cannot be cleared or written (a NaN or an infinity in it
+too), exit 1 with a per-item report; a whole-run error after it (a result that
+cannot be written, nothing to train on, a training loss that diverges) exits 1
+with one error line and no manifest.json.
 """
 
 from __future__ import annotations
@@ -182,9 +183,14 @@ def _write_files(out_dir: Path, files) -> None:
 
 def _save_json(obj, path) -> None:
     """The one format of every JSON file a run writes: indent 2, ASCII, no
-    final newline."""
+    final newline. A NaN or an infinity in obj is an OutputWriteError, and
+    nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OutputWriteError(f"cannot write {Path(path).name}: {exc}") from exc
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
+        f.write(text)
 
 
 def _check_memory(copies: int, shapes, dims) -> None:
@@ -305,14 +311,16 @@ class _Run:
         """each over the corpus items `ids`, with prepare(utt, ann) as the work."""
         return self.each(ids, lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
-    def finish(self, config, seed, results=()) -> int:
+    def finish(self, config, seed, results=(), **versions) -> int:
         """Print the failed items, then write, in this order, failures.json
         (them, or []), the whole-run `results` (each (name, save, obj) for
         _write_files) and manifest.json, given the run's effective config;
         the exit code. A result that fails ends the run after its report and
         before manifest.json. The manifest lists each file the run cleared at
         opening that exists now and belongs to no failed item: a failed
-        item's write is undone."""
+        item's write is undone. The keyword arguments, `versions`, give the
+        versions of the algorithms that made the outputs, which no config key
+        sets: the manifest records them and config_hash covers them."""
         report = [{"utterance_id": uid, "error": self.failures[uid]}
                   for uid in sorted(self.failures)]
         for item in report:
@@ -320,10 +328,12 @@ class _Run:
         if self.out:
             _write_files(self.out, [("failures.json", _save_json, report)])
             _write_files(self.out, results)
-            blob = json.dumps(config, sort_keys=True, default=str).encode("utf-8")
+            blob = json.dumps({**config, **versions}, sort_keys=True,
+                              default=str).encode("utf-8")
             _write_files(self.out, [("manifest.json", _save_json, {
                 "command": self.command,
                 "config_hash": hashlib.sha256(blob).hexdigest(),
+                **versions,
                 "seed": seed,
                 "input_count": self.input_count,
                 "output_paths": sorted(
@@ -372,9 +382,14 @@ def cmd_validate(args) -> int:
 
 
 def _save_scores(scores, path) -> None:
+    """Write <id>.scores.tsv; OutputWriteError, writing nothing, on a score or
+    z-score that is not finite."""
     s = np.asarray(scores)
+    z = prominence.standardize(s) if np.isfinite(s).all() else s
+    if not np.isfinite(z).all():
+        raise OutputWriteError(f"cannot write {Path(path).name}: a score is not finite")
     with open(path, "w", encoding="utf-8") as f:
-        for i, (raw, zi) in enumerate(zip(s, prominence.standardize(s))):
+        for i, (raw, zi) in enumerate(zip(s, z)):
             f.write(f"{i}\t{raw:.6f}\t{zi:.6f}\n")
 
 
@@ -394,7 +409,7 @@ def cmd_label(args) -> int:
     run = _Run("label", args.out, ids=ids, suffixes=(".lab.tsv", ".scores.tsv"))
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
     run.each(ids, work, args.jobs)
-    return run.finish(dataclasses.asdict(cfg), 0)
+    return run.finish(dataclasses.asdict(cfg), 0, label_version=prominence.LABEL_VERSION)
 
 
 def cmd_train(args) -> int:

@@ -20,9 +20,10 @@ from .errors import (
     CyclicDependencyError,
     InconsistentAlignmentError,
     MalformedFileError,
+    OutputWriteError,
     WordCountMismatchError,
 )
-from .tagset import Tagset
+from .tagset import RESERVED_RELATIONS, Tagset
 
 LABEL_SOURCES = ("human", "pseudo", "predicted")
 
@@ -122,6 +123,11 @@ class DepAnnotation:
                 raise MalformedFileError(
                     f"{self.utterance_id}: root word {w} does not carry the ROOT relation"
                 )
+        reserved = {tagset.rel[name]: name for name in RESERVED_RELATIONS}
+        for w, (h, r) in enumerate(zip(self.heads, self.relations)):
+            if h is not None and r in reserved:
+                raise MalformedFileError(f"{self.utterance_id}: dependent word {w} carries "
+                                         f"the reserved relation {reserved[r]}")
         # walking heads from every word must terminate at a root
         for start in range(n):
             seen = set()
@@ -284,6 +290,12 @@ def load_labels(path, utterance_id: str, num_chars: int | None = None) -> Emphas
 
 
 def save_labels(lab: EmphasisLabels, path) -> None:
+    """Write <id>.lab.tsv; OutputWriteError, writing nothing, on a confidence
+    that is not finite."""
+    for i, c in enumerate(lab.confidences):
+        if not math.isfinite(c):
+            raise OutputWriteError(f"cannot write {Path(path).name}: "
+                                   f"confidence of char {i} is not finite")
     with open(path, "w", encoding="utf-8") as f:
         f.write(f"#source={lab.source}\n")
         for i, (l, c) in enumerate(zip(lab.labels, lab.confidences)):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,10 @@ from .errors import (
 LOG_EPS = 1e-10
 # frames per block of estimate_f0, chosen by measurement
 F0_BLOCK = 32
+# decimated_f0 keeps at least this many samples a period of f0_max_hz
+F0_SAMPLES_PER_PERIOD = 16
+# half the taps of decimated_f0's low-pass, in decimated samples
+LOWPASS_HALF = 12
 
 TRACK_KINDS = ("f0_hz", "energy_db", "duration", "combined", "zscore")
 
@@ -178,6 +182,24 @@ def _next_fast_len(n: int) -> int:
         m += 1
 
 
+def _f0_frames(w: Waveform, cfg: FrameConfig) -> tuple[np.ndarray, int, int]:
+    """estimate_f0's frames of w (a view) and its shortest and longest lag in
+    samples, once f0_max_hz, the frame and the lags pass their checks at w's rate."""
+    sr = w.sample_rate
+    if not cfg.f0_max_hz < sr / 2:
+        raise UnsupportedEncodingError(
+            f"f0_max_hz {cfg.f0_max_hz:g} is not below the Nyquist frequency of {sr} Hz")
+    frames = _frame_signal(w.samples, sr, cfg)
+    flen = frames.shape[1]
+    lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
+    # capped before the ceil, so a vanishing f0_min_hz (sr / f0_min_hz = inf) clips too
+    lag_max = int(math.ceil(min(sr / cfg.f0_min_hz, flen - 1)))
+    if lag_max < lag_min:
+        raise TooShortError(
+            f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")
+    return frames, lag_min, lag_max
+
+
 def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     """Per-frame F0 via normalized autocorrelation peak picking.
 
@@ -193,17 +215,8 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     so a frame's F0 does not depend on the frame's position in its block.
     """
     sr = w.sample_rate
-    if not cfg.f0_max_hz < sr / 2:
-        raise UnsupportedEncodingError(
-            f"f0_max_hz {cfg.f0_max_hz:g} is not below the Nyquist frequency of {sr} Hz")
-    frames = _frame_signal(w.samples, sr, cfg)
+    frames, lag_min, lag_max = _f0_frames(w, cfg)
     flen = frames.shape[1]
-    lag_min = max(2, int(math.floor(sr / cfg.f0_max_hz)))
-    # capped before the ceil, so a vanishing f0_min_hz (sr / f0_min_hz = inf) clips too
-    lag_max = int(math.ceil(min(sr / cfg.f0_min_hz, flen - 1)))
-    if lag_max < lag_min:
-        raise TooShortError(
-            f"{flen}-sample frame shorter than the shortest F0 lag ({lag_min} samples)")
     last = lag_max - lag_min
     nfft = _next_fast_len(flen + lag_max)
 
@@ -242,6 +255,59 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
         tau[i[curved]] += 0.5 * (below - above)[curved] / d[curved]
         out[a + voiced] = sr / tau
     return ProsodicTrack(values=out, frame_rate=cfg.frame_rate, kind="f0_hz")
+
+
+def _decimation_factor(sr: int, hop: int, flen: int, f0_max_hz: float) -> int:
+    """The largest d dividing sr and hop with sr / d >= F0_SAMPLES_PER_PERIOD *
+    f0_max_hz whose frame of flen // d samples still holds the shortest lag at
+    sr / d; 1 (no decimation) when no d > 1 qualifies."""
+    for d in range(hop, 1, -1):
+        if (sr % d == hop % d == 0 and sr / d >= F0_SAMPLES_PER_PERIOD * f0_max_hz
+                and flen // d - 1 >= max(2, math.floor(sr / d / f0_max_hz))):
+            return d
+    return 1
+
+
+def _decimate(x: np.ndarray, d: int) -> np.ndarray:
+    """x low-passed and decimated by d > 1: len(x) // d samples, sample m
+    being sum_j h[j] * x[(m - LOWPASS_HALF) * d + j], with x reflected about
+    its first and last sample. h is a windowed sinc of 2 * LOWPASS_HALF * d + 1
+    Hamming taps, cut off at 0.45 / d cycles a sample, with unit gain at DC.
+    One phase x[p::d] at a time is padded and correlated with the taps
+    h[p::d], so no padded copy of x is made. Needs len(x) > LOWPASS_HALF * d."""
+    n, m, half = len(x), len(x) // d, LOWPASS_HALF
+    j = np.arange(-half * d, half * d + 1)
+    h = np.zeros((2 * half + 1) * d)
+    h[: len(j)] = 0.9 / d * np.sinc(0.9 / d * j) * np.hamming(len(j))
+    taps = (h / h.sum()).reshape(2 * half + 1, d).T.copy()  # taps[p, q] = h[q * d + p]
+    y = np.zeros(m)
+    for p in range(d):
+        # x[(k - half) * d + p] for k < m + 2 * half, reflected about x[0] and
+        # x[n - 1]: the half before x[p], x[p::d], and the rest past the end
+        head, body = x[half * d - p : 0 : -d], x[p::d]
+        past = p + len(body) * d  # the first index past the end
+        tail = x[2 * (n - 1) - past :: -d][: m + half - len(body)]
+        y += np.correlate(np.concatenate((head, body, tail)), taps[p], "valid")
+    return y
+
+
+def decimated_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
+    """estimate_f0 of w low-passed and decimated by _decimation_factor (1 at
+    8 kHz, 2 at 16 and 22.05 kHz, 3 at 24 and 44.1 kHz, 6 at 48 kHz for the
+    default frames): frames of flen // d samples every hop / d, so each starts
+    where frame_energy's does, and the track keeps frame_energy's frame count.
+    The checks of estimate_f0 run at w's own rate, so a frame config that w's
+    rate cannot meet fails with estimate_f0's message."""
+    frames, _, _ = _f0_frames(w, cfg)
+    count, flen = frames.shape
+    sr, hop = w.sample_rate, int(round(cfg.hop_sec * w.sample_rate))
+    d = _decimation_factor(sr, hop, flen, cfg.f0_max_hz)
+    if d > 1:
+        w = Waveform(_decimate(w.samples, d), sr // d)
+        # a frame of flen // d samples at sr // d may leave room for one more frame
+        cfg = replace(cfg, frame_length_sec=max(cfg.hop_sec, flen // d * d / sr))
+    return ProsodicTrack(values=estimate_f0(w, cfg).values[:count],
+                         frame_rate=cfg.frame_rate, kind="f0_hz")
 
 
 def interpolate_unvoiced(t: ProsodicTrack) -> ProsodicTrack:

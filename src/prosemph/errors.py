@@ -78,5 +78,6 @@ class UtteranceSetMismatchError(ProsemphError):
 
 
 class OutputWriteError(ProsemphError):
-    """An output file cannot be cleared or written: an item's fails that item,
-    a whole-run file (a result, failures.json, manifest.json) the run."""
+    """An output file cannot be cleared or written, or a value bound for it is
+    NaN or infinite: an item's fails that item, a whole-run file (a result,
+    failures.json, manifest.json) the run."""

@@ -33,6 +33,9 @@ class CombineWeights:
 
 # widest scored wavelet scale allowed, in frames; bounds the largest kernel
 MAX_SCALE_FRAMES = 1024
+# the version of label_utterance's algorithm, which a config does not set:
+# 1 estimated F0 at the file's own rate, 2 on a decimated copy (dsp.decimated_f0)
+LABEL_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -230,7 +233,7 @@ def label_utterance(
         w = dsp.read_wav(wav_path)
         frame_rate = cfg.frame.frame_rate
         energy = dsp.frame_energy(w, cfg.frame)
-        f0 = dsp.interpolate_unvoiced(dsp.estimate_f0(w, cfg.frame))
+        f0 = dsp.interpolate_unvoiced(dsp.decimated_f0(w, cfg.frame))
         logf0 = dsp.ProsodicTrack(
             values=np.log(f0.values), frame_rate=frame_rate, kind="f0_hz"
         )

@@ -18,6 +18,10 @@ DEFAULT_RELATIONS = [
     "CMP", "COO", "POB", "LAD", "RAD", "IS", "WP",
 ]
 
+# relations the character graph gives its own edges; no dependency carries
+# one but ROOT, on a root word
+RESERVED_RELATIONS = ("ROOT", "BOS", "EOS", "SEQ")
+
 DEFAULT_POS = [
     "n", "v", "a", "d", "p", "q", "m", "r", "c", "u",
     "w", "nt", "ns", "nh", "i", "b", "o", "e", "g", "h",
@@ -78,7 +82,7 @@ class Tagset:
 def default_tagset() -> Tagset:
     pos = {tag: i for i, tag in enumerate(DEFAULT_POS)}
     rel = {tag: i for i, tag in enumerate(DEFAULT_RELATIONS)}
-    for reserved in ("ROOT", "BOS", "EOS", "SEQ"):
+    for reserved in RESERVED_RELATIONS:
         rel[reserved] = len(rel)
     return Tagset(pos=pos, rel=rel)
 
@@ -100,7 +104,7 @@ def load_tagset(path) -> Tagset:
                                      f"integer ids")
         if sorted(mapping.values()) != list(range(len(mapping))):
             raise MalformedFileError(f"tagset {path}: {name} ids are not dense 0..n-1")
-    for reserved in ("ROOT", "BOS", "EOS", "SEQ"):
+    for reserved in RESERVED_RELATIONS:
         if reserved not in rel:
             raise MalformedFileError(f"tagset {path} missing reserved id {reserved}")
     return Tagset(pos=pos, rel=rel)

@@ -1,5 +1,8 @@
+import dataclasses
 import errno
+import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prosemph import cli, conditioning, corpus
+from prosemph import cli, conditioning, corpus, prominence
 
 from synth import gen_learnable_corpus, short_audio, synth_utterance, write_wav
 
@@ -307,9 +310,11 @@ def test_train_missing_semantic_rows_fail_per_item(tmp_path, tagset, fault):
         del store[bad]
     elif fault == "short":  # one row fewer than the item has chars
         store[bad] = store[bad][:-1]
-    else:
-        store[bad][0, 0] = np.nan
     embeddings.save_semantic(store, 16, tmp_path / "sem.pemb")
+    if fault == "non_finite":  # as another encoder may write it: save_semantic will not
+        blob, first = (tmp_path / "sem.pemb").read_bytes(), store[bad][0, 0].tobytes()
+        assert blob.count(first) == 1
+        (tmp_path / "sem.pemb").write_bytes(blob.replace(first, np.float32(np.nan).tobytes()))
     cfg = json.loads(small_train_config(tmp_path / "cfg.json").read_text())
     cfg["semantic"] = {"mode": "file_backed", "path": str(tmp_path / "sem.pemb")}
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
@@ -334,6 +339,25 @@ def _usage_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     return err[0]
+
+
+@short_audio
+def test_label_version_is_recorded_and_hashed_but_is_no_config_key(tmp_path, capsys):
+    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+    write_audio_corpus(c, w, count=1)
+    argv = ["label", "--corpus", str(c), "--wav", str(w)]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["label_version"] == prominence.LABEL_VERSION == 2
+    blob = json.dumps({**dataclasses.asdict(prominence.ProminenceConfig()),
+                       "label_version": 2}, sort_keys=True, default=str)
+    assert manifest["config_hash"] == hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    capsys.readouterr()
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"label_version": 1}))
+    assert cli.main([*argv, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert _usage_error_line(capsys) == "error: config key label_version: unknown key"
+    assert not (tmp_path / "o").exists()
 
 
 @short_audio
@@ -508,6 +532,44 @@ def test_train_that_diverges_fails_the_run_and_leaves_no_log(tmp_path, tagset, c
         assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
                          "--out", str(out)]) == 1
     assert _usage_error_line(capsys) == "error: NonFiniteLossError: epoch 1: loss nan"
+    assert sorted(p.name for p in out.iterdir()) == ["failures.json"]
+
+
+def test_predict_from_a_diverged_checkpoint_fails_every_item(tmp_path, tagset, capsys):
+    c, cfg = tmp_path / "corpus", tmp_path / "cfg.json"
+    write_labeled_corpus(c, tagset, count=6)
+    # one batch, one epoch: its loss is finite, but the update leaves weights
+    # near 1e30, finite, so model.pemo loads and predict's forward overflows
+    cfg.write_text(json.dumps({
+        "model": {"hidden_dim": 8, "head_hidden": 4},
+        "train": {"epochs": 1, "learning_rate": 1e30, "batch_size": 32},
+        "semantic": {"mode": "hash", "dim": 8}}))
+    run, pred = tmp_path / "run", tmp_path / "pred"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                         "--out", str(run)]) == 0
+        assert cli.main(["predict", "--corpus", str(c), "--config", str(cfg),
+                         "--checkpoint", str(run / "model.pemo"), "--out", str(pred)]) == 1
+    ids = [f"u{i:04d}" for i in range(6)]
+    failures = json.loads((pred / "failures.json").read_text())
+    assert failures == [{"utterance_id": uid, "error": f"OutputWriteError: cannot write "
+                         f"{uid}.lab.tsv: confidence of char 0 is not finite"} for uid in ids]
+    assert "Traceback" not in capsys.readouterr().err
+    assert sorted(p.name for p in pred.iterdir()) == ["failures.json", "manifest.json"]
+    assert json.loads((pred / "manifest.json").read_text())["output_paths"] == []
+    assert not any("nan" in p.read_text().lower() for p in pred.iterdir())
+
+
+def test_non_finite_whole_run_result_fails_the_run(tmp_path, tagset, capsys, monkeypatch):
+    c, out = tmp_path / "corpus", tmp_path / "out"
+    write_labeled_corpus(c, tagset, count=2)
+    nan = cli.metrics.Metrics(math.nan, math.nan, math.nan, 0, 0, 0)
+    monkeypatch.setattr(cli.metrics, "evaluate", lambda predicted, gold: nan)
+    assert cli.main(["evaluate", "--predicted", str(c), "--gold", str(c),
+                     "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: OutputWriteError: cannot write metrics.json: Out of range float values "
+        "are not JSON compliant: nan"]
     assert sorted(p.name for p in out.iterdir()) == ["failures.json"]
 
 
@@ -942,22 +1004,22 @@ def test_non_finite_tau_is_usage_error(tmp_path, capsys, tau):
 
 
 # sha256 of every file `label --scores` writes for the corpus below, recorded
-# before the F0 autocorrelation changed its FFT size and its peak climb
+# at label version 2, F0 on a decimated signal; the same on the SkylakeX,
+# Haswell, Sandybridge, Nehalem and Katmai kernels of OpenBLAS 0.3.31
 LABEL_GOLDEN = {
-    "g0.lab.tsv": "a74123ea3d1f9cf0386b6e13bf455fed3a52cfadfb21b60793bfb0a4ac741afc",
-    "g0.scores.tsv": "4d78390422cb885339205aed3bd7c6067d7782f2672fff6a9b0b49ad73c0c745",
-    "g1.lab.tsv": "9047dd83de5690730cc68b1d16a6e2f95e7ab6107345f7b2db9e4eab63344f78",
-    "g1.scores.tsv": "ae950272ff40c6fbc297daa81b599700873434ffda7abe7b457f4089fbeb8e45",
-    "g2.lab.tsv": "11a67866e826d112c0b50f804cb1afbecda95d7e97e17377e1d98a18354b15cd",
-    "g2.scores.tsv": "a7ea589149b55e7dc2e0f8193ed1b84cd0c55bd579d26ad0252ac3fb20c40ec9",
+    "g0.lab.tsv": "cbf019b83767dac67f8610eda8b2215ca00b7120e54a1a5426c1acd4c8f745b8",
+    "g0.scores.tsv": "8d99d6ad34cbe6e948fec7fbea3e81e6a53e47745c92a2db7cbe9f0967bf139f",
+    "g1.lab.tsv": "0f86db01fa401d6d3a806fd6c0a74afff6fb8a6f461a649b9135878570a2b371",
+    "g1.scores.tsv": "856186b8020e960c1e4b834726095c8f877b07268e5f764ec2acf8d7d2128ec3",
+    "g2.lab.tsv": "b6d0e331bf60b7ea26d467cdcda9fac082c5ea0b686ac8ac09a3c6a89cc673a0",
+    "g2.scores.tsv": "2976ecf61dec2366a16698f57e84c066ed9c5e1e5de59440e38f82b4d43e2972",
 }
 
 
-@short_audio
-def test_label_golden_bytes(tmp_path):
-    import hashlib
-
-    c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
+def _label_golden_argv(d) -> list[str]:
+    """The corpus and WAV files of test_label_golden_bytes, in d; the label
+    command line but for --out."""
+    c, w = d / "c", d / "wav"
     c.mkdir()
     w.mkdir()
     rng = np.random.default_rng(8)
@@ -966,11 +1028,34 @@ def test_label_golden_bytes(tmp_path):
         utt, wav = synth_utterance(uid, rng, num_chars=num_chars, emphasized=emphasized)
         corpus.save_utterance(utt, c / f"{uid}.utt.json")
         write_wav(w / f"{uid}.wav", wav)
-    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--out", str(out),
-                     "--scores"]) == 0
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-               for p in sorted(out.glob("*.tsv"))}
-    assert digests == LABEL_GOLDEN
+    return ["label", "--corpus", str(c), "--wav", str(w), "--scores"]
+
+
+@short_audio
+def test_label_golden_bytes(tmp_path):
+    out = tmp_path / "out"
+    assert cli.main([*_label_golden_argv(tmp_path), "--out", str(out)]) == 0
+    assert _digests(sorted(out.glob("*.tsv"))) == LABEL_GOLDEN
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or cli._blas_core() is None,
+                    reason="forces an x86-64 OpenBLAS kernel")
+def test_label_bytes_agree_across_blas_kernels(tmp_path):
+    """Label bytes do not depend on the BLAS kernel, though the F0 low-pass
+    and the wavelet transform sum their products with BLAS dot: the label
+    golden run, in a subprocess on the kernel OPENBLAS_CORETYPE=Prescott
+    forces, writes LABEL_GOLDEN's bytes."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src}
+    out = tmp_path / "forced"
+    proc = subprocess.run([sys.executable, "-m", "prosemph.cli",
+                           *_label_golden_argv(tmp_path), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # OpenBLAS 0.3.31 names the kernel it forces for Prescott Katmai
+    assert json.loads((out / "manifest.json").read_text())["blas_core"] in ("Prescott",
+                                                                          "Katmai")
+    assert _digests(sorted(out.glob("*.tsv"))) == LABEL_GOLDEN
 
 
 # sha256 of every <id>.cond.bin `condition --seed 7` writes for the corpus
@@ -1646,9 +1731,9 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
     for command, line in chain.items():
         assert cli.main(line.split()) == 0, line
         manifest = json.loads((tmp_path / line.split()[-1] / "manifest.json").read_text())
-        assert set(manifest) == {"command", "config_hash", "seed", "input_count",
-                                 "output_paths", "wall_time_sec", "peak_rss_mb",
-                                 "blas_core"}
+        keys = {"command", "config_hash", "seed", "input_count", "output_paths",
+                "wall_time_sec", "peak_rss_mb", "blas_core"}
+        assert set(manifest) == (keys | {"label_version"} if command == "label" else keys)
         assert manifest["peak_rss_mb"] > 0
         # the OpenBLAS core name, such as "SkylakeX", or null without OpenBLAS
         assert manifest["blas_core"] is None or manifest["blas_core"].isprintable()

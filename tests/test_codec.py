@@ -2,14 +2,15 @@
 those and of the corpus text files."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from prosemph import conditioning, corpus, embeddings
+from prosemph import cli, conditioning, corpus, embeddings
 from prosemph.codec import Writer
-from prosemph.errors import ProsemphError
+from prosemph.errors import OutputWriteError, ProsemphError
 from prosemph.model import ModelConfig, PredictorModel
 from prosemph.tagset import default_tagset
 
@@ -155,3 +156,36 @@ def test_damaged_container_loads_or_raises_typed_error(kind, containers):
             pass
 
     check()
+
+
+# each writer of a file a run writes, putting `value` in one of its numbers
+NON_FINITE_WRITERS = {
+    "lab.tsv": lambda value, path: corpus.save_labels(
+        corpus.EmphasisLabels("u1", (0, 1), (0.5, value), "predicted"), path),
+    "scores.tsv": lambda value, path: cli._save_scores([0.1, value, 0.3], path),
+    "json": lambda value, path: cli._save_json({"f_score": value}, path),
+    "pemb": lambda value, path: embeddings.save_semantic(
+        {"u1": np.array([[0.5, value]])}, 2, path),
+    "cond.bin": lambda value, path: conditioning.export_bundle(
+        conditioning.ConditioningBundle("u1", np.array([[0.5, value]]), np.zeros((1, 2))),
+        path),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_WRITERS))
+def test_writers_refuse_a_non_finite_value(tmp_path, kind, value):
+    path = tmp_path / f"u1.{kind}"
+    with pytest.raises(OutputWriteError, match=rf"^cannot write u1\.{kind}: "):
+        NON_FINITE_WRITERS[kind](value, path)
+    assert not path.exists()
+
+
+def test_container_refuses_a_double_beyond_float32(tmp_path):
+    # 1e39 is finite, but float32 holds it as inf
+    w = Writer(b"TEST", 1, finite=True)
+    with np.errstate(over="ignore"):
+        w.floats(np.array([1.0, 1e39]))
+    with pytest.raises(OutputWriteError, match="float32 data holds a NaN or an infinity"):
+        w.save(tmp_path / "x.bin")
+    assert not (tmp_path / "x.bin").exists()

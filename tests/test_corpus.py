@@ -182,6 +182,18 @@ def test_load_annotation_word_count_mismatch(tmp_path, tagset):
         corpus.load_annotation(p, utt, tagset)
 
 
+@pytest.mark.parametrize("reserved", ["ROOT", "BOS", "EOS", "SEQ"])
+def test_dependent_word_with_a_reserved_relation_is_malformed(tmp_path, tagset, reserved):
+    # the character graph would send the dependency through the matrices of
+    # its own ROOT, sentence-boundary or intra-word edges
+    p = tmp_path / "u3.ann.json"
+    write_json(p, {"utterance_id": "u3", "pos": ["n", "v", "n"],
+                   "heads": [1, None, 1], "rels": ["SBV", "ROOT", reserved]})
+    with pytest.raises(MalformedFileError,
+                       match=f"^u3: dependent word 2 carries the reserved relation {reserved}$"):
+        corpus.load_annotation(p, three_word_utt(), tagset)
+
+
 def test_labels_roundtrip(tmp_path):
     lab = corpus.EmphasisLabels("u1", (0, 1, 0), (0.2, 0.9, 0.1), "pseudo")
     p = tmp_path / "u1.lab.tsv"

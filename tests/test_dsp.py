@@ -338,14 +338,14 @@ def test_estimate_f0_climb_ending_on_the_last_lag_is_not_refined():
     assert (f0 == SR / 400).all()
 
 
-def mixed_signal(seconds):
+def mixed_signal(seconds, sr=SR):
     """A pitch glide with a noise burst and a silent gap, so that voiced and
     unvoiced frames both fall inside and across blocks."""
-    n = int(seconds * SR)
-    t = np.arange(n) / SR
+    n = int(seconds * sr)
+    t = np.arange(n) / sr
     x = 0.4 * np.sin(2 * np.pi * (110 * t + 40 * t**2))
-    x[n // 4 : n // 4 + SR // 3] = 0.2 * np.random.default_rng(11).normal(size=SR // 3)
-    x[n // 2 : n // 2 + SR // 5] = 0.0
+    x[n // 4 : n // 4 + sr // 3] = 0.2 * np.random.default_rng(11).normal(size=sr // 3)
+    x[n // 2 : n // 2 + sr // 5] = 0.0
     return x
 
 
@@ -400,6 +400,80 @@ def test_estimate_f0_independent_of_frame_position(hops):
     full = dsp.estimate_f0(dsp.Waveform(x, SR), CFG).values
     shifted = dsp.estimate_f0(dsp.Waveform(x[hops * hop :], SR), CFG).values
     assert np.array_equal(shifted, full[hops:])
+
+
+RATES = [8000, 16000, 22050, 24000, 44100, 48000]
+
+
+@pytest.mark.parametrize("sr, factor", zip(RATES, [1, 2, 2, 3, 3, 6]))
+def test_decimation_factor_of_the_default_frames(sr, factor):
+    hop = int(round(CFG.hop_sec * sr))
+    flen = int(round(CFG.frame_length_sec * sr))
+    assert dsp._decimation_factor(sr, hop, flen, CFG.f0_max_hz) == factor
+
+
+def test_decimation_factor_keeps_the_shortest_lag_in_the_frame():
+    # at 70 Hz, 24000 / 20 = 1200 Hz is the lowest rate; its shortest lag,
+    # 17 samples, needs 18-sample frames, which 350 // 20 = 17 are not
+    assert dsp._decimation_factor(24000, 240, 360, 70.0) == 20
+    assert dsp._decimation_factor(24000, 240, 350, 70.0) == 15
+    # 343 samples hold only the one lag 342, which no decimated frame holds
+    assert dsp._decimation_factor(24000, 240, 343, 70.0) == 1
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_decimate_is_the_reflected_low_pass_every_dth_sample(d):
+    x = np.random.default_rng(d).normal(size=40 * d + d - 1)
+    assert dsp._decimate(np.ones(40 * d), d) == pytest.approx(np.ones(40))  # DC gain 1
+    half = dsp.LOWPASS_HALF * d
+    taps = np.hamming(2 * half + 1) * np.sinc(0.9 / d * np.arange(-half, half + 1))
+    padded = np.pad(x, half, mode="reflect")
+    want = [padded[m * d : m * d + 2 * half + 1] @ taps / taps.sum()
+            for m in range(len(x) // d)]
+    assert dsp._decimate(x, d) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("sr", RATES)
+def test_decimated_f0_stays_within_tolerance_of_the_full_rate_track(sr):
+    # bounds fixed before measuring: V/UV agreement >= 99%, and on frames both
+    # call voiced a median |df0|/f0 <= 1e-4 and a 99th percentile <= 1e-2
+    t = np.arange(3 * sr) / sr
+    sweep = 0.4 * np.sin(2 * np.pi * 80 * 3 / np.log(5) * (5 ** (t / 3) - 1))  # 80-400 Hz
+    for x in (mixed_signal(3.4, sr), sweep):
+        w = dsp.Waveform(x, sr)
+        full, dec = dsp.estimate_f0(w, CFG).values, dsp.decimated_f0(w, CFG).values
+        assert len(dec) == len(full) == len(dsp.frame_energy(w, CFG).values)
+        assert np.mean((dec > 0) == (full > 0)) >= 0.99
+        both = (dec > 0) & (full > 0)
+        rel = np.abs(dec[both] - full[both]) / full[both]
+        assert np.median(rel) <= 1e-4
+        assert np.percentile(rel, 99) <= 1e-2
+
+
+@pytest.mark.parametrize("sr", [16000, 22050, 44100])
+def test_decimated_f0_keeps_the_frame_count_at_every_length(sr):
+    # at 44.1 kHz a frame is 2029 samples, and 676 decimated ones span 2028
+    flen = int(round(CFG.frame_length_sec * sr))
+    hop = int(round(CFG.hop_sec * sr))
+    x = np.sin(2 * np.pi * 150 * np.arange(flen + 2 * hop) / sr)
+    for n in range(flen, flen + 2 * hop + 1, 7 if sr != 44100 else 1):
+        w = dsp.Waveform(x[:n], sr)
+        assert len(dsp.decimated_f0(w, CFG).values) == (n - flen) // hop + 1
+
+
+@pytest.mark.parametrize("frame, error", [
+    ({"frame_length_sec": 0.01, "f0_max_hz": 70.0}, "240-sample frame shorter than the "
+                                                    r"shortest F0 lag \(342 samples\)"),
+    ({"f0_max_hz": 12000.0}, "f0_max_hz 12000 is not below the Nyquist frequency of 24000"),
+    ({"hop_sec": 1e-9}, "hop_sec 1e-09 is under one sample at 24000 Hz"),
+    ({"frame_length_sec": 2.0}, "waveform of 24000 samples shorter than a 2 s frame"),
+])
+def test_decimated_f0_checks_the_frame_at_the_files_own_rate(frame, error):
+    w = dsp.Waveform(np.sin(2 * np.pi * 100 * np.arange(SR) / SR), SR)
+    cfg = dsp.FrameConfig(**frame)
+    for f0 in (dsp.estimate_f0, dsp.decimated_f0):
+        with pytest.raises((TooShortError, UnsupportedEncodingError), match=error):
+            f0(w, cfg)
 
 
 def test_frame_signal_is_a_read_only_view():
