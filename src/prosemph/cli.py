@@ -311,16 +311,16 @@ class _Run:
         """each over the corpus items `ids`, with prepare(utt, ann) as the work."""
         return self.each(ids, lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
-    def finish(self, config, seed, results=(), **versions) -> int:
+    def finish(self, config, seed, results=(), label_version=None) -> int:
         """Print the failed items, then write, in this order, failures.json
         (them, or []), the whole-run `results` (each (name, save, obj) for
         _write_files) and manifest.json, given the run's effective config;
         the exit code. A result that fails ends the run after its report and
         before manifest.json. The manifest lists each file the run cleared at
         opening that exists now and belongs to no failed item: a failed
-        item's write is undone. The keyword arguments, `versions`, give the
-        versions of the algorithms that made the outputs, which no config key
-        sets: the manifest records them and config_hash covers them."""
+        item's write is undone. `label_version`, label's algorithm version,
+        is no config key: when given, the manifest records it and config_hash
+        covers it."""
         report = [{"utterance_id": uid, "error": self.failures[uid]}
                   for uid in sorted(self.failures)]
         for item in report:
@@ -328,12 +328,13 @@ class _Run:
         if self.out:
             _write_files(self.out, [("failures.json", _save_json, report)])
             _write_files(self.out, results)
-            blob = json.dumps({**config, **versions}, sort_keys=True,
+            version = {} if label_version is None else {"label_version": label_version}
+            blob = json.dumps({**config, **version}, sort_keys=True,
                               default=str).encode("utf-8")
             _write_files(self.out, [("manifest.json", _save_json, {
                 "command": self.command,
                 "config_hash": hashlib.sha256(blob).hexdigest(),
-                **versions,
+                **version,
                 "seed": seed,
                 "input_count": self.input_count,
                 "output_paths": sorted(

@@ -1,11 +1,11 @@
 """Little-endian binary codec shared by the PEMO, PEMB and PCND containers.
 
 Every container starts with a 4-byte magic and a uint32 version. `Writer`
-buffers the fields and writes the file in one call (a `finite` one refuses
-a NaN or an infinity in its float32 data); `Reader` checks the
-magic and version up front and bounds-checks every later read, so a short
-file, bad UTF-8 or trailing bytes raise `MalformedFileError` rather than
-a raw `struct`, `numpy` or decode error.
+buffers the fields and writes the file in one call, refusing a NaN or an
+infinity in its float32 data; `Reader` checks the magic and version up front
+and bounds-checks every later read, so a short file, bad UTF-8 or trailing
+bytes raise `MalformedFileError` rather than a raw `struct`, `numpy` or
+decode error.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ U32_LIMIT = 2**32
 
 
 class Writer:
-    def __init__(self, magic: bytes, version: int, finite: bool = False):
+    def __init__(self, magic: bytes, version: int):
         self.parts = [magic, struct.pack("<I", version)]
-        self.finite = finite
 
     def pack(self, fmt: str, *values) -> None:
         self.parts.append(struct.pack(fmt, *values))
@@ -43,10 +42,10 @@ class Writer:
         self.parts.append(np.ascontiguousarray(arr, dtype="<f4"))
 
     def save(self, path) -> None:
-        """Write the file. A `finite` writer raises OutputWriteError instead,
-        writing nothing, when its float32 data holds a NaN or an infinity (read
-        from min and max, which carry either, so no boolean copy is made)."""
-        for part in self.parts if self.finite else ():
+        """Write the file, or raise OutputWriteError, writing nothing, when its
+        float32 data holds a NaN or an infinity (read from min and max, which
+        carry either, so no boolean copy is made)."""
+        for part in self.parts:
             if isinstance(part, np.ndarray) and not np.isfinite(
                     [part.min(initial=0), part.max(initial=0)]).all():
                 raise OutputWriteError(f"cannot write {os.path.basename(path)}: "

@@ -99,7 +99,7 @@ def build_emphasis(labels: EmphasisLabels, tables: Tables, utt: Utterance) -> np
 
 def export_bundle(bundle: ConditioningBundle, path) -> None:
     """Write a PCND container; layout in the README ("File formats")."""
-    w = Writer(PCND_MAGIC, PCND_VERSION, finite=True)
+    w = Writer(PCND_MAGIC, PCND_VERSION)
     w.pack("<III", bundle.cond_dim, bundle.emph_dim, bundle.num_phones)
     w.text(bundle.utterance_id)
     w.floats(bundle.linguistic)

@@ -131,7 +131,7 @@ def save_semantic(store: dict[str, np.ndarray], dim: int, path) -> None:
     for uid, m in store.items():
         if m.shape[1] != dim:
             raise DimMismatchError(f"{uid}: dim {m.shape[1]} != container dim {dim}")
-    w = Writer(PEMB_MAGIC, PEMB_VERSION, finite=True)
+    w = Writer(PEMB_MAGIC, PEMB_VERSION)
     w.pack("<II", dim, len(store))
     for uid in sorted(store):
         w.text(uid)

@@ -560,6 +560,23 @@ def test_predict_from_a_diverged_checkpoint_fails_every_item(tmp_path, tagset, c
     assert not any("nan" in p.read_text().lower() for p in pred.iterdir())
 
 
+def test_train_whose_weights_overflow_writes_no_checkpoint(tmp_path, tagset, capsys):
+    c, out, cfg = tmp_path / "corpus", tmp_path / "out", tmp_path / "cfg.json"
+    write_labeled_corpus(c, tagset, count=6)
+    # one batch, one epoch: its loss is finite, but the update takes weights
+    # past float32's largest value, so model.pemo would hold infinities
+    cfg.write_text(json.dumps({
+        "model": {"hidden_dim": 8, "head_hidden": 4},
+        "train": {"epochs": 1, "learning_rate": 1e39, "batch_size": 32},
+        "semantic": {"mode": "hash", "dim": 8}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
+                         "--out", str(out)]) == 1
+    assert _usage_error_line(capsys) == ("error: OutputWriteError: cannot write model.pemo: "
+                                         "float32 data holds a NaN or an infinity")
+    assert sorted(p.name for p in out.iterdir()) == ["failures.json"]
+
+
 def test_non_finite_whole_run_result_fails_the_run(tmp_path, tagset, capsys, monkeypatch):
     c, out = tmp_path / "corpus", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=2)

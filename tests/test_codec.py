@@ -158,6 +158,13 @@ def test_damaged_container_loads_or_raises_typed_error(kind, containers):
     check()
 
 
+def _model_holding(value):
+    model = PredictorModel(default_tagset(), embeddings.hash_provider(dim=8),
+                           ModelConfig(hidden_dim=6, head_hidden=5, semantic_dim=8))
+    model.params["head_W2"][0, -1] = value
+    return model
+
+
 # each writer of a file a run writes, putting `value` in one of its numbers
 NON_FINITE_WRITERS = {
     "lab.tsv": lambda value, path: corpus.save_labels(
@@ -166,6 +173,7 @@ NON_FINITE_WRITERS = {
     "json": lambda value, path: cli._save_json({"f_score": value}, path),
     "pemb": lambda value, path: embeddings.save_semantic(
         {"u1": np.array([[0.5, value]])}, 2, path),
+    "pemo": lambda value, path: _model_holding(value).save(path),
     "cond.bin": lambda value, path: conditioning.export_bundle(
         conditioning.ConditioningBundle("u1", np.array([[0.5, value]]), np.zeros((1, 2))),
         path),
@@ -183,7 +191,7 @@ def test_writers_refuse_a_non_finite_value(tmp_path, kind, value):
 
 def test_container_refuses_a_double_beyond_float32(tmp_path):
     # 1e39 is finite, but float32 holds it as inf
-    w = Writer(b"TEST", 1, finite=True)
+    w = Writer(b"TEST", 1)
     with np.errstate(over="ignore"):
         w.floats(np.array([1.0, 1e39]))
     with pytest.raises(OutputWriteError, match="float32 data holds a NaN or an infinity"):

@@ -372,8 +372,13 @@ def test_checkpoint_rejects_wrong_magic(tagset, tmp_path):
 def test_checkpoint_rejects_a_non_finite_tensor(tagset, tmp_path, value):
     prov = embeddings.hash_provider(dim=16, seed=0)
     m = M.PredictorModel(tagset, prov, M.ModelConfig(hidden_dim=16, semantic_dim=16))
-    m.params["head_W2"][0, -1] = value
+    # as another writer may leave it: save refuses a non-finite tensor
+    marker = np.float32(1234.5).tobytes()
+    m.params["head_W2"][0, -1] = 1234.5
     m.save(tmp_path / "m.pemo")
+    blob = (tmp_path / "m.pemo").read_bytes()
+    assert blob.count(marker) == 1
+    (tmp_path / "m.pemo").write_bytes(blob.replace(marker, np.float32(value).tobytes()))
     with pytest.raises(MalformedFileError, match="tensor head_W2 holds a non-finite value"):
         M.PredictorModel.load(tmp_path / "m.pemo", tagset, prov)
 
