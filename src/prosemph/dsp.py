@@ -20,8 +20,9 @@ from .errors import (
 )
 
 LOG_EPS = 1e-10
-# frames per block of estimate_f0, chosen by measurement
-F0_BLOCK = 32
+# frames per block of frame_energy and estimate_f0, measured at the decimated
+# rate: 256 saved 12 of 81 ms in estimate_f0 alone but no clear label time
+FRAME_BLOCK = 32
 # decimated_f0 keeps at least this many samples a period of f0_max_hz
 F0_SAMPLES_PER_PERIOD = 16
 # half the taps of decimated_f0's low-pass, in decimated samples
@@ -38,7 +39,8 @@ class Waveform:
     def __post_init__(self):
         if self.samples.size == 0:
             raise MalformedFileError("empty waveform")
-        if not np.isfinite(self.samples).all():
+        # min and max carry a NaN or an infinity, so no boolean copy is made
+        if not np.isfinite([self.samples.min(), self.samples.max()]).all():
             raise MalformedFileError("waveform has non-finite samples")
         if self.sample_rate <= 0:
             raise MalformedFileError(f"bad sample rate {self.sample_rate}")
@@ -89,8 +91,9 @@ def read_wav(path) -> Waveform:
     channels are averaged. Chunks other than `fmt ` and `data` are skipped.
 
     A structural fault (a bad magic, a short header, `fmt ` or `data` chunk, a
-    missing chunk) raises MalformedFileError; any other encoding, RIFX and
-    RF64 too, raises UnsupportedEncodingError.
+    missing chunk, a block size other than channels x sample bytes, a `data`
+    chunk that is not whole frames) raises MalformedFileError; any other
+    encoding, RIFX and RF64 too, raises UnsupportedEncodingError.
     """
     try:
         blob = memoryview(Path(path).read_bytes())
@@ -128,19 +131,23 @@ def read_wav(path) -> Waveform:
     if tag == _PCM and byte_rate != rate * block_align:
         raise MalformedFileError(f"{path}: byte rate {byte_rate} is not "
                                  f"{rate} Hz x {block_align}-byte frames")
-    container = block_align // channels
-    if tag == _PCM and container == 2 and 8 < bits <= 16:
+    if tag == _PCM and 8 < bits <= 16:
         dtype, scale = "<i2", 32768.0
-    elif tag == _IEEE_FLOAT and container == 4 and bits == 32:
+    elif tag == _IEEE_FLOAT and bits == 32:
         dtype, scale = "<f4", 1.0
     else:
         raise UnsupportedEncodingError(
-            f"{path}: format tag {tag:#x} with {bits}-bit samples in {container}-byte "
-            "containers; only PCM16 and float32 are read")
-    count = size // container
-    if count % channels:
-        raise MalformedFileError(f"{path}: data chunk ends inside a frame")
-    samples = np.frombuffer(blob, dtype, count, start).astype(np.float64) / scale
+            f"{path}: format tag {tag:#x} with {bits}-bit samples; "
+            "only PCM16 and float32 are read")
+    container = np.dtype(dtype).itemsize
+    if block_align != channels * container:
+        raise MalformedFileError(f"{path}: block size {block_align} is not {channels} "
+                                 f"channels x {container}-byte samples")
+    if size % block_align:
+        raise MalformedFileError(f"{path}: data chunk of {size} bytes is not a whole "
+                                 f"number of {block_align}-byte frames")
+    samples = np.frombuffer(blob, dtype, size // container, start).astype(np.float64)
+    samples /= scale
     if channels > 1:
         samples = samples.reshape(-1, channels).mean(axis=1)
     return Waveform(samples=samples, sample_rate=rate)
@@ -162,10 +169,19 @@ def _frame_signal(samples: np.ndarray, sr: int, cfg: FrameConfig) -> np.ndarray:
 
 
 def frame_energy(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
-    """Per-frame RMS energy in dB: 20*log10(rms + 1e-10)."""
+    """Per-frame RMS energy in dB: 20*log10(rms + 1e-10).
+
+    Frames are squared FRAME_BLOCK at a time into one reused buffer, so no
+    array of frames x frame length is made; each frame is still averaged
+    as one row, so its value does not depend on the block size.
+    """
     frames = _frame_signal(w.samples, w.sample_rate, cfg)
-    rms = np.sqrt(np.mean(frames**2, axis=1))
-    db = 20.0 * np.log10(rms + LOG_EPS)
+    buf = np.empty((min(FRAME_BLOCK, len(frames)), frames.shape[1]))
+    ms = np.empty(len(frames))
+    for a in range(0, len(frames), FRAME_BLOCK):
+        x = frames[a : a + FRAME_BLOCK]
+        np.mean(np.square(x, out=buf[: len(x)]), axis=1, out=ms[a : a + len(x)])
+    db = 20.0 * np.log10(np.sqrt(ms) + LOG_EPS)
     return ProsodicTrack(values=db, frame_rate=cfg.frame_rate, kind="energy_db")
 
 
@@ -207,7 +223,7 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     threshold are reported as 0 (unvoiced). Peak lag is refined by
     parabolic interpolation.
 
-    Frames are processed F0_BLOCK at a time, so each step's arrays stay
+    Frames are processed FRAME_BLOCK at a time, so each step's arrays stay
     small enough for the cache. The autocorrelation of each frame comes
     from an FFT of `_next_fast_len(flen + lag_max)` points: any length >=
     flen + lag_max keeps the circular wrap out of lags 0..lag_max, the only
@@ -221,8 +237,8 @@ def estimate_f0(w: Waveform, cfg: FrameConfig) -> ProsodicTrack:
     nfft = _next_fast_len(flen + lag_max)
 
     out = np.zeros(len(frames))
-    for a in range(0, len(frames), F0_BLOCK):
-        x = frames[a : a + F0_BLOCK]
+    for a in range(0, len(frames), FRAME_BLOCK):
+        x = frames[a : a + FRAME_BLOCK]
         x = x - x.mean(axis=1, keepdims=True)
         # raw autocorrelation at lags lag_min..lag_max via FFT
         spec = np.fft.rfft(x, n=nfft, axis=1)

@@ -149,6 +149,22 @@ def test_read_wav_structural_fault_is_malformed(tmp_path, blob):
         dsp.read_wav(p)
 
 
+@pytest.mark.parametrize("fmt, data, fault", [
+    # 200 float32 stereo frames with one stray byte each: 450 whole float32 values
+    (struct.pack("<HHIIHH", 3, 2, SR, SR * 9, 9, 32), bytes(1800), "block size 9"),
+    (struct.pack("<HHIIHH", 1, 1, SR, SR * 3, 3, 16), bytes(300), "block size 3"),
+    (PCM16_FMT, bytes(201), "201 bytes is not a whole number of 2-byte"),
+    # 100 float32 stereo frames and two stray bytes: 200 whole values, an even count
+    (fmt_chunk(3, 2, 32, 4), bytes(802), "802 bytes is not a whole number of 8-byte"),
+], ids=["block_align_of_9_for_float32_stereo", "block_align_of_3_for_pcm16_mono",
+        "odd_pcm16_data", "float32_stereo_data_with_stray_bytes"])
+def test_read_wav_names_a_frame_fault(tmp_path, fmt, data, fault):
+    p = tmp_path / "x.wav"
+    p.write_bytes(riff((b"fmt ", fmt), (b"data", data)))
+    with pytest.raises(MalformedFileError, match=fault):
+        dsp.read_wav(p)
+
+
 @pytest.mark.parametrize("dtype", ["<i2", "<f4"])
 def test_read_wav_cut_short_is_malformed(tmp_path, dtype):
     p = tmp_path / "x.wav"
@@ -353,7 +369,7 @@ def test_estimate_f0_blocks_match_reference():
     x = mixed_signal(3.4)
     num_frames = len(dsp.frame_energy(dsp.Waveform(x, SR), CFG).values)
     # at least five blocks, the last one ragged
-    assert num_frames >= 5 * dsp.F0_BLOCK and num_frames % dsp.F0_BLOCK
+    assert num_frames >= 5 * dsp.FRAME_BLOCK and num_frames % dsp.FRAME_BLOCK
     f0 = assert_matches_reference(x, SR, CFG)
     assert 0 < np.mean(f0 > 0) < 1
 
@@ -362,8 +378,25 @@ def test_estimate_f0_independent_of_block_size(monkeypatch):
     w = dsp.Waveform(mixed_signal(1.7), SR)
     default = dsp.estimate_f0(w, CFG).values
     for k in (1, 7):
-        monkeypatch.setattr(dsp, "F0_BLOCK", k)
+        monkeypatch.setattr(dsp, "FRAME_BLOCK", k)
         assert np.array_equal(dsp.estimate_f0(w, CFG).values, default)
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_frame_energy_bits_match_the_whole_framed_view(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
+    k = dsp.FRAME_BLOCK
+    flen, hop = int(round(CFG.frame_length_sec * SR)), int(round(CFG.hop_sec * SR))
+    x = mixed_signal(1.1)
+    # one frame, a block but one, a block, a block and one, several ragged blocks
+    for count in sorted({1, max(k - 1, 1), k, k + 1, 3 * k + 2}):
+        w = dsp.Waveform(x[: flen + (count - 1) * hop], SR)
+        frames = dsp._frame_signal(w.samples, SR, CFG)
+        expected = 20 * np.log10(np.sqrt(np.mean(frames**2, axis=1)) + 1e-10)
+        values = dsp.frame_energy(w, CFG).values
+        assert len(values) == count
+        assert np.array_equal(values, expected)
 
 
 def test_next_fast_len_matches_scipy():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -315,6 +316,22 @@ def test_label_utterance_deterministic(tmp_path):
     b = prominence.label_utterance(p, utt, cfg)
     assert np.array_equal(a.scores, b.scores)
     assert a.labels == b.labels
+
+
+def test_label_utterance_memory_stays_near_the_waveform(tmp_path):
+    # 15 s at 24 kHz: a 2.75 MiB float64 waveform; no temporary of frames x
+    # frame length (13 MB in float64) may be made
+    utt, wav = synth_utterance("long", np.random.default_rng(3), num_chars=60)
+    assert len(wav) >= 15 * 24000
+    p = tmp_path / "long.wav"
+    write_wav(p, wav)
+    tracemalloc.start()
+    try:
+        prominence.label_utterance(p, utt, prominence.ProminenceConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_scale_shift_invariance_of_labels(rng):
