@@ -1,12 +1,9 @@
 """prosody-emph: one executable over the whole pipeline.
 
-Subcommands: validate, label, train, predict, filter, evaluate, condition.
-Each opens one run record once its command line and config file are checked
-and before it reads any input file. Opening it creates --out and deletes the
-last run's manifest.json, failures.json, whole-run results and per-item
-outputs; finishing it writes failures.json, the results, then a manifest.json
-recording the effective config hash, the seed, the input count, the files the
-run wrote, wall time, peak RSS, the BLAS kernel and label's label_version.
+Each subcommand, a key of WRITES, opens one run record (_Run) once its command
+line and config file are checked and before it reads any input file. Opening
+it clears --out of the last run's records and of what WRITES says the command
+writes; finishing it writes failures.json, the results, then manifest.json.
 Usage errors (a bad config file or a missing input directory too) exit 2 and
 create nothing; so does a train or condition config too large for the
 machine's memory, though its run record is open by then. Data errors, and an
@@ -24,14 +21,12 @@ import dataclasses
 import hashlib
 import json
 import math
-import multiprocessing
 import os
 import resource
 import sys
 import time
 import typing
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from pathlib import Path
 
@@ -250,23 +245,34 @@ def _peak_rss_mb() -> float:
 
 
 _RECORDS = ("manifest.json", "failures.json")  # the files that record a run itself
+# what else each command writes into --out: (its whole-run results, in the
+# order finish writes them; each item's outputs, <id><suffix>; --jobs above 1?)
+WRITES = {
+    "validate": (("validation.json",), (), False),
+    "label": ((), (".lab.tsv", ".scores.tsv"), True),
+    "train": (("train_log.ldjson", "model.pemo"), (), False),
+    "predict": ((), (".lab.tsv",), False),
+    "filter": (("kept.json",), (".lab.tsv",), False),
+    "evaluate": (("metrics.json",), (), False),
+    "condition": ((), (".cond.bin",), False),
+}
 
 
 class _Run:
     """The record of one command's run. Opening it creates `out` (None: the
-    run writes no files) and deletes the last run's manifest.json,
-    failures.json and the whole-run `results`, so a run that fails as a whole
-    leaves none of them. An `out` it cannot create or clear is a UsageError.
-    It also deletes <id><suffix> for each of the `ids` and `suffixes`, the
-    items' outputs; an id with one it cannot delete fails with an
-    OutputWriteError, and `each` skips it. Never a glob: `out` may be a
-    corpus directory."""
+    run writes no files) and deletes from it _RECORDS and the command's
+    results in WRITES, so a run that fails as a whole leaves none of the last
+    run's, and <id><suffix> for each of the `ids` and the command's suffixes,
+    the items' outputs. An `out` it cannot create or clear is a UsageError;
+    an id with an output it cannot delete fails with an OutputWriteError, and
+    `each` skips it. Never a glob: `out` may be a corpus directory."""
 
-    def __init__(self, command: str, out, results=(), ids=(), suffixes=()):
+    def __init__(self, command: str, out, ids=()):
         self.command, self.out = command, Path(out) if out else None
         self.t0 = time.monotonic()
         self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
         self.input_count = 0
+        results, suffixes, _ = WRITES[command]
         # each file the run may write: {name: the id it belongs to, None for the run}
         self.outputs = {**dict.fromkeys(results),
                         **{uid + suffix: uid for uid in ids for suffix in suffixes}}
@@ -291,6 +297,9 @@ class _Run:
         attempt = partial(_attempt, work)
         todo = [uid for uid in ids if uid not in self.failures]
         if jobs > 1:
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             spawn = multiprocessing.get_context("spawn")
             with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
                 outcomes = list(pool.map(attempt, todo))
@@ -311,23 +320,26 @@ class _Run:
         """each over the corpus items `ids`, with prepare(utt, ann) as the work."""
         return self.each(ids, lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
-    def finish(self, config, seed, results=(), label_version=None) -> int:
-        """Print the failed items, then write, in this order, failures.json
-        (them, or []), the whole-run `results` (each (name, save, obj) for
-        _write_files) and manifest.json, given the run's effective config;
-        the exit code. A result that fails ends the run after its report and
-        before manifest.json. The manifest lists each file the run cleared at
-        opening that exists now and belongs to no failed item: a failed
-        item's write is undone. `label_version`, label's algorithm version,
-        is no config key: when given, the manifest records it and config_hash
-        covers it."""
+    def finish(self, config, seed, results=None, label_version=None) -> int:
+        """Print the failed items, then write failures.json (them, or []), the
+        `results` ({name: (save, obj)} for _write_files) in WRITES order, and
+        manifest.json, given the run's effective config; the exit code. Names
+        other than the command's in WRITES raise ValueError, and nothing is
+        written. A result that fails ends the run after its report and before
+        manifest.json. The manifest lists each file the run cleared at opening
+        that exists now and belongs to no failed item: a failed item's write
+        is undone. `label_version`, label's algorithm version, is no config
+        key: when given, the manifest records it and config_hash covers it."""
+        results, names = results or {}, WRITES[self.command][0]
+        if set(results) != set(names):
+            raise ValueError(f"{self.command} writes the results {names}, not {list(results)}")
         report = [{"utterance_id": uid, "error": self.failures[uid]}
                   for uid in sorted(self.failures)]
         for item in report:
             print(f"{item['utterance_id']}\tfail\t{item['error']}", file=sys.stderr)
         if self.out:
             _write_files(self.out, [("failures.json", _save_json, report)])
-            _write_files(self.out, results)
+            _write_files(self.out, [(name, *results[name]) for name in names])
             version = {} if label_version is None else {"label_version": label_version}
             blob = json.dumps({**config, **version}, sort_keys=True,
                               default=str).encode("utf-8")
@@ -366,7 +378,7 @@ def _example(tagset, provider, utt, ann, labels=None):
 
 
 def cmd_validate(args) -> int:
-    run = _Run("validate", args.out, ["validation.json"])
+    run = _Run("validate", args.out)
 
     def check(utt, ann):
         _item_labels(args.corpus, utt)
@@ -377,9 +389,9 @@ def cmd_validate(args) -> int:
     for uid in ids:
         print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
     print(f"{len(passed)} pass, {len(failures)} fail")
-    return run.finish({"corpus": str(args.corpus)}, 0, [("validation.json", _save_json, [
+    return run.finish({"corpus": str(args.corpus)}, 0, {"validation.json": (_save_json, [
         {"utterance_id": uid, "ok": uid not in failures, "failure": failures.get(uid)}
-        for uid in ids])])
+        for uid in ids])})
 
 
 def _save_scores(scores, path) -> None:
@@ -407,7 +419,7 @@ def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid) -> No
 def cmd_label(args) -> int:
     cfg = _read_config(prominence.ProminenceConfig, args.config)
     ids = corpus.corpus_ids(args.corpus)
-    run = _Run("label", args.out, ids=ids, suffixes=(".lab.tsv", ".scores.tsv"))
+    run = _Run("label", args.out, ids)
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
     run.each(ids, work, args.jobs)
     return run.finish(dataclasses.asdict(cfg), 0, label_version=prominence.LABEL_VERSION)
@@ -415,7 +427,7 @@ def cmd_label(args) -> int:
 
 def cmd_train(args) -> int:
     cfg, load = _model_inputs(args)
-    run = _Run("train", args.out, ["model.pemo", "train_log.ldjson"])
+    run = _Run("train", args.out)
     tagset, provider = load()
     model_cfg = dataclasses.replace(cfg.model, seed=cfg.seed, semantic_dim=provider.dim)
     dims = {f"model.{f}": (f, getattr(model_cfg, f))
@@ -442,10 +454,10 @@ def cmd_train(args) -> int:
     model = model_mod.PredictorModel(tagset, provider, model_cfg)
     # train writes its log as it goes, one record per epoch; with nothing to
     # train on it raises EmptyDatasetError
-    return run.finish(dataclasses.asdict(cfg), cfg.train.seed, [
-        ("train_log.ldjson", lambda m, path: model_mod.train(
+    return run.finish(dataclasses.asdict(cfg), cfg.train.seed, {
+        "train_log.ldjson": (lambda m, path: model_mod.train(
             m, trn, cfg.train, val_dataset=val, log_path=path), model),
-        ("model.pemo", model_mod.PredictorModel.save, model)])
+        "model.pemo": (model_mod.PredictorModel.save, model)})
 
 
 def cmd_predict(args) -> int:
@@ -454,7 +466,7 @@ def cmd_predict(args) -> int:
     if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
     ids = corpus.corpus_ids(args.corpus)
-    run = _Run("predict", args.out, ids=ids, suffixes=(".lab.tsv",))
+    run = _Run("predict", args.out, ids)
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
     for lab in model.predict(run.items(ids, args.corpus, tagset,
@@ -473,7 +485,7 @@ def cmd_filter(args) -> int:
     if Path(args.out).resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
         raise UsageError("filter --out must differ from --corpus and --predicted")
     pseudo_ids = corpus.corpus_ids(pseudo_dir, ".lab.tsv")
-    run = _Run("filter", args.out, ["kept.json"], pseudo_ids, (".lab.tsv",))
+    run = _Run("filter", args.out, pseudo_ids)
     ids = [uid for uid in pseudo_ids if (pred_dir / f"{uid}.lab.tsv").exists()]
 
     def keep(uid):
@@ -486,7 +498,7 @@ def cmd_filter(args) -> int:
 
     kept = run.each(ids, keep)
     print(f"kept {len(kept)} of {len(ids)}")
-    return run.finish({"tau": args.tau}, 0, [("kept.json", _save_json, kept)])
+    return run.finish({"tau": args.tau}, 0, {"kept.json": (_save_json, kept)})
 
 
 def cmd_evaluate(args) -> int:
@@ -500,18 +512,18 @@ def cmd_evaluate(args) -> int:
                 if pred_path.exists() else None)
         return uid, gold, pred
 
-    run = _Run("evaluate", args.out, ["metrics.json"])
+    run = _Run("evaluate", args.out)
     pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
     m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
                                             {uid: g for uid, g, _ in pairs}))
     print(json.dumps(m))
-    return run.finish({}, 0, [("metrics.json", _save_json, m)])
+    return run.finish({}, 0, {"metrics.json": (_save_json, m)})
 
 
 def cmd_condition(args) -> int:
     cfg, load = _model_inputs(args)
     ids = corpus.corpus_ids(args.corpus)
-    run = _Run("condition", args.out, ids=ids, suffixes=(".cond.bin",))
+    run = _Run("condition", args.out, ids)
     tagset, provider = load()
     _check_memory(1, partial(conditioning.table_shapes, tagset), {
         "cond_dim": ("cond_dim", cfg.cond_dim), "emph_dim": ("emph_dim", cfg.emph_dim),
@@ -601,8 +613,9 @@ def main(argv=None) -> int:
     if getattr(args, "out_required", False) and not args.out:
         parser.error(f"{args.command} requires --out")
     try:
-        if args.jobs < 1 or (args.jobs > 1 and args.command != "label"):
-            raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for label)")
+        if args.jobs < 1 or (args.jobs > 1 and not WRITES[args.command][2]):
+            parallel = " and ".join(c for c, (_, _, jobs) in WRITES.items() if jobs)
+            raise UsageError(f"--jobs {args.jobs}: expected 1 (any count >= 1 for {parallel})")
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise UsageError(f"--seed {args.seed}: expected an integer >= 0")
         if not math.isfinite(getattr(args, "tau", 0.0)):

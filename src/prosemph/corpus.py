@@ -219,8 +219,7 @@ def save_utterance(utt: Utterance, path) -> None:
         "char_times": [list(t) for t in utt.char_times],
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, ensure_ascii=False)
-        f.write("\n")
+        f.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def load_annotation(path, utt: Utterance, tagset: Tagset) -> DepAnnotation:
@@ -252,8 +251,7 @@ def save_annotation(ann: DepAnnotation, tagset: Tagset, path) -> None:
         "rels": [rel_by_id[r] for r in ann.relations],
     }
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, ensure_ascii=False)
-        f.write("\n")
+        f.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
 def load_labels(path, utterance_id: str, num_chars: int | None = None) -> EmphasisLabels:
@@ -276,6 +274,8 @@ def load_labels(path, utterance_id: str, num_chars: int | None = None) -> Emphas
             rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
         except ValueError as exc:
             raise MalformedFileError(f"{path}: bad row {ln!r} ({exc})") from exc
+    if not rows:
+        raise MalformedFileError(f"{path}: no label rows")
     rows.sort(key=lambda r: r[0])
     if [r[0] for r in rows] != list(range(len(rows))):
         raise MalformedFileError(f"{path}: char indices are not dense 0..n-1")

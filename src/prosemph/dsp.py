@@ -146,10 +146,12 @@ def read_wav(path) -> Waveform:
     if size % block_align:
         raise MalformedFileError(f"{path}: data chunk of {size} bytes is not a whole "
                                  f"number of {block_align}-byte frames")
-    samples = np.frombuffer(blob, dtype, size // container, start).astype(np.float64)
-    samples /= scale
-    if channels > 1:
-        samples = samples.reshape(-1, channels).mean(axis=1)
+    samples = np.frombuffer(blob, dtype, size // container, start)
+    if channels > 1:  # summed through numpy's buffered cast, no float64 copy of each channel
+        samples = np.add.reduce(samples.reshape(-1, channels), axis=1, dtype=np.float64)
+    else:
+        samples = samples.astype(np.float64)
+    samples /= scale * channels  # exact as a mean: scale is a power of two
     return Waveform(samples=samples, sample_rate=rate)
 
 

@@ -62,18 +62,20 @@ def save_small_model(tagset, path):
 def test_cli_import_loads_no_scipy(tmp_path):
     # every prosody-emph process, and every label --jobs worker, imports the
     # CLI: label reads WAV and runs its FFTs with numpy, and only the GGNN's
-    # first propagation (train, predict) loads scipy.sparse
+    # first propagation (train, predict) loads scipy.sparse; only label
+    # --jobs N, N > 1, loads a process pool
     c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
     write_audio_corpus(c, w, count=1)
     src = str(Path(cli.__file__).resolve().parents[1])
     argv = ["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)]
     code = (f"import sys; sys.path.insert(0, {src!r}); import prosemph.cli; "
             f"rc = prosemph.cli.main({argv!r}); "
-            "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            "print(rc, *(sorted(m for m in sys.modules if m.split('.')[0] in top)"
+            " for top in (['scipy'], ['multiprocessing', 'concurrent'])))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 []"
+    assert proc.stdout.splitlines()[-1] == "0 [] []"
     assert (out / "a0.lab.tsv").exists()
 
 
@@ -663,14 +665,18 @@ def _predicted_copy(c, pred):
     ("bad_utf8", {"filter": "MalformedFileError", "evaluate": "MalformedFileError"}),
     ("one_row", {"filter": "LengthMismatchError",
                  "evaluate": "InconsistentAlignmentError"}),
+    # the pseudo (gold) and the predicted file both hold only their header
+    ("header_only", {"filter": "MalformedFileError", "evaluate": "MalformedFileError"}),
 ])
 @pytest.mark.parametrize("command", ["filter", "evaluate"])
 def test_bad_predicted_labels_fail_alone(tmp_path, tagset, command, fault, error):
     c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     _predicted_copy(c, pred)
-    row = b"0\t1\t\xff\n" if fault == "bad_utf8" else b"0\t1\t1.0\n"
+    row = {"bad_utf8": b"0\t1\t\xff\n", "one_row": b"0\t1\t1.0\n", "header_only": b""}[fault]
     (pred / "u0001.lab.tsv").write_bytes(b"#source=predicted\n" + row)
+    if fault == "header_only":
+        (c / "u0001.lab.tsv").write_bytes(b"#source=pseudo\n")
     if command == "filter":
         argv = ["filter", "--corpus", str(c), "--predicted", str(pred), "--tau", "0.5"]
     else:
@@ -679,6 +685,8 @@ def test_bad_predicted_labels_fail_alone(tmp_path, tagset, command, fault, error
     failures = json.loads((out / "failures.json").read_text())
     assert [f["utterance_id"] for f in failures] == ["u0001"]
     assert failures[0]["error"].startswith(error[command] + ": ")
+    if fault == "header_only":
+        assert failures[0]["error"].endswith("u0001.lab.tsv: no label rows")
     if command == "filter":
         assert json.loads((out / "kept.json").read_text()) == ["u0000", "u0002"]
     else:
@@ -828,7 +836,7 @@ def _full_disk_on(monkeypatch, name):
     monkeypatch.setattr("builtins.open", full_disk_open)
 
 
-@pytest.mark.parametrize("command, name, left", [
+WHOLE_RUN_WRITE_FAULTS = [
     # failures.json comes first, then the results, then manifest.json
     ("train", "train_log.ldjson", ["failures.json"]),
     ("train", "model.pemo", ["failures.json"]),  # the log goes with the checkpoint
@@ -838,10 +846,16 @@ def _full_disk_on(monkeypatch, name):
     ("evaluate", "metrics.json", ["failures.json"]),
     ("evaluate", "failures.json", []),
     ("evaluate", "manifest.json", ["failures.json", "metrics.json"]),
-])
+]
+
+
+@pytest.mark.parametrize("command, name, left", WHOLE_RUN_WRITE_FAULTS)
 def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset, capsys,
                                                                monkeypatch, command, name,
                                                                left):
+    # the cases fail every whole-run result of every command
+    assert {(c, n) for c, n, _ in WHOLE_RUN_WRITE_FAULTS} >= {
+        (c, n) for c, (results, _, _) in cli.WRITES.items() for n in results}
     c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     _predicted_copy(c, pred)
@@ -859,6 +873,16 @@ def test_whole_run_output_that_cannot_be_written_fails_the_run(tmp_path, tagset,
         f"error: OutputWriteError: cannot write {name}: No space left on device")
     # neither a partial file nor a manifest.json
     assert sorted(p.name for p in out.iterdir()) == left
+
+
+def test_finish_writes_only_the_results_the_table_lists(tmp_path):
+    out = tmp_path / "out"
+    for results in ({"metrics.json": (cli._save_json, {}), "other.json": (cli._save_json, {})},
+                    {}):
+        run = cli._Run("evaluate", out)
+        with pytest.raises(ValueError, match=r"evaluate writes the results \('metrics.json',\)"):
+            run.finish({}, 0, results)
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("command, name, error", [
@@ -983,15 +1007,17 @@ def test_filter_then_condition_on_kept_labels(tmp_path, tagset):
                                                                "u0002.cond.bin"]
 
 
+REQUIRED_OPTIONS = {"label": ["--wav", "w"], "predict": ["--checkpoint", "m.pemo"],
+                    "filter": ["--predicted", "p"],
+                    "evaluate": ["--predicted", "p", "--gold", "g"]}
+
+
 @pytest.mark.parametrize("argv", [
     ["label", "--wav", "w", "--jobs", "0"],
     ["train", "--jobs", "-1"],
-    ["validate", "--jobs", "2"],
-    ["train", "--jobs", "2"],
-    ["predict", "--checkpoint", "m.pemo", "--jobs", "2"],
-    ["filter", "--predicted", "p", "--jobs", "2"],
-    ["evaluate", "--predicted", "p", "--gold", "g", "--jobs", "2"],
-    ["condition", "--jobs", "2"],
+    # --jobs 2 for each command that takes only --jobs 1
+    *([command, *REQUIRED_OPTIONS.get(command, []), "--jobs", "2"]
+      for command, (_, _, jobs) in cli.WRITES.items() if not jobs),
 ])
 def test_jobs_other_than_one_only_for_label(tmp_path, capsys, argv):
     if argv[0] != "evaluate":  # evaluate takes no --corpus
@@ -1744,6 +1770,8 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
         "evaluate": "evaluate --predicted pred --gold labels --out eval",
         "condition": "condition --corpus corpus --config cfg.json --out cond",
     }
+    assert list(chain) == list(cli.WRITES)
+    ids = corpus.corpus_ids(tmp_path / "corpus")
     recorded = {}
     for command, line in chain.items():
         assert cli.main(line.split()) == 0, line
@@ -1759,6 +1787,10 @@ def test_every_command_writes_the_same_manifest_keys(tmp_path, tagset, monkeypat
         out = tmp_path / line.split()[-1]
         assert manifest["output_paths"] == sorted(
             p.name for p in out.iterdir() if p.name not in ("manifest.json", "failures.json"))
+        # and each is a record, a result or an item's output the table gives the command
+        results, suffixes, _ = cli.WRITES[command]
+        allowed = {*cli._RECORDS, *results, *(uid + s for uid in ids for s in suffixes)}
+        assert {p.name for p in out.iterdir()} <= allowed
     core = recorded["validate"][2]
     assert recorded == {command: (command, 4, core) for command in chain}
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -204,18 +205,27 @@ def test_labels_roundtrip(tmp_path):
     assert back.confidences == pytest.approx(lab.confidences)
 
 
-def test_utterance_roundtrip(tmp_path, rng):
-    for _ in range(20):
-        utt = random_utterance(rng)
+def test_utterance_roundtrip(tmp_path, rng, tiny_utt):
+    for utt in [tiny_utt, *(random_utterance(rng) for _ in range(20))]:
         p = tmp_path / "rnd.utt.json"
         corpus.save_utterance(utt, p)
         assert corpus.load_utterance(p) == utt
+        assert p.read_bytes() == json_dump_bytes(p)
 
 
 def test_annotation_roundtrip(tmp_path, tagset, tiny_utt, tiny_ann):
     p = tmp_path / "u1.ann.json"
     corpus.save_annotation(tiny_ann, tagset, p)
     assert corpus.load_annotation(p, tiny_utt, tagset) == tiny_ann
+    assert p.read_bytes() == json_dump_bytes(p)
+
+
+def json_dump_bytes(path):
+    """The bytes json.dump writes for the object in path, as the corpus writers
+    call it, with a final newline."""
+    f = io.StringIO()
+    json.dump(json.loads(path.read_text(encoding="utf-8")), f, ensure_ascii=False)
+    return (f.getvalue() + "\n").encode("utf-8")
 
 
 # -- forest acceptance property ---------------------------------------------

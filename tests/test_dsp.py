@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 import warnings
 from functools import partial
 
@@ -93,10 +94,11 @@ def scipy_read(path):
 
 
 @pytest.mark.parametrize("layout", ["scipy", "extensible", "odd_list_chunk"])
-@pytest.mark.parametrize("channels", [1, 2, 5])
+@pytest.mark.parametrize("channels", [1, 2, 3, 5, 9])
 @pytest.mark.parametrize("dtype", ["<i2", "<f4"])
 def test_read_wav_matches_scipy(tmp_path, dtype, channels, layout):
-    x = noise_frames(dtype, channels)
+    # enough frames that the channel sums cross numpy's 8,192-element cast buffers
+    x = noise_frames(dtype, channels, n=3001)
     p = tmp_path / "x.wav"
     if layout == "scipy":
         wavfile.write(p, SR, x[:, 0] if channels == 1 else x)
@@ -109,6 +111,23 @@ def test_read_wav_matches_scipy(tmp_path, dtype, channels, layout):
     w = dsp.read_wav(p)
     assert w.sample_rate == rate == SR
     assert w.samples.tobytes() == expected.tobytes()
+
+
+def test_read_wav_memory_does_not_grow_with_channels(tmp_path):
+    # the channels are summed without a float64 copy of each: the file's bytes
+    # and the mono float64 output, plus half the output for numpy's buffers
+    frames, channels = 15 * SR, 5
+    p = tmp_path / "x.wav"
+    p.write_bytes(riff((b"fmt ", fmt_chunk(3, channels, 32, 4)),
+                       (b"data", np.zeros(frames * channels, "<f4").tobytes())))
+    tracemalloc.start()
+    try:
+        w = dsp.read_wav(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(w.samples) == frames
+    assert peak < p.stat().st_size + 1.5 * w.samples.nbytes
 
 
 @pytest.mark.parametrize("encoding", ["uint8", "float64", "pcm24", "rifx", "rf64"])
