@@ -27,7 +27,7 @@ import sys
 import time
 import typing
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +213,11 @@ def _semantic_key(cfg: RunConfig) -> str:
     return "semantic.dim" if cfg.semantic.mode == "hash" else "semantic.path"
 
 
+@cache
 def _blas_core() -> str | None:
     """The core name of the OpenBLAS this process loaded, which names the
-    kernels its matmuls run; None when no OpenBLAS says."""
+    kernels its matmuls run; None when no OpenBLAS says. Read once per
+    process, as the kernels do not change while it runs."""
     import ctypes
 
     try:

@@ -7,6 +7,7 @@ to one prominence score per character, and thresholded into binary labels.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -120,18 +121,22 @@ def combine(
     return dsp.ProsodicTrack(values=values, frame_rate=f0.frame_rate, kind="combined")
 
 
+@functools.lru_cache(maxsize=64)  # a config scores a dozen scales or so
 def ricker_kernel(scale: float) -> np.ndarray:
     """Discrete Ricker (Mexican hat) wavelet at the given scale in frames.
 
     Sampled over +-4 scales and normalized to unit L2 norm, so each
     scalogram row of a unit-variance white-noise input has unit expected
-    variance.
+    variance. Built once per scale and returned read-only, as every
+    caller shares it.
     """
     half = max(1, int(math.ceil(4.0 * scale)))
     t = np.arange(-half, half + 1, dtype=np.float64)
     u = t / scale
     psi = (2.0 / (math.sqrt(3.0 * scale) * math.pi**0.25)) * (1 - u**2) * np.exp(-(u**2) / 2)
-    return psi / np.linalg.norm(psi)
+    psi /= np.linalg.norm(psi)
+    psi.setflags(write=False)
+    return psi
 
 
 def cwt_ricker(

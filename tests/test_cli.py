@@ -1,3 +1,4 @@
+import ctypes
 import dataclasses
 import errno
 import hashlib
@@ -1085,9 +1086,9 @@ def test_label_golden_bytes(tmp_path):
                     reason="forces an x86-64 OpenBLAS kernel")
 def test_label_bytes_agree_across_blas_kernels(tmp_path):
     """Label bytes do not depend on the BLAS kernel, though the F0 low-pass
-    and the wavelet transform sum their products with BLAS dot: the label
-    golden run, in a subprocess on the kernel OPENBLAS_CORETYPE=Prescott
-    forces, writes LABEL_GOLDEN's bytes."""
+    sums its products in a BLAS matrix product and the wavelet transform in
+    BLAS dot: the label golden run, in a subprocess on the kernel
+    OPENBLAS_CORETYPE=Prescott forces, writes LABEL_GOLDEN's bytes."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott", "PYTHONPATH": src}
     out = tmp_path / "forced"
@@ -1099,6 +1100,18 @@ def test_label_bytes_agree_across_blas_kernels(tmp_path):
     assert json.loads((out / "manifest.json").read_text())["blas_core"] in ("Prescott",
                                                                           "Katmai")
     assert _digests(sorted(out.glob("*.tsv"))) == LABEL_GOLDEN
+
+
+def test_blas_core_is_read_once_per_process(monkeypatch):
+    core = cli._blas_core()
+
+    def read(*args, **kwargs):
+        raise AssertionError("the BLAS core was looked up again")
+
+    # the lookup reads /proc/self/maps and opens each BLAS library it names
+    monkeypatch.setattr("builtins.open", read)
+    monkeypatch.setattr(ctypes, "CDLL", read)
+    assert cli._blas_core() == core
 
 
 # sha256 of every <id>.cond.bin `condition --seed 7` writes for the corpus

@@ -407,7 +407,7 @@ def test_frame_energy_bits_match_the_whole_framed_view(monkeypatch, block):
         monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
     k = dsp.FRAME_BLOCK
     flen, hop = int(round(CFG.frame_length_sec * SR)), int(round(CFG.hop_sec * SR))
-    x = mixed_signal(1.1)
+    x = mixed_signal(2.0)
     # one frame, a block but one, a block, a block and one, several ragged blocks
     for count in sorted({1, max(k - 1, 1), k, k + 1, 3 * k + 2}):
         w = dsp.Waveform(x[: flen + (count - 1) * hop], SR)
@@ -483,6 +483,51 @@ def test_decimate_is_the_reflected_low_pass_every_dth_sample(d):
     want = [padded[m * d : m * d + 2 * half + 1] @ taps / taps.sum()
             for m in range(len(x) // d)]
     assert dsp._decimate(x, d) == pytest.approx(want, abs=1e-12)
+
+
+def decimate_by_the_sum(x, d):
+    """The sum _decimate's docstring states, evaluated by elementwise products
+    and numpy's pairwise sum, so no BLAS: each output and the sum of its
+    terms' magnitudes, the scale of its rounding error."""
+    half = dsp.LOWPASS_HALF * d
+    j = np.arange(-half, half + 1)
+    h = np.hamming(len(j)) * np.sinc(0.9 / d * j)
+    # reflected about x[0] and x[-1]: x[-i] = x[i], x[n - 1 + i] = x[n - 1 - i]
+    padded = np.pad(x, half, mode="reflect")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, len(h))[::d][: len(x) // d]
+    terms = windows * (h / h.sum())
+    return terms.sum(axis=1), np.abs(terms).sum(axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 6])
+def test_decimate_matches_its_sum_across_blocks(d):
+    # a product covers LOWPASS_ROWS rows of LOWPASS_WIDTH outputs: the shortest
+    # input, one row, one product, one product but one and one more output,
+    # and several products with a ragged last row, in samples
+    block = dsp.LOWPASS_ROWS * dsp.LOWPASS_WIDTH
+    rng = np.random.default_rng(10 + d)
+    for n in (dsp.LOWPASS_HALF * d + 1, dsp.LOWPASS_WIDTH * d, block * d, block * d - 1,
+              block * d - d, block * d + d, 3 * block * d + 7 * d + 1):
+        x = rng.normal(size=n)
+        want, scale = decimate_by_the_sum(x, d)
+        got = dsp._decimate(x, d)
+        assert len(got) == n // d
+        assert (np.abs(got - want) <= 1e-12 * scale).all()
+
+
+def test_decimate_memory_stays_under_the_phase_by_phase_low_pass():
+    # the bound is the tracemalloc peak, in bytes, of the low-pass this one
+    # replaced (np.correlate over one reflected copy of each phase x[p::d]),
+    # on this input: a 15-s 24 kHz file, decimated by 3
+    x = np.random.default_rng(0).normal(size=15 * SR) * 0.1
+    dsp._decimate(x, 3)
+    tracemalloc.start()
+    try:
+        dsp._decimate(x, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_883_108
 
 
 @pytest.mark.parametrize("sr", RATES)
@@ -610,3 +655,60 @@ def test_duration_signal_empty_alignment():
     )
     with pytest.raises(EmptyAlignmentError):
         dsp.duration_signal(utt, 100.0)
+
+
+def duration_by_frame(utt, frame_rate):
+    """duration_signal as a loop over frames, the reference for its arrays:
+    a pointer walks the characters, past each whose end a frame has reached."""
+    total = utt.char_times[-1][1]
+    num_frames = int(math.ceil(total * frame_rate - 1e-9))
+    values = np.empty(num_frames)
+    log_durs = [math.log(e - s + 1e-10) for s, e in utt.char_times]
+    c, current = 0, log_durs[0]
+    for i in range(num_frames):
+        t = i / frame_rate
+        while c < len(utt.char_times) and t >= utt.char_times[c][1]:
+            c += 1
+        if c < len(utt.char_times) and t >= utt.char_times[c][0]:
+            current = log_durs[c]
+        values[i] = current
+    return values
+
+
+def timed_utt(char_times):
+    n = len(char_times)
+    utt = corpus.Utterance(id="t", chars=("x",) * n, word_spans=((0, n),),
+                           phones_per_char=(1,) * n, char_times=tuple(char_times))
+    utt.validate()
+    return utt
+
+
+@pytest.mark.parametrize("char_times", [
+    [(0.0, 0.1), (0.15, 0.3), (0.5, 0.52)],  # gaps, one under a frame
+    [(0.03, 0.1), (0.1, 0.1), (0.1, 0.25), (0.3, 0.3), (0.3, 0.4)],  # zero lengths
+    # an end steps back past the frame at 0.1 s, which stays with the first
+    [(0.0, 0.1 + 4e-10), (0.1 - 4e-10, 0.1 - 4e-10), (0.1 - 4e-10, 0.3)],
+    [(0.0, 0.2), (0.2 - 1e-9, 0.2 - 1e-9), (0.2 - 1e-9, 0.2 - 1e-9)],  # ends at the step
+])
+def test_duration_signal_equals_the_frame_loop(char_times):
+    utt = timed_utt(char_times)
+    for frame_rate in (100.0, 33.3, 1000.0):
+        values = dsp.duration_signal(utt, frame_rate).values
+        assert values.tobytes() == duration_by_frame(utt, frame_rate).tobytes()
+
+
+def test_duration_signal_equals_the_frame_loop_on_random_alignments(rng):
+    for _ in range(200):
+        times, t = [], 0.0
+        for _ in range(int(rng.integers(1, 12))):
+            s = t + rng.choice([0.0, rng.uniform(0, 0.1), -rng.uniform(0, 1e-9)])
+            s = max(s, 0.0)
+            e = s + rng.choice([0.0, rng.uniform(0, 0.3)])
+            times.append((s, e))
+            t = e
+        if times[-1][1] <= 0:
+            continue
+        utt = timed_utt(times)
+        frame_rate = float(rng.choice([100.0, 200.0, rng.uniform(10, 500)]))
+        values = dsp.duration_signal(utt, frame_rate).values
+        assert values.tobytes() == duration_by_frame(utt, frame_rate).tobytes()
