@@ -30,7 +30,7 @@ from .metrics import evaluate
 from .tagset import Tagset
 
 PEMO_MAGIC = b"PEMO"
-PEMO_VERSION = 1
+PEMO_VERSION = 2
 
 HIDDEN_DEFAULT = 512
 ITERATIONS_DEFAULT = 3
@@ -102,20 +102,15 @@ def _incidence(rows, num_rows, dtype):
     )
 
 
-def _uniform(rng, limit, shape, dtype):
-    """rng.uniform(-limit, limit, shape).astype(dtype), drawn INIT_BLOCK
-    doubles at a time straight into the output: each double takes one 64-bit
-    draw, so the stream and the values are those of the whole-tensor draw."""
-    out = np.empty(shape, dtype)
-    flat = out.reshape(-1)
+def _fill_uniform(rng, limit, out):
+    """out[...] = rng.uniform(-limit, limit, out.shape), drawn INIT_BLOCK
+    doubles at a time straight into out (C-contiguous): each double takes one
+    64-bit draw, so the stream and the values are those of the whole-tensor
+    draw, cast to out's dtype."""
+    flat = out.reshape(-1, copy=False)
     for a in range(0, flat.size, INIT_BLOCK):
         part = flat[a : a + INIT_BLOCK]
         part[...] = rng.uniform(-limit, limit, size=part.size)
-    return out
-
-
-def _glorot(rng, shape, dtype):
-    return _uniform(rng, np.sqrt(6.0 / (shape[-1] + shape[-2])), shape, dtype)
 
 
 def _affine_backward(dy, x, W, gW, gb):
@@ -130,7 +125,8 @@ def param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]
     shapes = {
         "proj_W": (H, cfg.semantic_dim + cfg.pos_dim), "proj_b": (H,),
         "bos": (H,), "eos": (H,), "pos_table": (tagset.num_pos, cfg.pos_dim),
-        "msg_W": (R, 2, H, H), "msg_b": (R, 2, H),
+        # one slot per relation but ROOT: Tagset.msg_slot
+        "msg_W": (R - 1, 2, H, H), "msg_b": (R - 1, 2, H),
         "head_W1": (K, H), "head_b1": (K,),
         "head_W2": (NUM_CLASSES, K), "head_b2": (NUM_CLASSES,),
     }
@@ -165,16 +161,25 @@ class PredictorModel:
 
     def _init_params(self) -> dict[str, np.ndarray]:
         """Glorot weights, U(-0.1, 0.1) embeddings, zero biases. Drawn in
-        `param_shapes` order, which the checkpoint bytes depend on."""
+        `param_shapes` order, which the checkpoint bytes depend on. msg_W
+        skips the draws of ROOT's slot, which PEMO version 1 held, so every
+        value keeps the bits it had there."""
         rng = np.random.default_rng(self.config.seed)
         p = {}
         for name, shape in param_shapes(self.config, self.tagset).items():
-            if name in ("bos", "eos", "pos_table"):
-                p[name] = _uniform(rng, 0.1, shape, self.dtype)
-            elif "_b" in name:
+            if "_b" in name:
                 p[name] = np.zeros(shape, dtype=self.dtype)
+                continue
+            out = p[name] = np.empty(shape, dtype=self.dtype)
+            limit = (0.1 if name in ("bos", "eos", "pos_table")
+                     else np.sqrt(6.0 / (shape[-1] + shape[-2])))
+            if name == "msg_W":
+                root = self.tagset.root_id
+                _fill_uniform(rng, limit, out[:root])
+                rng.bit_generator.advance(out[0].size)
+                _fill_uniform(rng, limit, out[root:])
             else:
-                p[name] = _glorot(rng, shape, self.dtype)
+                _fill_uniform(rng, limit, out)
         # update gate starts open toward state retention
         p["gru_bz"] = np.ones_like(p["gru_bz"])
         return p
@@ -206,8 +211,10 @@ class PredictorModel:
         """Propagate for num_iterations; returns final states and caches.
 
         Edges are sorted once by (relation, direction), so each step runs
-        one matmul per relation group, and a sparse incidence matrix sums
-        the messages into their destination nodes.
+        one matmul per relation group, with the weights of the relation's
+        `Tagset.msg_slot` (an edge labeled ROOT raises MalformedFileError),
+        and a sparse incidence matrix sums the messages into their
+        destination nodes.
         """
         if h0.shape[0] != graph.num_nodes:
             raise LengthMismatchError("h0 rows must equal graph node count")
@@ -217,8 +224,10 @@ class PredictorModel:
         order = np.argsort(key, kind="stable")
         src, dst, key = graph.edges[order, 0], graph.edges[order, 1], key[order]
         bounds = np.flatnonzero(np.diff(key, prepend=-1, append=-1)).tolist()
-        groups = [(divmod(int(key[a]), 2), slice(a, b))
-                  for a, b in zip(bounds, bounds[1:])]
+        groups = []
+        for a, b in zip(bounds, bounds[1:]):
+            rel, d = divmod(int(key[a]), 2)
+            groups.append(((self.tagset.msg_slot(rel), d), slice(a, b)))
         dtype = np.result_type(h0, p["msg_W"])
         to_dst = _incidence(dst, graph.num_nodes, dtype)
         h = h0
@@ -226,8 +235,8 @@ class PredictorModel:
         for _ in range(self.config.num_iterations):
             hs = h[src]
             msg = np.empty((num_edges, h.shape[1]), dtype=dtype)
-            for (r, d), s in groups:
-                msg[s] = hs[s] @ p["msg_W"][r, d].T + p["msg_b"][r, d]
+            for (slot, d), s in groups:
+                msg[s] = hs[s] @ p["msg_W"][slot, d].T + p["msg_b"][slot, d]
             m = to_dst @ msg
             z = _sigmoid(self._gate("z", m, h))
             r = _sigmoid(self._gate("r", m, h))
@@ -377,9 +386,9 @@ class PredictorModel:
                 dh_prev += dh_g
             dmsg, hs = dm[dst], h[src]
             back = np.empty_like(dmsg)
-            for (rel, d), s in ggn["groups"]:
-                back[s] = _affine_backward(dmsg[s], hs[s], p["msg_W"][rel, d],
-                                           grads["msg_W"][rel, d], grads["msg_b"][rel, d])
+            for (slot, d), s in ggn["groups"]:
+                back[s] = _affine_backward(dmsg[s], hs[s], p["msg_W"][slot, d],
+                                           grads["msg_W"][slot, d], grads["msg_b"][slot, d])
             dh_prev += to_src @ back
             dh = dh_prev
 
@@ -474,13 +483,18 @@ class AdamOptimizer:
         any batch has an edge of it. That too keeps the bits, for a finite
         learning rate: its m and v are still +0.0, so the update would leave
         them +0.0 and subtract +0.0 from p, which keeps every p (-0.0 too).
-        Once updated, a slice is updated at every step, as its moments decay."""
+        Once updated, a slice is updated at every step, as its moments decay.
+
+        Each gradient is popped out of grads as its tensor is updated, so
+        step leaves grads empty and frees each gradient no one else holds:
+        the next batch's backward pass does not run beside this batch's
+        gradients."""
         self.t += 1
         b1, b2, eps = 0.9, 0.999, 1e-8
         c1, c2 = 1 - b1**self.t, 1 - b2**self.t
         for k in params:
             p = params[k].reshape(-1, copy=False)
-            g = grads[k].reshape(-1, copy=False)
+            g = grads.pop(k).reshape(-1, copy=False)
             m = self.m[k].reshape(-1, copy=False)
             v = self.v[k].reshape(-1, copy=False)
             started = self.started[k]

@@ -57,6 +57,14 @@ class Tagset:
         """Size of the full relation inventory, SEQ included."""
         return len(self.rel)
 
+    def msg_slot(self, rel_id: int) -> int:
+        """The slot of relation rel_id's message weights, one of
+        num_relations - 1: ROOT, which no edge carries, has none, so each
+        relation after it takes the slot below its id."""
+        if rel_id == self.root_id:
+            raise MalformedFileError("an edge carries ROOT, which has no message weights")
+        return rel_id - (rel_id > self.root_id)
+
     @property
     def num_pos(self) -> int:
         return len(self.pos)

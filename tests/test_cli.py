@@ -7,6 +7,7 @@ import math
 import os
 import platform
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
@@ -1174,28 +1175,30 @@ def test_condition_golden_bytes(tmp_path, tagset):
 
 # sha256 of model.pemo and train_log.ldjson `train` writes for the run below, by
 # the OpenBLAS core name (cli._blas_core) of the kernels that ran it: each family
-# sums its float32 matmuls in its own order. SkylakeX was recorded before the
-# GGNN backward was folded into one routine per operation, the others with
-# OpenBLAS 0.3.31 forced by OPENBLAS_CORETYPE (Zen reports Haswell, Prescott Katmai).
+# sums its float32 matmuls in its own order. The logs were recorded with PEMO
+# version 1, SkylakeX's before the GGNN backward was folded into one routine per
+# operation, the others with OpenBLAS 0.3.31 forced by OPENBLAS_CORETYPE (Zen
+# reports Haswell, Prescott Katmai). The checkpoints were re-recorded the same way
+# at PEMO version 2, which drops ROOT's message weights and keeps every other bit.
 TRAIN_GOLDEN = {
     "SkylakeX": {
-        "model.pemo": "72ba999a04512885689fdc1fb92f2ace52a726dbb08c9cc71465228aa5dcfdac",
+        "model.pemo": "2d02d60134fb775760b3c5081a9d45c4670752e0b820f312c50930bc099fdb73",
         "train_log.ldjson": "b89525f831056592ed95a309246fd1b5955185a1732ebd7d89bfb6fce7bcc5c1",
     },
     "Haswell": {
-        "model.pemo": "556e880aa7a2328a3d34c3052a67fcb691256fd30e1205d870320b5ea2c6e9e7",
+        "model.pemo": "2f09d4520f0ff3cb801671d7f06d1817ffb5bbb21cad4c80c960335a488b5767",
         "train_log.ldjson": "ffc6811ca4bd214ad06fd7e59ac398b703abb3cb2982ca6aab4ae54d717f0d4d",
     },
     "Sandybridge": {
-        "model.pemo": "2c0fe89a49bc3aaf4600e73c3c7470a8d739a6fd74ccd97e14579ec398bbe1c0",
+        "model.pemo": "aa00766c56644ade3f86d1982a18329bc08da4f62ecc960fe5c36a7f394eb173",
         "train_log.ldjson": "9a5ede335ffb10de0e6691d579f5bbad71d5c1b683d9f7b743ff4405de0122cc",
     },
     "Nehalem": {
-        "model.pemo": "30ef234251f4b30bd9020331547587562d35062541ba811163fd060eee2a380d",
+        "model.pemo": "4504433742f6709d25790eee540802f4b6fc2acaf37b4e15696dac2383d3d603",
         "train_log.ldjson": "94df7668acbc40bd68d1c12eff31b52c77aed0e64795ba3f5ca824b1cfbb4090",
     },
     "Katmai": {
-        "model.pemo": "35cfe85b895a5e0edb11c7621befe992dadfa64c4e9cfc6356b3123f62999b66",
+        "model.pemo": "0be53c1c0c3f6c4192f4e6313d6320be5c8736bee7f9af12db22113b03459433",
         "train_log.ldjson": "eed090d7c9cc3fa34bc4b1c8908a5a9ab5035d66b030cc88750e76299ab70ad4",
     },
 }
@@ -1212,24 +1215,30 @@ def _digests(paths) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
 
 
-def test_train_golden_bytes(tmp_path, tagset):
-    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
-    msg_W has 147,456 elements, three ADAM_BLOCK slices, and val_fraction
-    puts the validation metrics in the log. The digests hold for one OpenBLAS
-    core family; on any kernel the epoch losses stay within TRAIN_LOSS_RTOL."""
-    from prosemph import embeddings, model as M
-
-    c, out = tmp_path / "c", tmp_path / "out"
+def _train_golden_argv(d, tagset) -> list[str]:
+    """The corpus and config of test_train_golden_bytes, in d; the train
+    command line but for --out."""
+    c, cfg = d / "c", d / "cfg.json"
     write_labeled_corpus(c, tagset, count=40)
-    cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "val_fraction": 0.25, "seed": 3,
         "model": {"hidden_dim": 64, "num_iterations": 3, "head_hidden": 16},
         "train": {"epochs": 3, "learning_rate": 1e-3, "batch_size": 8, "seed": 1},
         "semantic": {"mode": "hash", "dim": 16, "seed": 2},
     }))
-    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
-                     "--out", str(out)]) == 0
+    return ["train", "--corpus", str(c), "--config", str(cfg)]
+
+
+def test_train_golden_bytes(tmp_path, tagset):
+    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
+    msg_W has 139,264 elements (17 relation slots, ROOT having none), three
+    ADAM_BLOCK slices, and val_fraction puts the validation metrics in the
+    log. The digests hold for one OpenBLAS core family; on any kernel the
+    epoch losses stay within TRAIN_LOSS_RTOL."""
+    from prosemph import embeddings, model as M
+
+    out = tmp_path / "out"
+    assert cli.main([*_train_golden_argv(tmp_path, tagset), "--out", str(out)]) == 0
     msg_W = M.PredictorModel.load(out / "model.pemo", tagset,
                                   embeddings.hash_provider(dim=16, seed=2)).params["msg_W"]
     assert 2 * M.ADAM_BLOCK < msg_W.size <= 3 * M.ADAM_BLOCK
@@ -1241,6 +1250,81 @@ def test_train_golden_bytes(tmp_path, tagset):
         pytest.skip(f"no train digests recorded for BLAS core {core}")
     assert _digests(out / name for name in ("model.pemo", "train_log.ldjson")) == (
         TRAIN_GOLDEN[core])
+
+
+def _cpu_flags() -> set[str]:
+    """The feature flags /proc/cpuinfo lists for this CPU; empty where it
+    cannot be read."""
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as f:
+            return set(next((ln.split(":", 1)[1].split() for ln in f
+                             if ln.startswith("flags")), ()))
+    except OSError:
+        return set()
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or cli._blas_core() is None
+                    or not {"avx2", "fma"} <= _cpu_flags(),
+                    reason="forces OpenBLAS's Haswell kernels, which need AVX2 and FMA")
+def test_train_bytes_on_a_forced_kernel_family(tmp_path, tagset):
+    """The train golden run, in a subprocess on the kernels
+    OPENBLAS_CORETYPE=Haswell forces, writes TRAIN_GOLDEN's Haswell bytes: a
+    digest recorded for a family other than this process's is checked too."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Haswell", "PYTHONPATH": src}
+    out = tmp_path / "forced"
+    proc = subprocess.run([sys.executable, "-m", "prosemph.cli",
+                           *_train_golden_argv(tmp_path, tagset), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "manifest.json").read_text())["blas_core"] == "Haswell"
+    assert _digests(out / name for name in ("model.pemo", "train_log.ldjson")) == (
+        TRAIN_GOLDEN["Haswell"])
+
+
+def test_train_and_predict_with_root_first_in_the_tagset(tmp_path, tagset):
+    """ROOT has no message slot wherever its id falls. With ROOT at id 0 each
+    relation takes the slot below its id, and train then predict run."""
+    from prosemph import embeddings, model as M
+    from prosemph.tagset import load_tagset
+
+    names = ["ROOT", *(r for r in sorted(tagset.rel, key=tagset.rel.get) if r != "ROOT")]
+    path = tmp_path / "tagset.json"
+    path.write_text(json.dumps({"pos": tagset.pos,
+                                "rel": {r: i for i, r in enumerate(names)}}))
+    root_first = load_tagset(path)
+    R = root_first.num_relations
+    assert root_first.root_id == 0
+    assert [root_first.msg_slot(r) for r in range(1, R)] == list(range(R - 1))
+    c, cfg = tmp_path / "c", small_train_config(tmp_path / "cfg.json")
+    write_labeled_corpus(c, root_first, count=8)
+    ckpt = tmp_path / "train" / "model.pemo"
+    assert cli.main(["train", "--corpus", str(c), "--config", str(cfg), "--tagset",
+                     str(path), "--out", str(tmp_path / "train")]) == 0
+    assert cli.main(["predict", "--corpus", str(c), "--config", str(cfg), "--tagset",
+                     str(path), "--checkpoint", str(ckpt), "--out", str(tmp_path / "pred")]) == 0
+    assert len(list((tmp_path / "pred").glob("*.lab.tsv"))) == 8
+    params = M.PredictorModel.load(ckpt, root_first,
+                                   embeddings.hash_provider(dim=16, seed=0)).params
+    assert params["msg_W"].shape == (R - 1, 2, 16, 16)
+    assert params["msg_b"].shape == (R - 1, 2, 16)
+
+
+def test_predict_refuses_a_version_1_checkpoint(tmp_path, tagset, capsys):
+    """PEMO version 2 dropped ROOT's message weights, so a file whose header
+    says version 1 fails predict instead of being read with shifted slots."""
+    c, ckpt = tmp_path / "corpus", tmp_path / "m.pemo"
+    write_labeled_corpus(c, tagset, count=1)
+    save_small_model(tagset, ckpt)
+    data = bytearray(ckpt.read_bytes())
+    assert data[4:8] == struct.pack("<I", 2)
+    data[4:8] = struct.pack("<I", 1)
+    ckpt.write_bytes(data)
+    capsys.readouterr()
+    assert cli.main(["predict", "--corpus", str(c), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "o")]) == 1
+    assert _usage_error_line(capsys) == (
+        f"error: MalformedFileError: {ckpt}: unsupported PEMO version 1")
 
 
 def _dense_adam_step(self, params, grads):

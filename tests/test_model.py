@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -338,7 +339,9 @@ def test_load_draws_no_init(tagset, tmp_path, monkeypatch):
 
 
 def test_init_params_match_whole_tensor_draws(tagset):
-    """The blocked draws give the whole-tensor rng.uniform(...).astype bits."""
+    """The blocked draws give the whole-tensor rng.uniform(...).astype bits.
+    msg_W's are those of a draw with a slot for every relation, ROOT's taken
+    out."""
     cfg = M.ModelConfig(hidden_dim=64, head_hidden=8, semantic_dim=8, seed=5)
     shapes = M.param_shapes(cfg, tagset)
     assert any(math.prod(s) > M.INIT_BLOCK and math.prod(s) % M.INIT_BLOCK
@@ -352,6 +355,9 @@ def test_init_params_match_whole_tensor_draws(tagset):
             limit = np.sqrt(6.0 / (shape[-1] + shape[-2]))
         if "_b" in name:
             want = np.full(shape, name == "gru_bz", np.float32)
+        elif name == "msg_W":
+            want = rng.uniform(-limit, limit, size=(tagset.num_relations, *shape[1:]))
+            want = np.delete(want, tagset.root_id, axis=0).astype(np.float32)
         else:
             want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         assert params[name].dtype == np.float32
@@ -491,6 +497,39 @@ def test_prebuilt_graph_is_the_graph_built_on_demand(tagset):
     assert all(ex.graph is None for ex in batch)
 
 
+def test_an_edge_labeled_root_raises(tagset):
+    """ROOT has no message weights: a dependent word that carries it in an
+    annotation no one validated fails forward, rather than reading the
+    weights in ROOT's id's slot, which belong to the next relation."""
+    m = small_model(tagset)
+    utt, ann, _ = small_example(tagset)
+    ann = corpus.DepAnnotation(ann.utterance_id, ann.pos_tags, ann.heads,
+                               (tagset.root_id, tagset.root_id))
+    with pytest.raises(MalformedFileError, match="ROOT"):
+        m.forward(utt, ann)
+
+
+def test_no_batch_gradients_outlive_their_step(tagset, monkeypatch):
+    """step pops every gradient out of the dict it is given, so in train each
+    batch's gradients are freed before the next batch's backward pass
+    returns."""
+    m = small_model(tagset, dtype=np.float32)
+    grads = m.zero_grads()
+    M.AdamOptimizer(m.params, 1e-3).step(m.params, grads)
+    assert grads == {}
+    refs, loss_and_grads = [], M.PredictorModel.loss_and_grads
+
+    def recording(self, batch, **kwargs):
+        loss, grads = loss_and_grads(self, batch, **kwargs)
+        assert all(ref() is None for batch_refs in refs for ref in batch_refs)
+        refs.append([weakref.ref(g) for g in grads.values()])
+        return loss, grads
+
+    monkeypatch.setattr(M.PredictorModel, "loss_and_grads", recording)
+    M.train(m, varied_batch(tagset), M.TrainConfig(epochs=1, batch_size=1))
+    assert len(refs) == 4
+
+
 def test_adam_in_place_step_is_bit_identical():
     """Three steps of the in-place update against the plain formula, bit for
     bit (-0.0 too). "e" has four ADAM_BLOCK slices: the first gets a
@@ -519,7 +558,7 @@ def test_adam_in_place_step_is_bit_identical():
         grads["e"][2, ::3] = -0.0
         if t > 1:
             grads["e"][3] = 0.0
-        opt.step(params, grads)
+        opt.step(params, dict(grads))  # step empties the dict it is given
         assert opt.started["e"] == [True, t > 1, False, True]
         for k, g in grads.items():
             ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
