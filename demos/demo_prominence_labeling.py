@@ -10,10 +10,10 @@ and prints what each stage produced.
 
 import tempfile
 import warnings
+import wave
 from pathlib import Path
 
 import numpy as np
-from scipy.io import wavfile
 
 from prosemph import corpus, dsp, prominence
 
@@ -108,7 +108,11 @@ def main():
     # The one-call entry point reproduces the same labels from a WAV file.
     with tempfile.TemporaryDirectory() as td:
         p = Path(td) / "demo.wav"
-        wavfile.write(p, SR, wav.astype(np.float32))
+        with wave.open(str(p), "wb") as f:
+            f.setnchannels(1)
+            f.setsampwidth(2)
+            f.setframerate(SR)
+            f.writeframes(np.round(wav * 32767).astype("<i2").tobytes())
         res = prominence.label_utterance(p, utt, cfg)
     assert res.labels.labels == labels.labels
     print("\nlabel_utterance() on the WAV file reproduces the same labels.")

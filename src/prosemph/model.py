@@ -89,17 +89,18 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _incidence(rows, num_rows, dtype):
-    """Sparse [num_rows x len(rows)] matrix with a one at (rows[e], e),
-    built straight in CSR form: row i lists the e with rows[e] == i."""
-    from scipy import sparse  # here, so only train and predict load it, at their first propagation
-
-    indptr = np.zeros(num_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
-    return sparse.csr_matrix(
-        (np.ones(len(rows), dtype), np.argsort(rows, kind="stable"), indptr),
-        shape=(num_rows, len(rows)),
-    )
+def _scatter_sum(rows, x, num_rows):
+    """out[i] = the sum of the x[e] with rows[e] == i, added in edge order
+    from +0.0: the bits of the CSR product that sums x into its rows. Pass k
+    adds the k-th edge of every row at once, up to the largest in-degree."""
+    counts = np.bincount(rows, minlength=num_rows)
+    order = np.argsort(rows, kind="stable")
+    rank = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out = np.zeros((num_rows, x.shape[1]), x.dtype)
+    for k in range(counts.max(initial=0)):
+        e = order[rank == k]
+        out[rows[e]] += x[e]
+    return out
 
 
 def _fill_uniform(rng, limit, out):
@@ -213,8 +214,7 @@ class PredictorModel:
         Edges are sorted once by (relation, direction), so each step runs
         one matmul per relation group, with the weights of the relation's
         `Tagset.msg_slot` (an edge labeled ROOT raises MalformedFileError),
-        and a sparse incidence matrix sums the messages into their
-        destination nodes.
+        and `_scatter_sum` adds the messages into their destination nodes.
         """
         if h0.shape[0] != graph.num_nodes:
             raise LengthMismatchError("h0 rows must equal graph node count")
@@ -229,7 +229,6 @@ class PredictorModel:
             rel, d = divmod(int(key[a]), 2)
             groups.append(((self.tagset.msg_slot(rel), d), slice(a, b)))
         dtype = np.result_type(h0, p["msg_W"])
-        to_dst = _incidence(dst, graph.num_nodes, dtype)
         h = h0
         steps = []
         for _ in range(self.config.num_iterations):
@@ -237,7 +236,7 @@ class PredictorModel:
             msg = np.empty((num_edges, h.shape[1]), dtype=dtype)
             for (slot, d), s in groups:
                 msg[s] = hs[s] @ p["msg_W"][slot, d].T + p["msg_b"][slot, d]
-            m = to_dst @ msg
+            m = _scatter_sum(dst, msg, graph.num_nodes)
             z = _sigmoid(self._gate("z", m, h))
             r = _sigmoid(self._gate("r", m, h))
             c = np.tanh(self._gate("c", m, r * h))
@@ -372,7 +371,6 @@ class PredictorModel:
             dhid * (hid > 0), h_chars, p["head_W1"], grads["head_W1"], grads["head_b1"])
 
         src, dst = ggn["src"], ggn["dst"]
-        to_src = _incidence(src, dh.shape[0], dh.dtype)
         for h, m, z, r, c in reversed(ggn["steps"]):  # h: the step's input state
             dm = np.zeros(m.shape, m.dtype)
             dac = dh * (1.0 - z) * (1.0 - c * c)
@@ -389,7 +387,7 @@ class PredictorModel:
             for (slot, d), s in ggn["groups"]:
                 back[s] = _affine_backward(dmsg[s], hs[s], p["msg_W"][slot, d],
                                            grads["msg_W"][slot, d], grads["msg_b"][slot, d])
-            dh_prev += to_src @ back
+            dh_prev += _scatter_sum(src, back, len(dh))
             dh = dh_prev
 
         grads["bos"] += dh[init["bos_rows"]].sum(axis=0)

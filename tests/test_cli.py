@@ -61,24 +61,35 @@ def save_small_model(tagset, path):
 
 
 @short_audio
-def test_cli_import_loads_no_scipy(tmp_path):
+def test_cli_import_loads_no_scipy(tmp_path, tagset):
     # every prosody-emph process, and every label --jobs worker, imports the
-    # CLI: label reads WAV and runs its FFTs with numpy, and only the GGNN's
-    # first propagation (train, predict) loads scipy.sparse; only label
+    # CLI: label reads WAV and runs its FFTs with numpy, train and predict sum
+    # the GGNN's messages with numpy, so no command loads scipy; only label
     # --jobs N, N > 1, loads a process pool
     c, w, out = tmp_path / "c", tmp_path / "wav", tmp_path / "out"
     write_audio_corpus(c, w, count=1)
+    text = tmp_path / "text"
+    write_labeled_corpus(text, tagset, count=4)
+    cfg = str(small_train_config(tmp_path / "cfg.json"))
+    ckpt = tmp_path / "train" / "model.pemo"
     src = str(Path(cli.__file__).resolve().parents[1])
-    argv = ["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)]
-    code = (f"import sys; sys.path.insert(0, {src!r}); import prosemph.cli; "
-            f"rc = prosemph.cli.main({argv!r}); "
-            "print(rc, *(sorted(m for m in sys.modules if m.split('.')[0] in top)"
-            " for top in (['scipy'], ['multiprocessing', 'concurrent'])))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 [] []"
-    assert (out / "a0.lab.tsv").exists()
+    for argv, made in (
+        (["label", "--corpus", str(c), "--wav", str(w), "--out", str(out)],
+         out / "a0.lab.tsv"),
+        (["train", "--corpus", str(text), "--config", cfg, "--out", str(ckpt.parent)],
+         ckpt),
+        (["predict", "--corpus", str(text), "--config", cfg, "--checkpoint", str(ckpt),
+          "--out", str(tmp_path / "pred")], tmp_path / "pred" / "u0000.lab.tsv"),
+    ):
+        code = (f"import sys; sys.path.insert(0, {src!r}); import prosemph.cli; "
+                f"rc = prosemph.cli.main({argv!r}); "
+                "print(rc, *(sorted(m for m in sys.modules if m.split('.')[0] in top)"
+                " for top in (['scipy'], ['multiprocessing', 'concurrent'])))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 [] []", argv[0]
+        assert made.exists()
 
 
 def test_validate_ok(tmp_path, tagset, capsys):

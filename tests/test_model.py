@@ -6,7 +6,7 @@ import pytest
 
 from prosemph import corpus, embeddings, model as M
 from prosemph.errors import DimMismatchError, EmptyDatasetError, MalformedFileError
-from prosemph.graph import CharGraph, build_char_graph
+from prosemph.graph import CharGraph, build_char_graph, disjoint_union
 
 from synth import gen_learnable_corpus
 
@@ -468,6 +468,78 @@ def test_ggn_union_blocks_are_independent(tagset):
     packed, _ = m.ggn_forward(union, np.vstack(h0s))
     alone = np.vstack([m.ggn_forward(g, h0)[0] for g, h0 in zip(graphs, h0s)])
     assert np.abs(packed - alone).max() <= 1e-12
+
+
+# -- message sums ------------------------------------------------------------
+
+
+def csr_sum(rows, x, num_rows):
+    """The reference for `_scatter_sum`: scipy's CSR product with a one at
+    (rows[e], e), which adds each row's terms in edge order from +0.0."""
+    from scipy import sparse
+
+    indptr = np.zeros(num_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=num_rows), out=indptr[1:])
+    ones = sparse.csr_matrix((np.ones(len(rows), x.dtype), np.argsort(rows, kind="stable"),
+                              indptr), shape=(num_rows, len(rows)))
+    return ones @ x
+
+
+def with_negative_zeros(x, rng):
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return x
+
+
+def hub_example(tagset):
+    """41 one-char words: the first is the root and the 40 others its
+    dependents, so the root's char has an in-edge from each and one from BOS."""
+    n = 41
+    utt = corpus.Utterance("hub", tuple(chr(0x4E00 + i) for i in range(n)),
+                           tuple((i, i + 1) for i in range(n)), (1,) * n,
+                           tuple((i * 0.1, (i + 1) * 0.1) for i in range(n)))
+    ann = corpus.DepAnnotation("hub", (tagset.pos["v"],) + (tagset.pos["n"],) * 40,
+                               (None,) + (0,) * 40, (tagset.root_id,) + (tagset.rel["SBV"],) * 40)
+    labels = tuple(i % 2 for i in range(n))
+    return M.Example(utt, ann, corpus.EmphasisLabels("hub", labels, (1.0,) * n, "human"))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(6))
+def test_scatter_sum_bits_match_csr(seed, dtype):
+    # row 0 has 40 in-edges, the last row none, and a fifth of the inputs are
+    # -0.0: compared by bytes, as +0.0 == -0.0
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 60))
+    rows = rng.permutation(np.r_[np.zeros(40, np.int64),
+                                 rng.integers(1, n - 1, int(rng.integers(0, 5 * n)))])
+    x = with_negative_zeros(rng.standard_normal((len(rows), 7)).astype(dtype), rng)
+    got, want = M._scatter_sum(rows, x, n), csr_sum(rows, x, n)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    assert not got[-1].any() and not np.signbit(got[-1]).any()
+
+
+def test_scatter_sum_bits_match_csr_on_a_4300_node_pack(tagset):
+    exs = [hub_example(tagset)] + gen_learnable_corpus(500, 4, tagset)
+    graphs = [build_char_graph(ex.utt, ex.ann, tagset) for ex in exs]
+    ends = np.cumsum([g.num_nodes for g in graphs])
+    pack = disjoint_union(graphs[: np.searchsorted(ends, 4300) + 1])
+    assert pack.num_nodes >= 4300
+    x = with_negative_zeros(np.random.default_rng(0).standard_normal(
+        (len(pack.edges), 512)).astype(np.float32), np.random.default_rng(1))
+    for rows in pack.edges[:, 1], pack.edges[:, 0]:  # to destinations, to sources
+        assert M._scatter_sum(rows, x, pack.num_nodes).tobytes() == \
+            csr_sum(rows, x, pack.num_nodes).tobytes()
+
+
+def test_loss_and_grads_bits_match_csr_message_sums(tagset, monkeypatch):
+    m = small_model(tagset, hidden=32, sem=16, head=8, dtype=np.float32)
+    batch = varied_batch(tagset) + [hub_example(tagset)]
+    loss, grads = m.loss_and_grads(batch)
+    monkeypatch.setattr(M, "_scatter_sum", csr_sum)
+    loss_csr, grads_csr = m.loss_and_grads(batch)
+    assert loss == loss_csr
+    assert all(grads[k].tobytes() == grads_csr[k].tobytes() for k in grads)
 
 
 def test_packed_predict_matches_single_forward(tagset):
