@@ -5,7 +5,8 @@ Two families:
     (+4 semitones F0, +6 dB energy, 1.6x duration) for the unsupervised
     labeling pipeline;
   - a dependency-annotated text corpus whose gold emphasis is the unique
-    adjective-tagged word attached to the root, for predictor training.
+    adjective-tagged word attached to the root, for predictor training, and
+    a two-level variant whose other half only semantic rows decide.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import pytest
 from scipy.io import wavfile
 
 from prosemph import corpus
+from prosemph.embeddings import save_semantic
 from prosemph.graph import CharGraph, build_char_graph
 from prosemph.model import Example
 from prosemph.tagset import Tagset
@@ -105,6 +107,12 @@ def gen_learnable_example(uid: str, rng, tagset: Tagset) -> Example:
             pos.append(int(rng.choice(non_adj)))
             heads.append(root)
             rel_ids.append(int(rng.choice(rels)))
+    return _assemble(uid, rng, tagset, lens, pos, heads, rel_ids, target, [_CHAR_POOL] * nw)
+
+
+def _assemble(uid, rng, tagset, lens, pos, heads, rel_ids, target, pools) -> Example:
+    """The Example of a parse whose word w has lens[w] chars, each drawn from
+    pools[w]; the chars of word `target` are gold."""
     spans, s = [], 0
     for length in lens:
         spans.append((s, s + int(length)))
@@ -112,7 +120,7 @@ def gen_learnable_example(uid: str, rng, tagset: Tagset) -> Example:
     n = s
     utt = corpus.Utterance(
         id=uid,
-        chars=tuple(rng.choice(_CHAR_POOL) for _ in range(n)),
+        chars=tuple(rng.choice(pools[w]) for w, (a, b) in enumerate(spans) for _ in range(a, b)),
         word_spans=tuple(spans),
         phones_per_char=tuple(int(x) for x in rng.integers(1, 4, n)),
         char_times=tuple((i * 0.2, (i + 1) * 0.2) for i in range(n)),
@@ -132,6 +140,66 @@ def gen_learnable_example(uid: str, rng, tagset: Tagset) -> Example:
 def gen_learnable_corpus(count: int, seed: int, tagset: Tagset) -> list[Example]:
     rng = np.random.default_rng(seed)
     return [gen_learnable_example(f"u{i:04d}", rng, tagset) for i in range(count)]
+
+
+# two-level corpus: in one half the syntax decides the gold word, in the other
+# the semantics, through the class of its chars' semantic rows
+
+_CONTRAST_POOL = [chr(0x4E00 + 200 + i) for i in range(40)]
+
+
+def _gen_contrast_example(uid: str, rng, tagset: Tagset) -> Example:
+    """Two adjectives attach to the root by ATT: the gold one draws its chars
+    from the contrast class, the other from the plain pool."""
+    non_adj = [tagset.pos[t] for t in ("n", "v", "d", "m", "r")]
+    rels = [tagset.rel[r] for r in ("SBV", "VOB", "ADV", "CMP", "COO")]
+    nw = int(rng.integers(3, 7))
+    lens = rng.integers(1, 3, nw)
+    root = int(rng.integers(0, nw))
+    others = [w for w in range(nw) if w != root]
+    rng.shuffle(others)
+    target, foil = others[0], others[1]
+    pos, heads, rel_ids = [], [], []
+    for w in range(nw):
+        if w == root:
+            pos.append(int(rng.choice(non_adj)))
+            heads.append(None)
+            rel_ids.append(tagset.root_id)
+        elif w in (target, foil):
+            pos.append(tagset.pos["a"])
+            heads.append(root)
+            rel_ids.append(tagset.rel["ATT"])
+        else:
+            pos.append(int(rng.choice(non_adj)))
+            heads.append(root)
+            rel_ids.append(int(rng.choice(rels)))
+    pools = [_CONTRAST_POOL if w == target else _CHAR_POOL for w in range(nw)]
+    return _assemble(uid, rng, tagset, lens, pos, heads, rel_ids, target, pools)
+
+
+def gen_two_level_corpus(count: int, seed: int, tagset: Tagset, pemb_path,
+                         dim: int = 32) -> list[Example]:
+    """`count` items, alternately of the syntax half (ids "syn...", as
+    gen_learnable_example) and of the semantics half (ids "sem...",
+    _gen_contrast_example). Writes every item's semantic rows to pemb_path
+    with save_semantic, for mode file_backed: a char's row is its class
+    centre (plain or contrast, unit norm) plus 0.5 times a noise vector of
+    its own, of about unit norm."""
+    rng = np.random.default_rng(seed)
+    examples = [
+        gen_learnable_example(f"syn{i:04d}", rng, tagset) if i % 2 == 0
+        else _gen_contrast_example(f"sem{i:04d}", rng, tagset)
+        for i in range(count)
+    ]
+    centres = rng.standard_normal((2, dim))
+    centres /= np.linalg.norm(centres, axis=1, keepdims=True)
+    lexicon = {}
+    for ch in _CHAR_POOL + _CONTRAST_POOL:
+        noise = rng.standard_normal(dim) / np.sqrt(dim)
+        lexicon[ch] = centres[int(ch in _CONTRAST_POOL)] + 0.5 * noise
+    save_semantic({ex.utt.id: np.array([lexicon[ch] for ch in ex.utt.chars])
+                   for ex in examples}, dim, pemb_path)
+    return examples
 
 
 def strip_dependency_edges(g: CharGraph, tagset: Tagset) -> CharGraph:

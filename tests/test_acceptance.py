@@ -201,6 +201,37 @@ def test_criterion_4_ablation_direction(learnability_runs):
     assert drop >= 0.2
 
 
+# -- both linguistic levels, each carrying its signal -------------------------
+
+
+def test_syntax_and_semantics_each_decide_their_half(tmp_path):
+    """On the two-level corpus, with clustered semantic rows read in mode
+    file_backed, the model reaches F >= 0.95 on each half. Trained on zero
+    rows it loses >= 0.2 on the semantics half, and trained on stripped
+    dependency edges >= 0.2 on the syntax half."""
+    data = with_graphs(synth.gen_two_level_corpus(500, 41, TAGSET, tmp_path / "sem.pemb"),
+                       TAGSET)
+    clustered = embeddings.SemanticConfig("file_backed", str(tmp_path / "sem.pemb")).provider()
+    embeddings.save_semantic({uid: np.zeros_like(m) for uid, m in clustered.store.items()},
+                             32, tmp_path / "zero.pemb")
+    zero = embeddings.SemanticConfig("file_backed", str(tmp_path / "zero.pemb")).provider()
+    train_set, test_set = data[:400], data[400:]
+    f = {}
+    for condition, prov, ablated in (("full", clustered, False), ("zero rows", zero, False),
+                                     ("stripped edges", clustered, True)):
+        model = M.PredictorModel(TAGSET, prov, M.ModelConfig(hidden_dim=32, semantic_dim=32))
+        M.train(model, [M.Example(ex.utt, ex.ann, ex.labels,
+                                  strip_dependency_edges(ex.graph, TAGSET) if ablated
+                                  else ex.graph) for ex in train_set],
+                M.TrainConfig(epochs=30, learning_rate=1e-3))
+        for half in ("syn", "sem"):
+            f[condition, half] = _heldout_f(
+                model, [ex for ex in test_set if ex.utt.id.startswith(half)], ablated)
+    assert min(f["full", "syn"], f["full", "sem"]) >= 0.95, f
+    assert f["full", "sem"] - f["zero rows", "sem"] >= 0.2, f
+    assert f["full", "syn"] - f["stripped edges", "syn"] >= 0.2, f
+
+
 # -- criterion 5: graph2relation exhaustive oracle ---------------------------
 
 
