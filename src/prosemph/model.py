@@ -2,8 +2,9 @@
 
 Character nodes are initialized from POS and semantic embeddings, encoded
 by a gated graph network (GRU-style updates, per-relation per-direction
-message weights, fixed iteration count) over the BOS/EOS-augmented
-character graph, and classified per character by a two-layer head.
+message weights mixed from shared bases, fixed iteration count) over the
+BOS/EOS-augmented character graph, and classified per character by a
+two-layer head.
 
 All gradients are analytic and hand-derived; finite-difference tests in
 the suite pin them down. Everything is plain numpy so training is
@@ -30,12 +31,14 @@ from .metrics import evaluate
 from .tagset import Tagset
 
 PEMO_MAGIC = b"PEMO"
-PEMO_VERSION = 2
+PEMO_VERSION = 3
 
 HIDDEN_DEFAULT = 512
 ITERATIONS_DEFAULT = 3
 HEAD_HIDDEN_DEFAULT = 128
 NUM_CLASSES = 2
+# shared bases whose mix is each (relation, direction)'s message matrix
+MSG_BASES = 4
 # utterances per packed propagation when predicting
 PREDICT_PACK = 64
 # elements per slice of the blocked Adam update and of the blocked init draws
@@ -126,8 +129,9 @@ def param_shapes(cfg: ModelConfig, tagset: Tagset) -> dict[str, tuple[int, ...]]
     shapes = {
         "proj_W": (H, cfg.semantic_dim + cfg.pos_dim), "proj_b": (H,),
         "bos": (H,), "eos": (H,), "pos_table": (tagset.num_pos, cfg.pos_dim),
-        # one slot per relation but ROOT: Tagset.msg_slot
-        "msg_W": (R - 1, 2, H, H), "msg_b": (R - 1, 2, H),
+        # W[slot, d] = sum over b of msg_a[slot, d, b] * msg_V[b], with one
+        # slot per relation but ROOT: Tagset.msg_slot
+        "msg_V": (MSG_BASES, H, H), "msg_a": (R - 1, 2, MSG_BASES), "msg_b": (R - 1, 2, H),
         "head_W1": (K, H), "head_b1": (K,),
         "head_W2": (NUM_CLASSES, K), "head_b2": (NUM_CLASSES,),
     }
@@ -161,26 +165,24 @@ class PredictorModel:
         self.dtype = dtype
 
     def _init_params(self) -> dict[str, np.ndarray]:
-        """Glorot weights, U(-0.1, 0.1) embeddings, zero biases. Drawn in
-        `param_shapes` order, which the checkpoint bytes depend on. msg_W
-        skips the draws of ROOT's slot, which PEMO version 1 held, so every
-        value keeps the bits it had there."""
+        """Glorot weights, U(-0.1, 0.1) embeddings, zero biases, and
+        msg_a from U(±sqrt(3 / MSG_BASES)), so that each mixed message
+        matrix has the variance of a Glorot draw. Drawn in `param_shapes`
+        order, which the checkpoint bytes depend on."""
         rng = np.random.default_rng(self.config.seed)
         p = {}
         for name, shape in param_shapes(self.config, self.tagset).items():
             if "_b" in name:
                 p[name] = np.zeros(shape, dtype=self.dtype)
                 continue
-            out = p[name] = np.empty(shape, dtype=self.dtype)
-            limit = (0.1 if name in ("bos", "eos", "pos_table")
-                     else np.sqrt(6.0 / (shape[-1] + shape[-2])))
-            if name == "msg_W":
-                root = self.tagset.root_id
-                _fill_uniform(rng, limit, out[:root])
-                rng.bit_generator.advance(out[0].size)
-                _fill_uniform(rng, limit, out[root:])
+            if name in ("bos", "eos", "pos_table"):
+                limit = 0.1
+            elif name == "msg_a":
+                limit = np.sqrt(3.0 / MSG_BASES)
             else:
-                _fill_uniform(rng, limit, out)
+                limit = np.sqrt(6.0 / (shape[-1] + shape[-2]))
+            p[name] = np.empty(shape, dtype=self.dtype)
+            _fill_uniform(rng, limit, p[name])
         # update gate starts open toward state retention
         p["gru_bz"] = np.ones_like(p["gru_bz"])
         return p
@@ -211,9 +213,10 @@ class PredictorModel:
     def ggn_forward(self, graph: CharGraph, h0: np.ndarray):
         """Propagate for num_iterations; returns final states and caches.
 
-        Edges are sorted once by (relation, direction), so each step runs
-        one matmul per relation group, with the weights of the relation's
-        `Tagset.msg_slot` (an edge labeled ROOT raises MalformedFileError),
+        Edges are sorted once by (relation, direction), and the message
+        matrix of each group present is mixed from the bases once, with the
+        coefficients of the relation's `Tagset.msg_slot` (an edge labeled
+        ROOT raises MalformedFileError). Each step runs one matmul per group,
         and `_scatter_sum` adds the messages into their destination nodes.
         """
         if h0.shape[0] != graph.num_nodes:
@@ -228,21 +231,26 @@ class PredictorModel:
         for a, b in zip(bounds, bounds[1:]):
             rel, d = divmod(int(key[a]), 2)
             groups.append(((self.tagset.msg_slot(rel), d), slice(a, b)))
-        dtype = np.result_type(h0, p["msg_W"])
+        V = p["msg_V"]
+        slots = np.array([sd for sd, _ in groups], dtype=np.intp).reshape(-1, 2)
+        coef = p["msg_a"][slots[:, 0], slots[:, 1]]
+        W = (coef @ V.reshape(len(V), -1)).reshape(-1, *V.shape[1:])
+        dtype = np.result_type(h0, W)
         h = h0
         steps = []
         for _ in range(self.config.num_iterations):
             hs = h[src]
             msg = np.empty((num_edges, h.shape[1]), dtype=dtype)
-            for (slot, d), s in groups:
-                msg[s] = hs[s] @ p["msg_W"][slot, d].T + p["msg_b"][slot, d]
+            for g, ((slot, d), s) in enumerate(groups):
+                msg[s] = hs[s] @ W[g].T + p["msg_b"][slot, d]
             m = _scatter_sum(dst, msg, graph.num_nodes)
             z = _sigmoid(self._gate("z", m, h))
             r = _sigmoid(self._gate("r", m, h))
             c = np.tanh(self._gate("c", m, r * h))
             steps.append((h, m, z, r, c))
             h = z * h + (1.0 - z) * c
-        cache = {"steps": steps, "src": src, "dst": dst, "groups": groups}
+        cache = {"steps": steps, "src": src, "dst": dst, "groups": groups,
+                 "slots": slots, "coef": coef, "W": W}
         return h, cache
 
     def _gate(self, g, m, hin):
@@ -362,7 +370,10 @@ class PredictorModel:
 
     def _backward(self, dlogits, cache, grads):
         """Adds into grads the gradients of the loss whose d(logits) is given:
-        the head, then BPTT through the propagation steps, then the node init."""
+        the head, then BPTT through the propagation steps, then the node init.
+        msg_V's, which only the mix of the message weights gives, is written
+        over grads' zeros rather than added, so no temporary of its size is
+        made."""
         p, init, ggn = self.params, cache["init"], cache["ggn"]
         hid, h_chars = cache["hid"], cache["h_chars"]
         dhid = _affine_backward(dlogits, hid, p["head_W2"], grads["head_W2"], grads["head_b2"])
@@ -370,7 +381,8 @@ class PredictorModel:
         dh[init["char_rows"]] = _affine_backward(
             dhid * (hid > 0), h_chars, p["head_W1"], grads["head_W1"], grads["head_b1"])
 
-        src, dst = ggn["src"], ggn["dst"]
+        src, dst, W = ggn["src"], ggn["dst"], ggn["W"]
+        gW = np.zeros(W.shape, W.dtype)  # summed over the steps
         for h, m, z, r, c in reversed(ggn["steps"]):  # h: the step's input state
             dm = np.zeros(m.shape, m.dtype)
             dac = dh * (1.0 - z) * (1.0 - c * c)
@@ -384,11 +396,15 @@ class PredictorModel:
                 dh_prev += dh_g
             dmsg, hs = dm[dst], h[src]
             back = np.empty_like(dmsg)
-            for (slot, d), s in ggn["groups"]:
-                back[s] = _affine_backward(dmsg[s], hs[s], p["msg_W"][slot, d],
-                                           grads["msg_W"][slot, d], grads["msg_b"][slot, d])
+            for g, ((slot, d), s) in enumerate(ggn["groups"]):
+                back[s] = _affine_backward(dmsg[s], hs[s], W[g], gW[g],
+                                           grads["msg_b"][slot, d])
             dh_prev += _scatter_sum(src, back, len(dh))
             dh = dh_prev
+        # through the mix: each group is a distinct (slot, direction)
+        V, slots, gW = p["msg_V"], ggn["slots"], gW.reshape(len(W), -1)
+        grads["msg_a"][slots[:, 0], slots[:, 1]] += gW @ V.reshape(len(V), -1).T
+        np.matmul(ggn["coef"].T, gW, out=grads["msg_V"].reshape(len(V), -1))
 
         grads["bos"] += dh[init["bos_rows"]].sum(axis=0)
         grads["eos"] += dh[init["eos_rows"]].sum(axis=0)
@@ -463,11 +479,8 @@ class AdamOptimizer:
     def __init__(self, params: dict[str, np.ndarray], learning_rate: float):
         self.lr = learning_rate
         self.t = 0
-        # np.zeros: the pages of a slice that step never writes are never mapped
         self.m = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
         self.v = {k: np.zeros(v.shape, v.dtype) for k, v in params.items()}
-        # per tensor, whether step has updated each of its ADAM_BLOCK slices
-        self.started = {k: [False] * -(-v.size // ADAM_BLOCK) for k, v in params.items()}
 
     def step(self, params, grads):
         """One update, in place and in float32 where the tensors are. Each
@@ -475,13 +488,6 @@ class AdamOptimizer:
         over ADAM_BLOCK-element slices, so the working set stays in cache
         and no whole-tensor temporary is made; the bits are those of the
         whole-tensor update. Tensors must be C-contiguous.
-
-        A slice that no step has updated yet is skipped while its gradient
-        is all zero (-0.0 included), such as a relation's msg_W slice before
-        any batch has an edge of it. That too keeps the bits, for a finite
-        learning rate: its m and v are still +0.0, so the update would leave
-        them +0.0 and subtract +0.0 from p, which keeps every p (-0.0 too).
-        Once updated, a slice is updated at every step, as its moments decay.
 
         Each gradient is popped out of grads as its tensor is updated, so
         step leaves grads empty and frees each gradient no one else holds:
@@ -495,16 +501,11 @@ class AdamOptimizer:
             g = grads.pop(k).reshape(-1, copy=False)
             m = self.m[k].reshape(-1, copy=False)
             v = self.v[k].reshape(-1, copy=False)
-            started = self.started[k]
             n = min(len(p), ADAM_BLOCK)
             upd, den = np.empty(n, p.dtype), np.empty(n, p.dtype)
-            for i, a in enumerate(range(0, len(p), ADAM_BLOCK)):
+            for a in range(0, len(p), ADAM_BLOCK):
                 s = slice(a, a + ADAM_BLOCK)
                 gs, ms, vs = g[s], m[s], v[s]
-                if not started[i]:
-                    if not gs.any():
-                        continue
-                    started[i] = True
                 u, d = upd[: len(gs)], den[: len(gs)]
                 ms *= b1
                 np.multiply(gs, 1 - b1, out=u)

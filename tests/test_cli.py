@@ -953,8 +953,8 @@ def test_run_goes_over_the_ids_it_opened_with(tmp_path, tagset, monkeypatch, com
 
 
 @pytest.mark.parametrize("command, bad, key", [
-    # the README default model: 4 float32 copies of 11.18M parameters
-    ("train", {}, "model.hidden_dim"),
+    # 4 float32 copies of the 10.82M parameters of hidden_dim 1024
+    ("train", {"model": {"hidden_dim": 1024}}, "model.hidden_dim"),
     ("train", {"semantic": {"dim": 2**24}}, "semantic.dim"),
     ("condition", {"cond_dim": 2**20}, "cond_dim"),
     ("condition", {"semantic": {"dim": 2**26}}, "semantic.dim"),
@@ -1186,38 +1186,37 @@ def test_condition_golden_bytes(tmp_path, tagset):
 
 # sha256 of model.pemo and train_log.ldjson `train` writes for the run below, by
 # the OpenBLAS core name (cli._blas_core) of the kernels that ran it: each family
-# sums its float32 matmuls in its own order. The logs were recorded with PEMO
-# version 1, SkylakeX's before the GGNN backward was folded into one routine per
-# operation, the others with OpenBLAS 0.3.31 forced by OPENBLAS_CORETYPE (Zen
-# reports Haswell, Prescott Katmai). The checkpoints were re-recorded the same way
-# at PEMO version 2, which drops ROOT's message weights and keeps every other bit.
+# sums its float32 matmuls in its own order. Recorded at PEMO version 3 (message
+# weights mixed from MSG_BASES shared bases) with OpenBLAS 0.3.31, the families
+# other than SkylakeX forced by OPENBLAS_CORETYPE (Zen reports Haswell, Prescott
+# Katmai).
 TRAIN_GOLDEN = {
     "SkylakeX": {
-        "model.pemo": "2d02d60134fb775760b3c5081a9d45c4670752e0b820f312c50930bc099fdb73",
-        "train_log.ldjson": "b89525f831056592ed95a309246fd1b5955185a1732ebd7d89bfb6fce7bcc5c1",
+        "model.pemo": "6178d5aae8b6c8fafa0611b124b86e0f072e364cac87807d2eb04d9f8d14f702",
+        "train_log.ldjson": "d52b917a3bad66fbd0287bb5daeefd05805dd87943d5f03e8e7bbec304501cd4",
     },
     "Haswell": {
-        "model.pemo": "2f09d4520f0ff3cb801671d7f06d1817ffb5bbb21cad4c80c960335a488b5767",
-        "train_log.ldjson": "ffc6811ca4bd214ad06fd7e59ac398b703abb3cb2982ca6aab4ae54d717f0d4d",
+        "model.pemo": "3b3ab1cc9561f5b8f3591cbb82ec58d9fdc87b32739b033830a0de227e109007",
+        "train_log.ldjson": "9f361b9f60cd1195c64ce32aaaccefa549a0199a947a00ed1c08bac4d34e821b",
     },
     "Sandybridge": {
-        "model.pemo": "aa00766c56644ade3f86d1982a18329bc08da4f62ecc960fe5c36a7f394eb173",
-        "train_log.ldjson": "9a5ede335ffb10de0e6691d579f5bbad71d5c1b683d9f7b743ff4405de0122cc",
+        "model.pemo": "091af94bfb3bdad140ceb2ffe2fd7cdd5fe2129987cd6c431947b82825df5756",
+        "train_log.ldjson": "8cbd8c92529c6cb21d89800a92b5948648d1e598f4fe54c1ac78dbb59e72fccd",
     },
     "Nehalem": {
-        "model.pemo": "4504433742f6709d25790eee540802f4b6fc2acaf37b4e15696dac2383d3d603",
-        "train_log.ldjson": "94df7668acbc40bd68d1c12eff31b52c77aed0e64795ba3f5ca824b1cfbb4090",
+        "model.pemo": "a85be50bc06eca323cf1e6603a9d41f46f56cfbb600d73d875555424c5917832",
+        "train_log.ldjson": "19d9b6660bfaa0b2cfd02f49dcdea500427801002a3aca2381263a7fae3dc108",
     },
     "Katmai": {
-        "model.pemo": "0be53c1c0c3f6c4192f4e6313d6320be5c8736bee7f9af12db22113b03459433",
-        "train_log.ldjson": "eed090d7c9cc3fa34bc4b1c8908a5a9ab5035d66b030cc88750e76299ab70ad4",
+        "model.pemo": "ae9ebcf69c55f01bc8a724f693989e42762faaa300787ce8e3b03b79a94f8991",
+        "train_log.ldjson": "5ea877cdad03f3108831f3f53cf51db24a90c3d4eff2abf3f70fe79c41b78f81",
     },
 }
 # its epoch losses and validation F-scores, on any kernel: the losses of the five
 # families above spread by under 2e-7 of their value
-TRAIN_LOSSES = [0.9909037485365207, 0.8483551810951978, 0.73971383008612]
+TRAIN_LOSSES = [1.0108671276790873, 0.9369276208421731, 0.8767671777304413]
 TRAIN_LOSS_RTOL = 1e-5
-TRAIN_VAL_F = [0.32876712328767127, 0.34374999999999994, 0.4067796610169491]
+TRAIN_VAL_F = [0.2465753424657534, 0.3225806451612903, 0.4210526315789474]
 
 
 def _digests(paths) -> dict:
@@ -1241,18 +1240,12 @@ def _train_golden_argv(d, tagset) -> list[str]:
 
 
 def test_train_golden_bytes(tmp_path, tagset):
-    """A trained checkpoint and its log, byte for byte. At hidden_dim 64,
-    msg_W has 139,264 elements (17 relation slots, ROOT having none), three
-    ADAM_BLOCK slices, and val_fraction puts the validation metrics in the
-    log. The digests hold for one OpenBLAS core family; on any kernel the
-    epoch losses stay within TRAIN_LOSS_RTOL."""
-    from prosemph import embeddings, model as M
-
+    """A trained checkpoint and its log, byte for byte. val_fraction puts
+    the validation metrics in the log. The digests hold for one OpenBLAS
+    core family; on any kernel the epoch losses stay within
+    TRAIN_LOSS_RTOL."""
     out = tmp_path / "out"
     assert cli.main([*_train_golden_argv(tmp_path, tagset), "--out", str(out)]) == 0
-    msg_W = M.PredictorModel.load(out / "model.pemo", tagset,
-                                  embeddings.hash_provider(dim=16, seed=2)).params["msg_W"]
-    assert 2 * M.ADAM_BLOCK < msg_W.size <= 3 * M.ADAM_BLOCK
     log = [json.loads(line) for line in (out / "train_log.ldjson").read_text().splitlines()]
     assert [rec["loss"] for rec in log] == pytest.approx(TRAIN_LOSSES, rel=TRAIN_LOSS_RTOL)
     assert [rec["val_f"] for rec in log] == TRAIN_VAL_F
@@ -1317,122 +1310,51 @@ def test_train_and_predict_with_root_first_in_the_tagset(tmp_path, tagset):
     assert len(list((tmp_path / "pred").glob("*.lab.tsv"))) == 8
     params = M.PredictorModel.load(ckpt, root_first,
                                    embeddings.hash_provider(dim=16, seed=0)).params
-    assert params["msg_W"].shape == (R - 1, 2, 16, 16)
+    assert params["msg_a"].shape == (R - 1, 2, M.MSG_BASES)
     assert params["msg_b"].shape == (R - 1, 2, 16)
 
 
-def test_predict_refuses_a_version_1_checkpoint(tmp_path, tagset, capsys):
-    """PEMO version 2 dropped ROOT's message weights, so a file whose header
-    says version 1 fails predict instead of being read with shifted slots."""
+def test_predict_refuses_a_version_2_checkpoint(tmp_path, tagset, capsys):
+    """PEMO version 3 mixes the message weights from shared bases, so a file
+    whose header says version 2, which held one matrix per relation, fails
+    predict instead of being read as bases."""
     c, ckpt = tmp_path / "corpus", tmp_path / "m.pemo"
     write_labeled_corpus(c, tagset, count=1)
     save_small_model(tagset, ckpt)
     data = bytearray(ckpt.read_bytes())
-    assert data[4:8] == struct.pack("<I", 2)
-    data[4:8] = struct.pack("<I", 1)
+    assert data[4:8] == struct.pack("<I", 3)
+    data[4:8] = struct.pack("<I", 2)
     ckpt.write_bytes(data)
     capsys.readouterr()
     assert cli.main(["predict", "--corpus", str(c), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "o")]) == 1
     assert _usage_error_line(capsys) == (
-        f"error: MalformedFileError: {ckpt}: unsupported PEMO version 1")
-
-
-def _dense_adam_step(self, params, grads):
-    """AdamOptimizer.step as it was before it skipped untouched slices."""
-    from prosemph.model import ADAM_BLOCK
-
-    self.t += 1
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    c1, c2 = 1 - b1**self.t, 1 - b2**self.t
-    for k in params:
-        p = params[k].reshape(-1, copy=False)
-        g = grads[k].reshape(-1, copy=False)
-        m = self.m[k].reshape(-1, copy=False)
-        v = self.v[k].reshape(-1, copy=False)
-        n = min(len(p), ADAM_BLOCK)
-        upd, den = np.empty(n, p.dtype), np.empty(n, p.dtype)
-        for a in range(0, len(p), ADAM_BLOCK):
-            s = slice(a, a + ADAM_BLOCK)
-            gs, ms, vs = g[s], m[s], v[s]
-            u, d = upd[: len(gs)], den[: len(gs)]
-            ms *= b1
-            np.multiply(gs, 1 - b1, out=u)
-            ms += u
-            np.multiply(gs, 1 - b2, out=d)
-            d *= gs
-            vs *= b2
-            vs += d
-            np.divide(ms, c1, out=u)
-            u *= self.lr
-            np.divide(vs, c2, out=d)
-            np.sqrt(d, out=d)
-            d += eps
-            u /= d
-            p[s] -= u
-
-
-def test_train_skipping_untouched_slices_writes_the_dense_bytes(tmp_path, tagset,
-                                                                monkeypatch):
-    """At hidden_dim 128 each msg_W slice of ADAM_BLOCK elements holds two
-    relations in both directions, so IOB/FOB, LAD/RAD and IS/WP fill slices
-    that no item of write_labeled_corpus has an edge of. Adam skips them, and
-    the checkpoint and log are those of the dense update, byte for byte: both
-    runs use the same BLAS kernels, so this holds on any of them."""
-    from prosemph import model as M
-
-    c = tmp_path / "c"
-    write_labeled_corpus(c, tagset, count=16)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({
-        "val_fraction": 0.25,
-        "model": {"hidden_dim": 128, "num_iterations": 2, "head_hidden": 8},
-        "train": {"epochs": 2, "learning_rate": 1e-3, "batch_size": 4, "seed": 1},
-        "semantic": {"mode": "hash", "dim": 16, "seed": 2},
-    }))
-    skipped, step = [], M.AdamOptimizer.step
-
-    def counting_step(self, params, grads):
-        step(self, params, grads)
-        skipped.append([i for i, done in enumerate(self.started["msg_W"]) if not done])
-
-    written = {}
-    for name, fn in (("skip", counting_step), ("dense", _dense_adam_step)):
-        monkeypatch.setattr(M.AdamOptimizer, "step", fn)
-        assert cli.main(["train", "--corpus", str(c), "--config", str(cfg),
-                         "--out", str(tmp_path / name)]) == 0
-        written[name] = {f: (tmp_path / name / f).read_bytes()
-                         for f in ("model.pemo", "train_log.ldjson")}
-    assert M.ADAM_BLOCK == 4 * 128 * 128
-    # at every step: the slices of IOB/FOB, LAD/RAD and IS/WP
-    assert skipped and all(ids == [1, 5, 6] for ids in skipped)
-    assert written["skip"] == written["dense"]
+        f"error: MalformedFileError: {ckpt}: unsupported PEMO version 2")
 
 
 # sha256 of every <id>.lab.tsv `predict` writes for the run below, by OpenBLAS
-# core name as TRAIN_GOLDEN. SkylakeX was recorded before hash-mode semantic
-# rows were memoized per character; on the other families u0002's row 7
-# confidence reads 0.510306, not 0.510307.
+# core name as TRAIN_GOLDEN, recorded at PEMO version 3. On the families other
+# than SkylakeX u0000's row 4 confidence reads 0.533400, not 0.533401.
 _PREDICT_SKYLAKEX = {
-    "u0000.lab.tsv": "2b2b00945cb8eadb95da350a724bc9092f5a31382bee467497e4eb8e27134413",
-    "u0001.lab.tsv": "05224e2bab92169e96a4b362e4ac6da3fd148205004dce18c240c9f4e688c1cd",
-    "u0002.lab.tsv": "97358f92e168057cfe21ae962d541596cd80c481ae5e59b355c91f3f11792a44",
-    "u0003.lab.tsv": "ffe87ba7cb0ab475eb2befc42f1a10abd456cba6afcfbeed25a4b6bd7b10ab0b",
-    "u0004.lab.tsv": "43354bf67b1e3a32f60a0e83d3c35c2ae7c47591d02562c4e36214c891291600",
-    "u0005.lab.tsv": "c358946e996c41b2a652959574d4caad1e07f4a85a06617bbe5133485ce60871",
+    "u0000.lab.tsv": "0a428f270735487891558126bb3607a779b9be9b98a9b23329819fe3e8ca01d8",
+    "u0001.lab.tsv": "38fc137f64008825ddce09aa3e523c82300482fd41559d7acb704933dd58a510",
+    "u0002.lab.tsv": "15892566888143efc60bc577ceed3f598f26decc038fcede28bfef0bb4ff469b",
+    "u0003.lab.tsv": "a66816f661ce38dca96f7059deff3067dbb9a29689955dc5394900476e09831d",
+    "u0004.lab.tsv": "136e97a3bf2fc4a501b5a85f67e486ec71fc450b53f5214df75556cd5b01cc49",
+    "u0005.lab.tsv": "ad6f0d45940bf918cc75235c2e27c9ae927eb4fd1cadf11b8577027e1d5480f2",
 }
 PREDICT_GOLDEN = {"SkylakeX": _PREDICT_SKYLAKEX} | {
     core: _PREDICT_SKYLAKEX
-    | {"u0002.lab.tsv": "a0f21bd5470662c49ec0f7deb57b497b6701f27d00b4d6fcd618854157b25e02"}
+    | {"u0000.lab.tsv": "5c270b58bc939d375f4f3e93676abd2d35bdce0e5579173405accf275c6a02ea"}
     for core in ("Haswell", "Sandybridge", "Nehalem", "Katmai")}
 # its labels, on any kernel
 PREDICT_LABELS = {
-    "u0000": "0000011100",
-    "u0001": "001000",
-    "u0002": "0000110000",
-    "u0003": "00010",
-    "u0004": "1001",
-    "u0005": "0101001",
+    "u0000": "1101111011",
+    "u0001": "011111",
+    "u0002": "1110111000",
+    "u0003": "10011",
+    "u0004": "1011",
+    "u0005": "1111111",
 }
 
 
@@ -1490,7 +1412,7 @@ def test_predict_golden_bytes(tmp_path, tagset):
 def test_predict_labels_agree_across_blas_kernels(tmp_path, tagset):
     """The predict golden run gives the same labels on this process's kernel
     and, in a subprocess, on the one OPENBLAS_CORETYPE=Prescott forces, which
-    any x86-64 CPU runs. Against SkylakeX, u0002.lab.tsv differs there in the
+    any x86-64 CPU runs. Against SkylakeX, u0000.lab.tsv differs there in the
     last digit of one confidence."""
     argv = _predict_golden_argv(tmp_path, tagset)
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -339,25 +339,23 @@ def test_load_draws_no_init(tagset, tmp_path, monkeypatch):
 
 
 def test_init_params_match_whole_tensor_draws(tagset):
-    """The blocked draws give the whole-tensor rng.uniform(...).astype bits.
-    msg_W's are those of a draw with a slot for every relation, ROOT's taken
-    out."""
-    cfg = M.ModelConfig(hidden_dim=64, head_hidden=8, semantic_dim=8, seed=5)
+    """The blocked draws give the whole-tensor rng.uniform(...).astype bits,
+    drawn in param_shapes order with no draw skipped. At hidden_dim 160
+    msg_V spans more than one INIT_BLOCK and ends in a partial one."""
+    cfg = M.ModelConfig(hidden_dim=160, head_hidden=8, semantic_dim=8, seed=5)
     shapes = M.param_shapes(cfg, tagset)
-    assert any(math.prod(s) > M.INIT_BLOCK and math.prod(s) % M.INIT_BLOCK
-               for s in shapes.values())
+    assert M.INIT_BLOCK < math.prod(shapes["msg_V"]) < 2 * M.INIT_BLOCK
     params = M.PredictorModel(tagset, embeddings.hash_provider(dim=8), cfg).params
     rng = np.random.default_rng(cfg.seed)
     for name, shape in shapes.items():
         if name in ("bos", "eos", "pos_table") or len(shape) < 2:
             limit = 0.1
+        elif name == "msg_a":
+            limit = np.sqrt(3.0 / M.MSG_BASES)
         else:
             limit = np.sqrt(6.0 / (shape[-1] + shape[-2]))
         if "_b" in name:
             want = np.full(shape, name == "gru_bz", np.float32)
-        elif name == "msg_W":
-            want = rng.uniform(-limit, limit, size=(tagset.num_relations, *shape[1:]))
-            want = np.delete(want, tagset.root_id, axis=0).astype(np.float32)
         else:
             want = rng.uniform(-limit, limit, size=shape).astype(np.float32)
         assert params[name].dtype == np.float32
@@ -607,8 +605,7 @@ def test_adam_in_place_step_is_bit_identical():
     bit (-0.0 too). "e" has four ADAM_BLOCK slices: the first gets a
     gradient at every step, the second none at step 1, the third none at any
     step, with -0.0 among its zeros and its parameters, and the fourth one
-    at step 1 only. step skips a slice until it gets a gradient, which must
-    not change a bit, and never skips it again."""
+    at step 1 only."""
     rng = np.random.default_rng(4)
     # "d" spans more than one ADAM_BLOCK and ends in a partial block
     shapes = {"a": (7, 5), "b": (3,), "c": (2, 3, 4), "d": (3, M.ADAM_BLOCK // 2 + 7),
@@ -631,7 +628,6 @@ def test_adam_in_place_step_is_bit_identical():
         if t > 1:
             grads["e"][3] = 0.0
         opt.step(params, dict(grads))  # step empties the dict it is given
-        assert opt.started["e"] == [True, t > 1, False, True]
         for k, g in grads.items():
             ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
             ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
