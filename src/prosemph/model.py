@@ -381,9 +381,12 @@ class PredictorModel:
         dh[init["char_rows"]] = _affine_backward(
             dhid * (hid > 0), h_chars, p["head_W1"], grads["head_W1"], grads["head_b1"])
 
-        src, dst, W = ggn["src"], ggn["dst"], ggn["W"]
-        gW = np.zeros(W.shape, W.dtype)  # summed over the steps
-        for h, m, z, r, c in reversed(ggn["steps"]):  # h: the step's input state
+        src, dst, W, steps = ggn["src"], ggn["dst"], ggn["W"], ggn["steps"]
+        # each edge's message gradient and source state at each step, laid out
+        # (edge, step, H) so that a group's rows of all steps are contiguous
+        dmsgs = np.empty((len(src), len(steps), dh.shape[1]), dh.dtype)
+        hss = np.empty_like(dmsgs)
+        for t, (h, m, z, r, c) in reversed(list(enumerate(steps))):  # h: the step's input state
             dm = np.zeros(m.shape, m.dtype)
             dac = dh * (1.0 - z) * (1.0 - c * c)
             dm_g, drh = self._gate_backward("c", dac, m, r * h, grads)
@@ -394,13 +397,19 @@ class PredictorModel:
                 dm_g, dh_g = self._gate_backward(g, da, m, h, grads)
                 dm += dm_g
                 dh_prev += dh_g
-            dmsg, hs = dm[dst], h[src]
+            dmsg = dm[dst]
+            dmsgs[:, t], hss[:, t] = dmsg, h[src]
             back = np.empty_like(dmsg)
-            for g, ((slot, d), s) in enumerate(ggn["groups"]):
-                back[s] = _affine_backward(dmsg[s], hs[s], W[g], gW[g],
-                                           grads["msg_b"][slot, d])
+            for g, (_, s) in enumerate(ggn["groups"]):
+                back[s] = dmsg[s] @ W[g]
             dh_prev += _scatter_sum(src, back, len(dh))
             dh = dh_prev
+        # each group's weight gradient, summed over the steps by one product
+        gW = np.empty(W.shape, W.dtype)
+        for g, ((slot, d), s) in enumerate(ggn["groups"]):
+            dmsg = dmsgs[s].reshape(-1, dh.shape[1])
+            np.matmul(dmsg.T, hss[s].reshape(dmsg.shape), out=gW[g])
+            grads["msg_b"][slot, d] += dmsg.sum(axis=0)
         # through the mix: each group is a distinct (slot, direction)
         V, slots, gW = p["msg_V"], ggn["slots"], gW.reshape(len(W), -1)
         grads["msg_a"][slots[:, 0], slots[:, 1]] += gW @ V.reshape(len(V), -1).T

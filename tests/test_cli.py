@@ -1192,29 +1192,29 @@ def test_condition_golden_bytes(tmp_path, tagset):
 # Katmai).
 TRAIN_GOLDEN = {
     "SkylakeX": {
-        "model.pemo": "6178d5aae8b6c8fafa0611b124b86e0f072e364cac87807d2eb04d9f8d14f702",
-        "train_log.ldjson": "d52b917a3bad66fbd0287bb5daeefd05805dd87943d5f03e8e7bbec304501cd4",
+        "model.pemo": "c8832943d99c4790044b0dd39878931b20e0139cde745e85efb21e80c21fa14a",
+        "train_log.ldjson": "52eac5ed5e8065e740504720944a78d3cc4117c49472f57ae82e46e3645be346",
     },
     "Haswell": {
-        "model.pemo": "3b3ab1cc9561f5b8f3591cbb82ec58d9fdc87b32739b033830a0de227e109007",
-        "train_log.ldjson": "9f361b9f60cd1195c64ce32aaaccefa549a0199a947a00ed1c08bac4d34e821b",
+        "model.pemo": "15141eec0b7295c40dee25c6875a41ef0dec6f5c513ed2e11231d1e12a6df1af",
+        "train_log.ldjson": "a0689d7d57122d56f823fb02f75ecb5a0ee1aa82c53ae80f9fcb17919c5f6e0f",
     },
     "Sandybridge": {
-        "model.pemo": "091af94bfb3bdad140ceb2ffe2fd7cdd5fe2129987cd6c431947b82825df5756",
-        "train_log.ldjson": "8cbd8c92529c6cb21d89800a92b5948648d1e598f4fe54c1ac78dbb59e72fccd",
+        "model.pemo": "910fb43e52fbe6f40e4cc8cc23bbe95e45dff2d32ba87eaba88bdac4e4cba1e5",
+        "train_log.ldjson": "8057164339cfead0b2bb8cb9fa6483f630d9eadffd52388337f7f2df82400226",
     },
     "Nehalem": {
-        "model.pemo": "a85be50bc06eca323cf1e6603a9d41f46f56cfbb600d73d875555424c5917832",
-        "train_log.ldjson": "19d9b6660bfaa0b2cfd02f49dcdea500427801002a3aca2381263a7fae3dc108",
+        "model.pemo": "842fb2d29e5a21204a9fe2d6ad52476656984b017c4843ad408baa193dc0683b",
+        "train_log.ldjson": "41b15d212568fb192c410b94208b6804543461b7a52c06a6167ff820ba7ea684",
     },
     "Katmai": {
-        "model.pemo": "ae9ebcf69c55f01bc8a724f693989e42762faaa300787ce8e3b03b79a94f8991",
-        "train_log.ldjson": "5ea877cdad03f3108831f3f53cf51db24a90c3d4eff2abf3f70fe79c41b78f81",
+        "model.pemo": "76830b6fdae048601f6db5aa703e82cbc023b8c04750761a00976d50549c44b1",
+        "train_log.ldjson": "fead48c7845b0ba0e1d6b85e659ebd9957e27472e67f017b481197fc205b6c56",
     },
 }
 # its epoch losses and validation F-scores, on any kernel: the losses of the five
 # families above spread by under 2e-7 of their value
-TRAIN_LOSSES = [1.0108671276790873, 0.9369276208421731, 0.8767671777304413]
+TRAIN_LOSSES = [1.0108671272651597, 0.9369276211503608, 0.8767671803127306]
 TRAIN_LOSS_RTOL = 1e-5
 TRAIN_VAL_F = [0.2465753424657534, 0.3225806451612903, 0.4210526315789474]
 
