@@ -188,10 +188,10 @@ def _save_json(obj, path) -> None:
         f.write(text)
 
 
-def _check_memory(copies: int, shapes, dims) -> None:
-    """UsageError when `copies` float32 copies of the tensors shapes(**values)
-    need more bytes than the machine's physical memory; runs before anything
-    is drawn. dims maps each config key that sizes them to (argument, value).
+def _check_memory(shapes, dims) -> None:
+    """UsageError when float32 tensors of the shapes shapes(**values) need
+    more bytes than the machine's physical memory; runs before anything is
+    drawn. dims maps each config key that sizes them to (argument, value).
     The error names the key that costs the most: the one that, set to 1,
     leaves the fewest elements."""
     values = dict(dims.values())
@@ -199,11 +199,11 @@ def _check_memory(copies: int, shapes, dims) -> None:
     def elements(**over):
         return sum(math.prod(shape) for shape in shapes(**{**values, **over}))
 
-    need = copies * np.dtype(np.float32).itemsize * elements()
+    need = np.dtype(np.float32).itemsize * elements()
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         key = min(dims, key=lambda k: elements(**{dims[k][0]: 1}))
-        raise UsageError(f"config key {key}: the run would hold {copies * elements():,} "
+        raise UsageError(f"config key {key}: the run would hold {elements():,} "
                          f"float32 values ({need:,} bytes), more than the machine's "
                          f"{have:,} bytes of memory")
 
@@ -435,9 +435,14 @@ def cmd_train(args) -> int:
     dims = {f"model.{f}": (f, getattr(model_cfg, f))
             for f in ("hidden_dim", "head_hidden", "pos_dim")}
     dims[_semantic_key(cfg)] = ("semantic_dim", provider.dim)
-    # the parameters, their gradients and Adam's two moments
-    _check_memory(4, lambda **values: model_mod.param_shapes(
-        dataclasses.replace(model_cfg, **values), tagset).values(), dims)
+
+    def shapes(**values):
+        # the parameters, their gradients, Adam's two moments, and the
+        # matrices that a batch with every (relation, direction) mixes
+        s = model_mod.param_shapes(dataclasses.replace(model_cfg, **values), tagset)
+        return [*s.values()] * 4 + [s["msg_a"][:2] + s["msg_V"][1:]]
+
+    _check_memory(shapes, dims)
 
     def labeled(utt, ann):
         # an utterance without labels is left out, not failed
@@ -527,7 +532,7 @@ def cmd_condition(args) -> int:
     ids = corpus.corpus_ids(args.corpus)
     run = _Run("condition", args.out, ids)
     tagset, provider = load()
-    _check_memory(1, partial(conditioning.table_shapes, tagset), {
+    _check_memory(partial(conditioning.table_shapes, tagset), {
         "cond_dim": ("cond_dim", cfg.cond_dim), "emph_dim": ("emph_dim", cfg.emph_dim),
         _semantic_key(cfg): ("sem_dim", provider.dim)})
     tables = conditioning.draw_tables(tagset, provider.dim, cfg.cond_dim, cfg.emph_dim,
