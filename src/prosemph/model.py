@@ -218,6 +218,8 @@ class PredictorModel:
         coefficients of the relation's `Tagset.msg_slot` (an edge labeled
         ROOT raises MalformedFileError). Each step runs one matmul per group,
         and `_scatter_sum` adds the messages into their destination nodes.
+        One cache serves one backward pass, which overwrites its mixed
+        matrices and empties its steps.
         """
         if h0.shape[0] != graph.num_nodes:
             raise LengthMismatchError("h0 rows must equal graph node count")
@@ -373,7 +375,9 @@ class PredictorModel:
         the head, then BPTT through the propagation steps, then the node init.
         msg_V's, which only the mix of the message weights gives, is written
         over grads' zeros rather than added, so no temporary of its size is
-        made."""
+        made. The pass consumes the cache: it drops each step's cache once
+        that step is done and writes each group's weight gradient over the
+        group's mixed matrix, so one cache serves one backward pass."""
         p, init, ggn = self.params, cache["init"], cache["ggn"]
         hid, h_chars = cache["hid"], cache["h_chars"]
         dhid = _affine_backward(dlogits, hid, p["head_W2"], grads["head_W2"], grads["head_b2"])
@@ -386,7 +390,8 @@ class PredictorModel:
         # (edge, step, H) so that a group's rows of all steps are contiguous
         dmsgs = np.empty((len(src), len(steps), dh.shape[1]), dh.dtype)
         hss = np.empty_like(dmsgs)
-        for t, (h, m, z, r, c) in reversed(list(enumerate(steps))):  # h: the step's input state
+        for t in reversed(range(len(steps))):
+            h, m, z, r, c = steps.pop()  # h: the step's input state
             dm = np.zeros(m.shape, m.dtype)
             dac = dh * (1.0 - z) * (1.0 - c * c)
             dm_g, drh = self._gate_backward("c", dac, m, r * h, grads)
@@ -405,7 +410,8 @@ class PredictorModel:
             dh_prev += _scatter_sum(src, back, len(dh))
             dh = dh_prev
         # each group's weight gradient, summed over the steps by one product
-        gW = np.empty(W.shape, W.dtype)
+        # and written over the matrix it mixed, which no step reads any more
+        gW = W
         for g, ((slot, d), s) in enumerate(ggn["groups"]):
             dmsg = dmsgs[s].reshape(-1, dh.shape[1])
             np.matmul(dmsg.T, hss[s].reshape(dmsg.shape), out=gW[g])

@@ -585,8 +585,8 @@ def test_loss_and_grads_holds_one_set_of_mixed_matrices(tagset):
     its gradients, one G x H x H set of mixed matrices (the backward pass
     writes each group's weight gradient over its matrix), the step caches,
     the two (edge, step, H) buffers and 12 MiB for one backward step's
-    temporaries (9.2 MB here). With the weight gradients in a second
-    G x H x H buffer it peaks at 70.2 MB."""
+    temporaries (9.2 MB here). It peaked at 70.2 MB with the weight gradients
+    in a second G x H x H buffer, and peaks at 53.6 MB."""
     m = small_model(tagset, hidden=512, sem=128, pos=32, head=128, dtype=np.float32)
     batch = with_graphs(gen_learnable_corpus(32, 1, tagset), tagset)
     tracemalloc.start()
