@@ -626,6 +626,29 @@ def test_no_batch_gradients_outlive_their_step(tagset, monkeypatch):
     assert len(refs) == 4
 
 
+def assert_adam_steps_bit_identical(params, grad_steps, lr):
+    """One in-place AdamOptimizer.step per dict of grad_steps against the
+    whole-tensor formula, bit for bit in the parameters and in m and v;
+    params end updated in place."""
+    ref = {k: v.copy() for k, v in params.items()}
+    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
+    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
+    opt = M.AdamOptimizer(params, learning_rate=lr)
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    for t, grads in enumerate(grad_steps, 1):
+        opt.step(params, dict(grads))  # step empties the dict it is given
+        for k, g in grads.items():
+            ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
+            ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
+            mhat = ref_m[k] / (1 - b1**t)
+            vhat = ref_v[k] / (1 - b2**t)
+            ref[k] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(ref[k].dtype)
+    for k in params:
+        assert params[k].tobytes() == ref[k].tobytes()
+        assert opt.m[k].tobytes() == ref_m[k].tobytes()
+        assert opt.v[k].tobytes() == ref_v[k].tobytes()
+
+
 def test_adam_in_place_step_is_bit_identical():
     """Three steps of the in-place update against the plain formula, bit for
     bit (-0.0 too). "e" has four ADAM_BLOCK slices: the first gets a
@@ -640,11 +663,7 @@ def test_adam_in_place_step_is_bit_identical():
     assert math.prod(shapes["d"]) % M.ADAM_BLOCK
     params = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
     params["e"][2, ::5] = -0.0
-    ref = {k: v.copy() for k, v in params.items()}
-    ref_m = {k: np.zeros_like(v) for k, v in params.items()}
-    ref_v = {k: np.zeros_like(v) for k, v in params.items()}
-    opt = M.AdamOptimizer(params, learning_rate=1e-2)
-    b1, b2, lr, eps = 0.9, 0.999, 1e-2, 1e-8
+    grad_steps = []
     for t in range(1, 4):
         grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
         if t == 1:
@@ -653,15 +672,17 @@ def test_adam_in_place_step_is_bit_identical():
         grads["e"][2, ::3] = -0.0
         if t > 1:
             grads["e"][3] = 0.0
-        opt.step(params, dict(grads))  # step empties the dict it is given
-        for k, g in grads.items():
-            ref_m[k] = b1 * ref_m[k] + (1 - b1) * g
-            ref_v[k] = b2 * ref_v[k] + (1 - b2) * g * g
-            mhat = ref_m[k] / (1 - b1**t)
-            vhat = ref_v[k] / (1 - b2**t)
-            ref[k] -= (lr * mhat / (np.sqrt(vhat) + eps)).astype(ref[k].dtype)
+        grad_steps.append(grads)
+    assert_adam_steps_bit_identical(params, grad_steps, lr=1e-2)
     assert np.signbit(params["e"][2, ::5]).all()
-    for k in shapes:
-        assert params[k].tobytes() == ref[k].tobytes()
-        assert opt.m[k].tobytes() == ref_m[k].tobytes()
-        assert opt.v[k].tobytes() == ref_v[k].tobytes()
+
+
+def test_adam_steps_on_real_gradients_are_bit_identical(tagset):
+    """Three steps on one batch's gradients of a hidden_dim 136 model, whose
+    msg_V (4 x 136 x 136 = 73,984 elements) spans two ADAM_BLOCK slices and
+    ends in a partial one, against the whole-tensor formula."""
+    m = small_model(tagset, hidden=136, dtype=np.float32)
+    assert M.ADAM_BLOCK < m.params["msg_V"].size < 2 * M.ADAM_BLOCK
+    _, grads = m.loss_and_grads(with_graphs(gen_learnable_corpus(8, 3, tagset), tagset))
+    assert np.count_nonzero(grads["msg_V"]) == grads["msg_V"].size
+    assert_adam_steps_bit_identical(m.params, [grads] * 3, lr=1e-3)
