@@ -361,7 +361,9 @@ class PredictorModel:
         y = np.concatenate([np.asarray(ex.labels.labels, dtype=np.int64) for ex in batch])
         rows = np.arange(len(y))
         w = np.where(y == 1, class_weight_positive, 1.0)
-        picked = np.clip(probs[rows, y], 1e-300, None)
+        # floored at the dtype's smallest normal, as float32 rounds a smaller
+        # constant to 0.0: an underflowed probability gives a finite loss
+        picked = np.clip(probs[rows, y], np.finfo(probs.dtype).tiny, None)
         loss = float(np.sum(w * -np.log(picked))) / total_chars
         dlogits = probs.copy()
         dlogits[rows, y] -= 1.0

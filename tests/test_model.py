@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -159,6 +160,22 @@ def test_loss_perfect_prediction_near_zero(tagset):
     m.params["head_b2"][:] = [30.0, -30.0]  # class 0 certain
     loss, _ = m.loss_and_grads([M.Example(utt, ann, lab)], class_weight_positive=1.0)
     assert loss <= 1e-6
+
+
+def test_an_underflowed_probability_gives_a_finite_loss(tagset):
+    """A logit gap of 200 against the label underflows float32's softmax to
+    0.0; the loss is floored at the smallest normal float32, not infinite."""
+    m = small_model(tagset, dtype=np.float32)
+    utt, ann, _ = small_example(tagset)
+    lab = corpus.EmphasisLabels(utt.id, (1, 1, 1, 1), (1.0,) * 4, "human")
+    m.params["head_W1"][:] = 0
+    m.params["head_W2"][:] = 0
+    m.params["head_b2"][:] = [200.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        loss, grads = m.loss_and_grads([M.Example(utt, ann, lab)], class_weight_positive=1.0)
+    assert loss == pytest.approx(-math.log(np.finfo(np.float32).tiny))
+    assert all(np.isfinite(g).all() for g in grads.values())
 
 
 def test_class_weight_scales_positive_terms(tagset):
