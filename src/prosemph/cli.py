@@ -265,15 +265,17 @@ class _Run:
     run writes no files) and deletes from it _RECORDS and the command's
     results in WRITES, so a run that fails as a whole leaves none of the last
     run's, and <id><suffix> for each of the `ids` and the command's suffixes,
-    the items' outputs. An `out` it cannot create or clear is a UsageError;
-    an id with an output it cannot delete fails with an OutputWriteError, and
-    `each` skips it. Never a glob: `out` may be a corpus directory."""
+    the items' outputs. The `ids` are the items the run goes over, and their
+    count is its input_count. An `out` it cannot create or clear is a
+    UsageError; an id with an output it cannot delete fails with an
+    OutputWriteError, and `each` skips it. Never a glob: `out` may be a
+    corpus directory."""
 
     def __init__(self, command: str, out, ids=()):
         self.command, self.out = command, Path(out) if out else None
         self.t0 = time.monotonic()
         self.failures: dict[str, str] = {}  # {utterance_id: "<Type>: <message>"}
-        self.input_count = 0
+        self.ids, self.input_count = ids, len(ids)
         results, suffixes, _ = WRITES[command]
         # each file the run may write: {name: the id it belongs to, None for the run}
         self.outputs = {**dict.fromkeys(results),
@@ -291,13 +293,14 @@ class _Run:
             except OSError as exc:
                 raise UsageError(f"--out {self.out}: cannot create or clear it ({exc})") from exc
 
-    def each(self, ids, work, jobs=1):
-        """Run work(uid) for each id, in `jobs` spawned processes when jobs > 1
-        (work must then pickle); work's results other than None, in id order.
-        The failures are kept, and the warnings of each item are issued here,
-        in id order, under this process's filters."""
+    def each(self, work, jobs=1):
+        """Run work(uid) for each of the run's ids that has not failed, in
+        `jobs` spawned processes when jobs > 1 (work must then pickle); work's
+        results other than None, in id order. A ProsemphError fails its item
+        alone and is kept, and the warnings of each item are issued here, in
+        id order, under this process's filters."""
         attempt = partial(_attempt, work)
-        todo = [uid for uid in ids if uid not in self.failures]
+        todo = [uid for uid in self.ids if uid not in self.failures]
         if jobs > 1:
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
@@ -315,12 +318,11 @@ class _Run:
                 self.failures[uid] = failure
             elif result is not None:
                 results.append(result)
-        self.input_count += len(ids)
         return results
 
-    def items(self, ids, corpus_dir, tagset, prepare):
-        """each over the corpus items `ids`, with prepare(utt, ann) as the work."""
-        return self.each(ids, lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
+    def items(self, corpus_dir, tagset, prepare):
+        """each over the run's corpus items, with prepare(utt, ann) as the work."""
+        return self.each(lambda uid: prepare(*corpus.load_item(corpus_dir, uid, tagset)))
 
     def finish(self, config, seed, results=None, label_version=None) -> int:
         """Print the failed items, then write failures.json (them, or []), the
@@ -361,10 +363,10 @@ class _Run:
         return 1 if report else 0
 
 
-def _item_labels(labels_dir, utt):
-    """The item's <id>.lab.tsv in labels_dir, or None when it has none there."""
-    path = Path(labels_dir) / f"{utt.id}.lab.tsv"
-    return corpus.load_labels(path, utt.id, utt.num_chars) if path.exists() else None
+def _item_labels(labels_dir, uid, num_chars=None):
+    """The item's <uid>.lab.tsv in labels_dir, or None when it has none there."""
+    path = Path(labels_dir) / f"{uid}.lab.tsv"
+    return corpus.load_labels(path, uid, num_chars) if path.exists() else None
 
 
 def _example(tagset, provider, utt, ann, labels=None):
@@ -380,14 +382,14 @@ def _example(tagset, provider, utt, ann, labels=None):
 
 
 def cmd_validate(args) -> int:
-    run = _Run("validate", args.out)
+    ids = corpus.corpus_ids(args.corpus)
+    run = _Run("validate", args.out, ids)
 
     def check(utt, ann):
-        _item_labels(args.corpus, utt)
+        _item_labels(args.corpus, utt.id, utt.num_chars)
         return utt.id
 
-    ids = corpus.corpus_ids(args.corpus)
-    passed, failures = run.items(ids, args.corpus, _tagset(args), check), run.failures
+    passed, failures = run.items(args.corpus, _tagset(args), check), run.failures
     for uid in ids:
         print(f"{uid}\tfail\t{failures[uid]}" if uid in failures else f"{uid}\tpass")
     print(f"{len(passed)} pass, {len(failures)} fail")
@@ -420,16 +422,15 @@ def _label_one(corpus_dir, wav_dir, cfg, write_scores, out_dir: Path, uid) -> No
 
 def cmd_label(args) -> int:
     cfg = _read_config(prominence.ProminenceConfig, args.config)
-    ids = corpus.corpus_ids(args.corpus)
-    run = _Run("label", args.out, ids)
+    run = _Run("label", args.out, corpus.corpus_ids(args.corpus))
     work = partial(_label_one, args.corpus, args.wav, cfg, args.scores, run.out)
-    run.each(ids, work, args.jobs)
+    run.each(work, args.jobs)
     return run.finish(dataclasses.asdict(cfg), 0, label_version=prominence.LABEL_VERSION)
 
 
 def cmd_train(args) -> int:
     cfg, load = _model_inputs(args)
-    run = _Run("train", args.out)
+    run = _Run("train", args.out, corpus.corpus_ids(args.corpus))
     tagset, provider = load()
     model_cfg = dataclasses.replace(cfg.model, seed=cfg.seed, semantic_dim=provider.dim)
     dims = {f"model.{f}": (f, getattr(model_cfg, f))
@@ -446,10 +447,10 @@ def cmd_train(args) -> int:
 
     def labeled(utt, ann):
         # an utterance without labels is left out, not failed
-        labels = _item_labels(args.labels or args.corpus, utt)
+        labels = _item_labels(args.labels or args.corpus, utt.id, utt.num_chars)
         return None if labels is None else _example(tagset, provider, utt, ann, labels)
 
-    dataset = run.items(corpus.corpus_ids(args.corpus), args.corpus, tagset, labeled)
+    dataset = run.items(args.corpus, tagset, labeled)
     if cfg.val_fraction > 0:
         rng = np.random.default_rng(cfg.train.seed)
         order = rng.permutation(len(dataset))
@@ -472,17 +473,13 @@ def cmd_predict(args) -> int:
     # predict deletes every corpus id's labels from --out, the corpus's own included
     if Path(args.out).resolve() == Path(args.corpus).resolve():
         raise UsageError("predict --out must differ from --corpus")
-    ids = corpus.corpus_ids(args.corpus)
-    run = _Run("predict", args.out, ids)
+    run = _Run("predict", args.out, corpus.corpus_ids(args.corpus))
     tagset, provider = load()
     model = model_mod.PredictorModel.load(args.checkpoint, tagset, provider)
-    for lab in model.predict(run.items(ids, args.corpus, tagset,
-                                       partial(_example, tagset, provider))):
-        uid = lab.utterance_id
-        try:
-            _write_files(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, lab)])
-        except OutputWriteError as exc:
-            run.failures[uid] = describe(exc)
+    labs = {lab.utterance_id: lab for lab in model.predict(
+        run.items(args.corpus, tagset, partial(_example, tagset, provider)))}
+    run.each(lambda uid: _write_files(
+        run.out, [(f"{uid}.lab.tsv", corpus.save_labels, labs[uid])]))
     return run.finish(dataclasses.asdict(cfg), model.config.seed)
 
 
@@ -491,37 +488,36 @@ def cmd_filter(args) -> int:
     # filter deletes the labels it does not keep from --out
     if Path(args.out).resolve() in (pseudo_dir.resolve(), pred_dir.resolve()):
         raise UsageError("filter --out must differ from --corpus and --predicted")
-    pseudo_ids = corpus.corpus_ids(pseudo_dir, ".lab.tsv")
-    run = _Run("filter", args.out, pseudo_ids)
-    ids = [uid for uid in pseudo_ids if (pred_dir / f"{uid}.lab.tsv").exists()]
+    run = _Run("filter", args.out, corpus.corpus_ids(pseudo_dir, ".lab.tsv"))
 
     def keep(uid):
+        # a pseudo-labeled id without a prediction is left out, not failed
+        pred = _item_labels(pred_dir, uid)
+        if pred is None:
+            return None
         pseudo = corpus.load_labels(pseudo_dir / f"{uid}.lab.tsv", uid)
-        pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid)
         if not metrics.filter_by_confidence(pseudo, pred, args.tau):
             return None
         _write_files(run.out, [(f"{uid}.lab.tsv", corpus.save_labels, pseudo)])
         return uid
 
-    kept = run.each(ids, keep)
-    print(f"kept {len(kept)} of {len(ids)}")
+    kept = run.each(keep)
+    print(f"kept {len(kept)} of {run.input_count}")
     return run.finish({"tau": args.tau}, 0, {"kept.json": (_save_json, kept)})
 
 
 def cmd_evaluate(args) -> int:
     pred_dir, gold_dir = Path(args.predicted), Path(args.gold)
+    run = _Run("evaluate", args.out, corpus.corpus_ids(gold_dir, ".lab.tsv"))
 
     def pair(uid):
-        # a gold id without a predicted file fails the whole run below
+        # a gold id without a predicted file fails alone: "no such file"
         gold = corpus.load_labels(gold_dir / f"{uid}.lab.tsv", uid)
-        pred_path = pred_dir / f"{uid}.lab.tsv"
-        pred = (corpus.load_labels(pred_path, uid, len(gold.labels))
-                if pred_path.exists() else None)
+        pred = corpus.load_labels(pred_dir / f"{uid}.lab.tsv", uid, len(gold.labels))
         return uid, gold, pred
 
-    run = _Run("evaluate", args.out)
-    pairs = run.each(corpus.corpus_ids(gold_dir, ".lab.tsv"), pair)
-    m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs if p is not None},
+    pairs = run.each(pair)
+    m = dataclasses.asdict(metrics.evaluate({uid: p for uid, _, p in pairs},
                                             {uid: g for uid, g, _ in pairs}))
     print(json.dumps(m))
     return run.finish({}, 0, {"metrics.json": (_save_json, m)})
@@ -529,8 +525,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_condition(args) -> int:
     cfg, load = _model_inputs(args)
-    ids = corpus.corpus_ids(args.corpus)
-    run = _Run("condition", args.out, ids)
+    run = _Run("condition", args.out, corpus.corpus_ids(args.corpus))
     tagset, provider = load()
     _check_memory(partial(conditioning.table_shapes, tagset), {
         "cond_dim": ("cond_dim", cfg.cond_dim), "emph_dim": ("emph_dim", cfg.emph_dim),
@@ -540,7 +535,7 @@ def cmd_condition(args) -> int:
 
     def export(utt, ann):
         # an utterance without labels is left out, not failed
-        lab = _item_labels(args.labels or args.corpus, utt)
+        lab = _item_labels(args.labels or args.corpus, utt.id, utt.num_chars)
         if lab is None:
             return
         bundle = conditioning.ConditioningBundle(
@@ -551,7 +546,7 @@ def cmd_condition(args) -> int:
         )
         _write_files(run.out, [(f"{utt.id}.cond.bin", conditioning.export_bundle, bundle)])
 
-    run.items(ids, args.corpus, tagset, export)
+    run.items(args.corpus, tagset, export)
     return run.finish(dataclasses.asdict(cfg), cfg.seed)
 
 

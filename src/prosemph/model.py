@@ -13,6 +13,7 @@ deterministic and checkpoints are bit-exact.
 
 from __future__ import annotations
 
+import contextlib
 import json
 from dataclasses import dataclass
 
@@ -562,23 +563,20 @@ def train(
         raise EmptyDatasetError("training dataset is empty")
     optimizer = AdamOptimizer(model.params, cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    records = []
-    log_f = open(log_path, "w", encoding="utf-8") if log_path else None
-    try:
+    records, starts = [], range(0, len(dataset), cfg.batch_size)
+    log = open(log_path, "w", encoding="utf-8") if log_path else contextlib.nullcontext()
+    with log as log_f:
         for epoch in range(cfg.epochs):
             order = rng.permutation(len(dataset))
             epoch_loss = 0.0
-            num_batches = 0
-            for start in range(0, len(dataset), cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = [dataset[i] for i in idx]
+            for start in starts:
+                batch = [dataset[i] for i in order[start : start + cfg.batch_size]]
                 loss, grads = model.loss_and_grads(
                     batch, class_weight_positive=cfg.class_weight_positive
                 )
                 optimizer.step(model.params, grads)
                 epoch_loss += loss
-                num_batches += 1
-            rec = {"epoch": epoch, "loss": epoch_loss / max(num_batches, 1)}
+            rec = {"epoch": epoch, "loss": epoch_loss / len(starts)}
             if not np.isfinite(rec["loss"]):
                 raise NonFiniteLossError(f"epoch {epoch}: loss {rec['loss']}")
             if val_dataset:
@@ -593,7 +591,4 @@ def train(
             if log_f:
                 log_f.write(json.dumps(rec) + "\n")
                 log_f.flush()
-    finally:
-        if log_f:
-            log_f.close()
     return records

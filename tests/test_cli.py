@@ -390,7 +390,12 @@ def test_label_bad_config_key_is_usage_error(tmp_path, capsys):
                      ({"weights": {"w_f0": True}}, "weights.w_f0"),
                      ({"threshold_sigma": float("inf")}, "threshold_sigma"),
                      ({"band": 5}, "band"),
-                     ({"band": [2.0, 9]}, "band")):
+                     ({"band": [2.0, 9]}, "band"),
+                     ({"weights": {"w_energy": -0.5}}, "weights.w_energy"),
+                     ({"weights": {"w_f0": 0, "w_energy": 0, "w_duration": 0}}, "weights"),
+                     ({"wavelet": {"scales_per_octave": 0}}, "wavelet.scales_per_octave"),
+                     ({"frame": {"hop_sec": 0.05}}, "frame.hop_sec"),
+                     ({"frame": {"f0_min_hz": 500}}, "frame.f0_min_hz")):
         cfg.write_text(json.dumps(bad))
         rc = cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config",
                        str(cfg), "--out", str(tmp_path / "o")])
@@ -441,6 +446,41 @@ def test_bad_tagset_is_one_error_line(tmp_path, tagset, capsys, content):
         dict(content, rel={**tagset.rel, **content["rel"]})).encode())
     assert cli.main(["validate", "--corpus", str(c), "--tagset", str(path)]) == 1
     assert _usage_error_line(capsys).startswith("error: MalformedFileError: ")
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+@pytest.mark.parametrize("content, message", [
+    (lambda ts: {"pos": ts.pos}, "tagset {path} missing 'pos'/'rel' maps"),
+    (lambda ts: {"pos": {"n": 0, "v": 2}, "rel": ts.rel},
+     "tagset {path}: pos ids are not dense 0..n-1"),
+    # SEQ holds the last id, so the rest stay dense
+    (lambda ts: {"pos": ts.pos, "rel": _without(ts.rel, "SEQ")},
+     "tagset {path} missing reserved id SEQ"),
+])
+def test_tagset_without_its_maps_ids_or_reserved_relations_is_one_error_line(
+        tmp_path, tagset, capsys, content, message):
+    c, path = tmp_path / "corpus", tmp_path / "tagset.json"
+    write_labeled_corpus(c, tagset, count=1)
+    path.write_text(json.dumps(content(tagset)))
+    assert cli.main(["validate", "--corpus", str(c), "--tagset", str(path)]) == 1
+    assert _usage_error_line(capsys) == "error: MalformedFileError: " + message.format(path=path)
+
+
+@pytest.mark.parametrize("fault", ["missing", "directory", "not_json"])
+def test_unreadable_config_is_usage_error(tmp_path, capsys, fault):
+    c, w, cfg, out = tmp_path / "c", tmp_path / "wav", tmp_path / "cfg.json", tmp_path / "o"
+    write_audio_corpus(c, w, count=1)
+    if fault == "directory":
+        cfg.mkdir()
+    elif fault == "not_json":
+        cfg.write_text("{not json")
+    assert cli.main(["label", "--corpus", str(c), "--wav", str(w), "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert _usage_error_line(capsys).startswith(f"error: cannot read config {cfg}: ")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, bad, key", [
@@ -674,6 +714,11 @@ def _predicted_copy(c, pred):
         (pred / p.name).write_bytes(p.read_bytes())
 
 
+def _gold_counts(c, uids):
+    """metrics.json's (tp, fp, fn) when the predictions of uids equal their gold."""
+    return sum(sum(corpus.load_labels(c / f"{uid}.lab.tsv", uid).labels) for uid in uids), 0, 0
+
+
 @pytest.mark.parametrize("fault, error", [
     ("bad_utf8", {"filter": "MalformedFileError", "evaluate": "MalformedFileError"}),
     ("one_row", {"filter": "LengthMismatchError",
@@ -703,21 +748,25 @@ def test_bad_predicted_labels_fail_alone(tmp_path, tagset, command, fault, error
     if command == "filter":
         assert json.loads((out / "kept.json").read_text()) == ["u0000", "u0002"]
     else:
-        tp = sum(sum(corpus.load_labels(c / f"{uid}.lab.tsv", uid).labels)
-                 for uid in ("u0000", "u0002"))
         m = json.loads((out / "metrics.json").read_text())
-        assert (m["tp"], m["fp"], m["fn"]) == (tp, 0, 0)
+        assert (m["tp"], m["fp"], m["fn"]) == _gold_counts(c, ("u0000", "u0002"))
 
 
-def test_evaluate_missing_prediction_fails_the_run(tmp_path, tagset, capsys):
+def test_evaluate_missing_prediction_fails_its_item(tmp_path, tagset, capsys):
     c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
     _predicted_copy(c, pred)
     (pred / "u0002.lab.tsv").unlink()
     assert cli.main(["evaluate", "--predicted", str(pred), "--gold", str(c),
                      "--out", str(out)]) == 1
-    assert _usage_error_line(capsys).startswith("error: UtteranceSetMismatchError: ")
-    assert not (out / "metrics.json").exists()
+    failures = json.loads((out / "failures.json").read_text())
+    assert failures == [{"utterance_id": "u0002",
+                         "error": f"MalformedFileError: {pred / 'u0002.lab.tsv'}: no such file"}]
+    assert capsys.readouterr().err == f"u0002\tfail\t{failures[0]['error']}\n"
+    m = json.loads((out / "metrics.json").read_text())
+    assert (m["tp"], m["fp"], m["fn"]) == _gold_counts(c, ("u0000", "u0001"))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["input_count"], manifest["output_paths"]) == (3, ["metrics.json"])
 
 
 def test_failed_evaluate_leaves_no_earlier_result(tmp_path, tagset, capsys):
@@ -726,12 +775,17 @@ def test_failed_evaluate_leaves_no_earlier_result(tmp_path, tagset, capsys):
     _predicted_copy(c, pred)
     argv = ["evaluate", "--predicted", str(pred), "--gold", str(c), "--out", str(out)]
     assert cli.main(argv) == 0
-    assert json.loads((out / "metrics.json").read_text())["f_score"] == 1.0
+    m = json.loads((out / "metrics.json").read_text())
+    assert (m["tp"], m["fp"], m["fn"]) == _gold_counts(c, ("u0000", "u0001", "u0002"))
+    # u0002 holds an emphasized character, so the three-id counts differ from the two-id ones
+    assert _gold_counts(c, ("u0002",))[0] > 0
     (pred / "u0002.lab.tsv").unlink()
     assert cli.main(argv) == 1
-    assert "UtteranceSetMismatchError" in capsys.readouterr().err
-    for name in ("metrics.json", "failures.json", "manifest.json"):
-        assert not (out / name).exists()
+    assert "u0002\tfail\tMalformedFileError: " in capsys.readouterr().err
+    m = json.loads((out / "metrics.json").read_text())
+    assert (m["tp"], m["fp"], m["fn"]) == _gold_counts(c, ("u0000", "u0001"))
+    assert [f["utterance_id"] for f in json.loads((out / "failures.json").read_text())] == [
+        "u0002"]
 
 
 @pytest.mark.parametrize("fault", ["out_is_a_file", "directory_at_result"])
@@ -926,17 +980,29 @@ def test_whole_run_write_fault_comes_after_the_failed_items(tmp_path, tagset, ca
     assert not (out / "manifest.json").exists() and not (out / name).exists()
 
 
-@pytest.mark.parametrize("command, suffix", [("predict", ".lab.tsv"),
-                                             ("condition", ".cond.bin")])
-def test_run_goes_over_the_ids_it_opened_with(tmp_path, tagset, monkeypatch, command,
+@pytest.mark.parametrize("command, suffix", [
+    ("predict", ".lab.tsv"), ("condition", ".cond.bin"), ("validate", None), ("train", None),
+    ("filter", ".lab.tsv"), ("evaluate", None)])
+def test_run_goes_over_the_ids_it_opened_with(tmp_path, tagset, monkeypatch, capsys, command,
                                               suffix):
-    c, out = tmp_path / "corpus", tmp_path / "out"
+    # each command lists its ids once, before it opens its run, and goes over
+    # those alone; input_count counts them, a left-out one included
+    c, pred, out = tmp_path / "corpus", tmp_path / "pred", tmp_path / "out"
     write_labeled_corpus(c, tagset, count=3)
-    argv = [command, "--corpus", str(c), "--out", str(out),
-            "--config", str(small_train_config(tmp_path / "cfg.json"))]
+    _predicted_copy(c, pred)
+    cfg = ["--config", str(small_train_config(tmp_path / "cfg.json"))]
+    argv = {"validate": ["--corpus", str(c)],
+            "train": ["--corpus", str(c), *cfg],
+            "predict": ["--corpus", str(c), *cfg, "--checkpoint", str(tmp_path / "m.pemo")],
+            "filter": ["--corpus", str(c), "--predicted", str(pred), "--tau", "0"],
+            "evaluate": ["--predicted", str(pred), "--gold", str(c)],
+            "condition": ["--corpus", str(c), *cfg]}[command]
     if command == "predict":
         save_small_model(tagset, tmp_path / "m.pemo")
-        argv += ["--checkpoint", str(tmp_path / "m.pemo")]
+    if command == "train":  # an id without labels is left out, not failed
+        (c / "u0001.lab.tsv").unlink()
+    if command == "filter":  # so is a pseudo-labeled id without a prediction
+        (pred / "u0001.lab.tsv").unlink()
     real, calls = corpus.corpus_ids, []
 
     def grows(*args):  # u0002 appears after the first listing
@@ -944,12 +1010,24 @@ def test_run_goes_over_the_ids_it_opened_with(tmp_path, tagset, monkeypatch, com
         return real(*args)[:2] if len(calls) == 1 else real(*args)
 
     monkeypatch.setattr(corpus, "corpus_ids", grows)
-    assert cli.main(argv) == 0
+    assert cli.main([command, *argv, "--out", str(out)]) == 0
+    done = ["u0000"] if command == "filter" else ["u0000", "u0001"]
+    outputs = sorted([*cli.WRITES[command][0], *(uid + suffix for uid in done if suffix)])
     manifest = json.loads((out / "manifest.json").read_text())
-    assert (manifest["input_count"], manifest["output_paths"]) == (
-        2, [f"u0000{suffix}", f"u0001{suffix}"])
-    assert sorted(p.name for p in out.iterdir()) == [
-        "failures.json", "manifest.json", f"u0000{suffix}", f"u0001{suffix}"]
+    assert (manifest["input_count"], manifest["output_paths"]) == (2, outputs)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["failures.json", "manifest.json", *outputs])
+    assert json.loads((out / "failures.json").read_text()) == []
+    stdout = capsys.readouterr().out
+    if command == "validate":
+        assert [v["utterance_id"] for v in json.loads((out / "validation.json").read_text())] == [
+            "u0000", "u0001"]
+    if command == "filter":
+        assert json.loads((out / "kept.json").read_text()) == ["u0000"]
+        assert "kept 1 of 2" in stdout
+    if command == "evaluate":
+        m = json.loads((out / "metrics.json").read_text())
+        assert (m["tp"], m["fp"], m["fn"]) == _gold_counts(c, ("u0000", "u0001"))
 
 
 @pytest.mark.parametrize("command, bad, key", [

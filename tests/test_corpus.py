@@ -323,3 +323,38 @@ def test_validate_corpus_bad_labels(tmp_path, tagset, capsys):
     rc, entries = validate(tmp_path, tmp_path / "out")
     assert rc == 1 and [e["ok"] for e in entries] == [False]  # 1 label row, 2 chars
     assert capsys.readouterr().out.endswith("0 pass, 1 fail\n")
+
+
+@pytest.mark.parametrize("utt, ann, lab, failure", [
+    ({"chars": []}, None, None, "InconsistentAlignmentError: a: utterance has no characters"),
+    ({"word_spans": [[0, 1]]}, None, None,
+     "InconsistentAlignmentError: a: word_spans cover [0,1) but utterance has 2 chars"),
+    ({"char_times": [[0.0, 0.2]]}, None, None,
+     "InconsistentAlignmentError: a: char_times has 1 entries for 2 chars"),
+    (None, {"pos": ["n", "n"]}, None, "MalformedFileError: a: pos/heads/rels lengths disagree"),
+    ({"word_spans": [[0, 1], [1, 2]]},
+     {"pos": ["n", "n"], "heads": [None, 5], "rels": ["ROOT", "ATT"]}, None,
+     "MalformedFileError: a: word 1 has invalid head 5"),
+    (None, {"rels": ["ATT"]}, None,
+     "MalformedFileError: a: root word 0 does not carry the ROOT relation"),
+    (None, None, "#source=robot\n0\t0\t0.9\n1\t1\t0.8\n",
+     "MalformedFileError: a: unknown label source 'robot'"),
+    ([VALID_UTT], None, None, "MalformedFileError: {dir}/a.utt.json: expected a JSON object"),
+])
+def test_validate_fails_only_the_faulty_item(tmp_path, tagset, utt, ann, lab, failure):
+    """Each fault of an utterance, annotation or label file fails its own item
+    alone: `b` beside it passes."""
+    for uid in ("a", "b"):
+        write_valid_set(tmp_path, uid, tagset)
+    if utt is not None:
+        write_json(tmp_path / "a.utt.json",
+                   utt if isinstance(utt, list) else {**VALID_UTT, **utt, "id": "a"})
+    if ann is not None:
+        write_json(tmp_path / "a.ann.json", {"utterance_id": "a", "pos": ["n"],
+                                             "heads": [None], "rels": ["ROOT"], **ann})
+    if lab is not None:
+        (tmp_path / "a.lab.tsv").write_text(lab, encoding="utf-8")
+    rc, entries = validate(tmp_path, tmp_path / "out")
+    assert rc == 1
+    assert [(e["utterance_id"], e["ok"], e["failure"]) for e in entries] == [
+        ("a", False, failure.format(dir=tmp_path)), ("b", True, None)]
